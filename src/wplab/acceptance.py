@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from mpmath import mp
@@ -24,6 +23,7 @@ from .counting import (
     ExpWpLog,
     Identity,
     _classify_enclosure,
+    _q_window,
     count_report,
     enumerate_rationals,
 )
@@ -34,7 +34,7 @@ from .differentials import (
     extend_derivation,
     f_forms,
 )
-from .lattice_core import Lattice, conjugate, flt, is_isogenous, isr_equivalent, \
+from .lattice_core import Lattice, flt, is_isogenous, isr_equivalent, \
     make_lattice, mat_det, witness_maps
 from .predim_engine import (
     Configuration,
@@ -605,10 +605,7 @@ def criterion_9(seed=0):
     for p in ps:
         lo1, hi1 = h.enclosure(p.value, 128)
         lo2, hi2 = h.enclosure(p.value, 256)
-        window_lo = min(lo1, lo2) - eps
-        window_hi = max(hi1, hi2) + eps
-        i0 = bisect_left(qvals, window_lo)
-        i1 = bisect_right(qvals, window_hi)
+        i0, i1 = _q_window(qvals, min(lo1, lo2), max(hi1, hi2), eps)
         for q in qvals[i0:i1]:
             k1 = _classify_enclosure(lo1 - q, hi1 - q, eps)
             k2 = _classify_enclosure(lo2 - q, hi2 - q, eps)

@@ -90,10 +90,6 @@ class ComplexBox:
     def from_fractions(re: Fraction, im: Fraction = Fraction(0)) -> "ComplexBox":
         return ComplexBox(ri(re), ri(im))
 
-    @staticmethod
-    def zero() -> "ComplexBox":
-        return ComplexBox(iv.mpf(0), iv.mpf(0))
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

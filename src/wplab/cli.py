@@ -25,11 +25,8 @@ from .counting import (
     Domain,
     ExpWpLog,
     Identity,
-    RationalQ,
-    classify_point,
     count_report,
     default_eps,
-    enumerate_rationals,
 )
 from .differentials import der_dimension, extend_derivation, hcl_witness
 from .errors import WplabError
@@ -37,7 +34,6 @@ from .lattice_core import (
     IsogenyVerdict,
     Lattice,
     cm_field,
-    conjugate,
     is_isogenous,
     isr_equivalent,
     make_lattice,
@@ -214,7 +210,7 @@ def cmd_lattice(args) -> int:
             d = cm_field(lat, args.bound)
         rec = {"cm_d": d}
         emit(args, [f"cm_d = {d}"], rec)
-        return 0 if d is not None else 1
+        return 0 if d is not None else 2
     tau1 = parse_value(args.tau1, prec)
     tau2 = parse_value(args.tau2, prec)
     l1 = lattice_from_tau(tau1, prec)

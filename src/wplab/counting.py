@@ -15,7 +15,8 @@ flip a confirmation into an exclusion at the same eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
 from typing import Optional, Sequence
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 from mpmath import iv, mp
 
 from .cintervals import ComplexBox, ri, ri_hi, ri_lo, working_precision
-from .errors import InvalidConfiguration, PrecisionExhausted
+from .errors import InvalidConfiguration, PrecisionError, PrecisionExhausted
 from .lattice_core import Lattice
 from .quadfield import QuadNum
 from .wp_numerics import EllipticModel, invariants, wp
@@ -59,10 +60,6 @@ class RationalQ:
     def value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    @staticmethod
-    def from_fraction(x: Fraction) -> "RationalQ":
-        return RationalQ(x.numerator, x.denominator)
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -77,9 +74,6 @@ class Domain:
         if self.hi is not None and not x < self.hi:
             return False
         return True
-
-    def is_empty(self) -> bool:
-        return self.lo is not None and self.hi is not None and self.lo >= self.hi
 
 
 def enumerate_rationals(height_bound: int, domain: Domain) -> list:
@@ -113,17 +107,12 @@ class Identity:
 
 
 class Composite:
-    """h(t) = f_inverse(g(f(t))) with f = log, f_inverse = exp, and g the
-    wp-function of a rectangular lattice restricted to the real line."""
+    """h(t) = exp(g(log t)) with g the wp-function of a rectangular lattice
+    restricted to the real line."""
 
     descriptor = "composite"
 
-    def __init__(self, lattice: Lattice, domain: Domain,
-                 f: str = "log", f_inverse: str = "exp"):
-        if (f, f_inverse) != ("log", "exp"):
-            raise InvalidConfiguration(
-                "only the log / exp conjugation pair is implemented"
-            )
+    def __init__(self, lattice: Lattice, domain: Domain):
         self.lattice = lattice
         self.domain = domain
         self._models = {}
@@ -240,7 +229,7 @@ def classify_point(h, p: RationalQ, q: RationalQ, eps: Fraction,
         raise InvalidConfiguration("p outside the target's domain")
     try:
         lo, hi = h.enclosure(p.value, precision)
-    except PrecisionExhausted:
+    except PrecisionError:
         return PointVerdict(p, q, UNDETERMINED, (None, None))
     dlo, dhi = lo - q.value, hi - q.value
     return PointVerdict(p, q, _classify_enclosure(dlo, dhi, Fraction(eps)),
@@ -283,11 +272,20 @@ def fit_log_counts(h_schedule: Sequence[int], counts: Sequence[int]):
     return (_exp(b), k, ssr)
 
 
+def _q_window(qvals, lo: Fraction, hi: Fraction, eps: Fraction):
+    """Index range [i0, i1) of the sorted q values inside
+    [lo - |eps|, hi + |eps|]; every q outside it is EXCLUDED against the
+    enclosure [lo, hi] by construction."""
+    pad = abs(eps)
+    return bisect_left(qvals, lo - pad), bisect_right(qvals, hi + pad)
+
+
 def count_report(h, h_schedule: Sequence[int], eps=None,
                  precision: int = 128) -> CountReport:
     """N(H) over the schedule: confirmed pairs (p, q) with p in the domain
     and both heights <= H.  Enclosures are computed once per p at the
-    largest height and reused across the schedule."""
+    largest height and reused across the schedule; only the qs in each p's
+    window are classified, the rest are excluded by construction."""
     schedule = list(h_schedule)
     if schedule != sorted(schedule) or len(set(schedule)) != len(schedule):
         raise InvalidConfiguration("H schedule must be strictly increasing")
@@ -296,16 +294,18 @@ def count_report(h, h_schedule: Sequence[int], eps=None,
     q_domain = Domain(Fraction(0), None)
     ps = enumerate_rationals(h_max, h.domain) if h_max else []
     qs = enumerate_rationals(h_max, q_domain) if h_max else []
+    qvals = [q.value for q in qs]
     confirmed_heights = []
     undetermined_heights = []
     for p in ps:
         try:
             lo, hi = h.enclosure(p.value, precision)
-        except PrecisionExhausted:
+        except PrecisionError:
             for q in qs:
                 undetermined_heights.append(max(p.height, q.height))
             continue
-        for q in qs:
+        i0, i1 = _q_window(qvals, lo, hi, eps)
+        for q in qs[i0:i1]:
             k = _classify_enclosure(lo - q.value, hi - q.value, eps)
             if k == CONFIRMED:
                 confirmed_heights.append(max(p.height, q.height))

@@ -39,10 +39,6 @@ class DegenerateLattice(WplabError):
     pass
 
 
-class MixedRepresentation(WplabError):
-    """Exact and numeric operands mixed where exactness is required."""
-
-
 class UnknownUpToBound(WplabError):
     """Neither confirmation nor exclusion certified within the search bound."""
 

@@ -45,10 +45,6 @@ def mat_det(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def mat_adjugate(m):
-    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-
-
 def translation(t: int):
     return ((1, -t), (0, 1))
 
@@ -219,20 +215,17 @@ def reduce_tau(lattice_or_tau, strict: bool = True):
 
 def conjugate(lattice: Lattice) -> Lattice:
     """Lattice of the coordinatewise-conjugated periods, renormalized."""
-    if lattice.exact:
-        return make_lattice(lattice.omega1.conj(), lattice.omega2.conj())
     return make_lattice(lattice.omega1.conj(), lattice.omega2.conj())
 
 
 # -- complex multiplication --------------------------------------------------
 
-def _integers_in(interval, bound):
-    lo = mp.ceil(ri_lo(interval))
-    hi = mp.floor(ri_hi(interval))
-    if hi < lo:
-        return []
-    lo, hi = int(lo), int(hi)
-    return [v for v in range(max(lo, -bound), min(hi, bound) + 1)]
+def _integers_in(interval, bound, widen=0):
+    """Integers of the interval, widened by `widen` on each side and clamped
+    to [-bound, bound], in increasing order."""
+    lo = int(mp.ceil(ri_lo(interval))) - widen
+    hi = int(mp.floor(ri_hi(interval))) + widen
+    return range(max(lo, -bound), min(hi, bound) + 1)
 
 
 def cm_field(lattice: Lattice, height_bound: int = 100) -> Optional[int]:
@@ -338,39 +331,38 @@ def _exact_isogeny(l1: Lattice, l2: Lattice) -> IsogenyVerdict:
     return IsogenyVerdict("isogenous", witness=m, alpha=_alpha_for(l1, l2, m))
 
 
-def _matrices_up_to(bound):
-    """All 2x2 integer matrices ordered by max |entry|, then lexicographic."""
-    for k in range(1, bound + 1):
-        rng = range(-k, k + 1)
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    for d in rng:
-                        if max(abs(a), abs(b), abs(c), abs(d)) != k:
+def _numeric_isogeny(l1: Lattice, l2: Lattice, bound: int) -> IsogenyVerdict:
+    """Least witness by (max |entry|, a, b, c, d) with entries up to the
+    bound.  (c, d) is swept by max(|c|, |d|); a*tau1 + b = tau2*(c*tau1 + d)
+    then pins a by its imaginary part and b by its real part, each widened
+    by one integer, and the residual check certifies every candidate."""
+    t1, t2 = l1.tau_box(), l2.tau_box()
+    best = None
+    for k in range(bound + 1):
+        if best is not None and k > best[0]:
+            break
+        for c in range(-k, k + 1):
+            for d in range(-k, k + 1):
+                if max(abs(c), abs(d)) != k:
+                    continue
+                den_box = t1 * c + d
+                if den_box.contains_zero():
+                    continue
+                rhs = t2 * den_box
+                for a in _integers_in(rhs.im / t1.im, bound, widen=1):
+                    t1a = t1 * a
+                    for b in _integers_in(rhs.re - t1a.re, bound, widen=1):
+                        key = (max(abs(a), abs(b), k), a, b, c, d)
+                        if best is not None and key >= best:
                             continue
                         if a * d - b * c == 0:
                             continue
-                        yield ((a, b), (c, d))
-
-
-def _numeric_isogeny(l1: Lattice, l2: Lattice, bound: int) -> IsogenyVerdict:
-    t1, t2 = l1.tau_box(), l2.tau_box()
-    z1, z2 = complex(t1.mid()), complex(t2.mid())
-    slack = float(t1.rad() + t2.rad())
-    for m in _matrices_up_to(bound):
-        (a, b), (c, d) = m
-        den = z1 * c + d
-        # cheap midpoint prefilter; interval check certifies survivors
-        if abs((z1 * a + b) - z2 * den) > 1e-4 + 16 * slack * (1 + abs(z2)) * (
-            abs(a) + abs(b) + abs(c) + abs(d)
-        ):
-            continue
-        den_box = t1 * c + d
-        if den_box.contains_zero():
-            continue
-        if ((t1 * a + b) - t2 * den_box).contains_zero():
-            return IsogenyVerdict("isogenous", witness=m,
-                                  alpha=_alpha_for(l1, l2, m))
+                        if ((t1a + b) - rhs).contains_zero():
+                            best = key
+    if best is not None:
+        m = (best[1:3], best[3:5])
+        return IsogenyVerdict("isogenous", witness=m,
+                              alpha=_alpha_for(l1, l2, m))
     return IsogenyVerdict("unknown_up_to_bound", bound=bound,
                           reason=f"no witness with entries up to {bound}")
 

@@ -58,10 +58,6 @@ class FunctionSlot:
         elif self.d is not None:
             raise InvalidConfiguration(f"slot kind {self.kind} takes no d")
 
-    @property
-    def multiplier_field(self) -> str:
-        return f"Q(sqrt({self.d}))" if self.kind == "wp_cm" else "Q"
-
 
 @dataclass(frozen=True)
 class GroupPoint:
@@ -96,9 +92,9 @@ class Chain:
 
 # -- exact rank over Q and Q(sqrt(d)) ----------------------------------------
 
-def _rank_fraction_matrix(rows) -> int:
-    """Row rank by fraction-free Gaussian elimination; rows are lists of
-    Fractions (mutated copies)."""
+def _rank(rows) -> int:
+    """Row rank by Gaussian elimination over any exact field whose elements
+    support != 0, 1 / x, * and - (Fraction, QuadNum); rows are copied."""
     rows = [list(r) for r in rows if any(x != 0 for x in r)]
     if not rows:
         return 0
@@ -118,50 +114,11 @@ def _rank_fraction_matrix(rows) -> int:
         pr = rows[rank]
         inv = 1 / pr[col]
         for i in range(rank + 1, len(rows)):
-            f = rows[i][col] * inv
-            if f != 0:
-                ri = rows[i]
+            ri = rows[i]
+            if ri[col] != 0:
+                f = ri[col] * inv
                 for j in range(col, cols):
                     ri[j] -= f * pr[j]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_quad_matrix(rows, d: int) -> int:
-    """Row rank over Q(sqrt(d)); entries are (x, y) pairs meaning
-    x + y*sqrt(d)."""
-    def to_q(entry):
-        if isinstance(entry, QuadNum):
-            return entry
-        x, y = entry
-        return QuadNum(Fraction(x), Fraction(y), d)
-
-    rows = [[to_q(e) for e in r] for r in rows]
-    rows = [r for r in rows if any(not x.is_zero() for x in r)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < cols:
-        pivot = None
-        for i in range(rank, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = pr[col].inverse()
-        for i in range(rank + 1, len(rows)):
-            if not rows[i][col].is_zero():
-                f = rows[i][col] * inv
-                ri = rows[i]
-                for j in range(col, cols):
-                    ri[j] = ri[j] - f * pr[j]
         rank += 1
         col += 1
     return rank
@@ -247,11 +204,12 @@ class Configuration:
         return Fraction(entry) == 0
 
     def _slot_rank(self, slot_i: int, rows) -> int:
+        """Rank over k_i; wp_cm entries (x, y) mean x + y*sqrt(d)."""
+        d = self.slots[slot_i].d
         if self.slots[slot_i].kind == "wp_cm":
-            return _rank_quad_matrix(rows, self.slots[slot_i].d)
-        return _rank_fraction_matrix(
-            [[Fraction(x) for x in row] for row in rows]
-        )
+            return _rank([[QuadNum(Fraction(x), Fraction(y), d) for x, y in row]
+                          for row in rows])
+        return _rank([[Fraction(x) for x in row] for row in rows])
 
     # -- subsets as bitmasks --------------------------------------------------
 
@@ -279,7 +237,7 @@ class Configuration:
         cols = [i for i in range(len(self.coordinates)) if mask >> i & 1]
         rows = [[row[i] for i in cols] for row in self.matroid]
         # rank of the column subset = rank of the transposed row system
-        rank = _rank_fraction_matrix(
+        rank = _rank(
             [[rows[r][c] for r in range(len(rows))] for c in range(len(cols))]
         )
         self._td_cache[mask] = rank

@@ -157,9 +157,6 @@ class QuadNum:
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
 
-    def is_rational(self) -> bool:
-        return self.q == 0
-
     # -- embedding into C --------------------------------------------------
 
     def abs_sq(self) -> Fraction:

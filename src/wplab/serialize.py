@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath import iv, mp
 
-from .cintervals import ComplexBox, ri, ri_hi, ri_lo, working_precision
+from .cintervals import ComplexBox, ri_hi, working_precision
 from .errors import InvalidConfiguration
 from .lattice_core import Lattice, make_lattice
 from .predim_engine import Configuration, FunctionSlot, GroupPoint
@@ -36,13 +36,14 @@ def _decimal(x, precision: int) -> str:
 
 
 def box_record(z: ComplexBox, precision: int) -> dict:
-    mid = z.mid()
-    return {
-        "re": _decimal(mid.real, precision),
-        "im": _decimal(mid.imag, precision),
-        "err": mp.nstr(z.rad() + mp.ldexp(1, -precision), 8),
-        "precision": precision,
-    }
+    with working_precision(precision):
+        mid = z.mid()
+        return {
+            "re": _decimal(mid.real, precision),
+            "im": _decimal(mid.imag, precision),
+            "err": mp.nstr(z.rad() + mp.ldexp(1, -precision), 8),
+            "precision": precision,
+        }
 
 
 def parse_box(rec: dict) -> ComplexBox:

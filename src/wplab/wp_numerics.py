@@ -17,17 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from mpmath import iv, mp, mpf
 
 from .cintervals import (
     ComplexBox,
-    GUARD_BITS,
     exp_2pi_i,
     quadnum_box,
     ri,
-    ri_from_endpoints,
     ri_hi,
     ri_lo,
     working_precision,
@@ -238,12 +236,6 @@ def _reduce_argument(m: EllipticModel, z_raw):
             "exact argument too close to a lattice point at this precision"
         )
     return xr, yr, t_red
-
-
-def _coord_slop(xr, yr) -> mpf:
-    return max(
-        abs(ri_lo(xr)), abs(ri_hi(xr)), abs(ri_lo(yr)), abs(ri_hi(yr)), mpf("0.5")
-    ) - mpf("0.5")
 
 
 # -- wp and wp' --------------------------------------------------------------

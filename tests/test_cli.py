@@ -46,6 +46,15 @@ def test_exit_codes():
     assert code == 2 and "error" in err
 
 
+def test_cm_without_relation_exits_unknown():
+    code, out, _ = invoke("lattice", "cm", "--tau", "0.2345+1.618i",
+                          "--bound", "20")
+    assert code == 2 and out == "cm_d = None\n"
+    code, out, _ = invoke("lattice", "cm", "--tau", "0.2345+1.618i",
+                          "--bound", "20", "--format", "record")
+    assert code == 2 and json.loads(out) == {"cm_d": None}
+
+
 def test_record_format_is_json(tmp_path):
     code, out, _ = invoke("wp", "invariants", "--tau", "i",
                           "--format", "record")

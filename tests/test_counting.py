@@ -23,7 +23,7 @@ from wplab.counting import (
     fit_log_counts,
     mpf_to_fraction,
 )
-from wplab.errors import InvalidConfiguration
+from wplab.errors import InvalidConfiguration, PrecisionError, UndecidablePoleProximity
 from wplab.lattice_core import make_lattice
 from wplab.quadfield import QuadNum
 
@@ -155,3 +155,83 @@ def test_count_report_composite_smoke():
     rep = count_report(h, (3, 6), precision=128)
     assert rep.counts == (0, 0)
     assert rep.undetermined == (0, 0)
+
+
+# -- count_report against a brute-force all-pairs oracle ----------------------
+
+def all_pairs_oracle(h, schedule, eps, precision=128):
+    """(counts, undetermined) from classifying every (p, q) pair by the
+    trichotomy's definition, with no window; a p whose enclosure fails
+    leaves all its pairs undetermined."""
+    h_max = schedule[-1]
+    qs = enumerate_rationals(h_max, Domain(F(0), None))
+    confirmed, undetermined = [], []
+    for p in enumerate_rationals(h_max, h.domain):
+        try:
+            lo, hi = h.enclosure(p.value, precision)
+        except PrecisionError:
+            lo = hi = None
+        for q in qs:
+            height = max(p.height, q.height)
+            if lo is None:
+                undetermined.append(height)
+            elif -eps < lo - q.value and hi - q.value < eps:
+                confirmed.append(height)
+            elif not (lo - q.value >= eps or hi - q.value <= -eps):
+                undetermined.append(height)
+    return (tuple(sum(1 for x in confirmed if x <= H) for H in schedule),
+            tuple(sum(1 for x in undetermined if x <= H) for H in schedule))
+
+
+class WideQuadratic:
+    """h(t) = t^2/3 + 1/7, known only to within +-1/100."""
+
+    descriptor = "wide_quadratic"
+
+    def __init__(self, domain=Domain(F(0), None), pole=None):
+        self.domain = domain
+        self.pole = pole
+
+    def enclosure(self, p, precision):
+        if p == self.pole:
+            raise UndecidablePoleProximity("enclosure touches a pole")
+        v = p * p / 3 + F(1, 7)
+        return v - F(1, 100), v + F(1, 100)
+
+
+def test_count_report_matches_all_pairs_oracle():
+    cases = [
+        (Identity(Domain(F(0), None)), (2, 5, 9), default_eps(128)),
+        (Identity(Domain(F(1, 3), F(5, 2))), (3, 7, 12), default_eps(128)),
+        (Identity(Domain(F(0), None)), (4, 8), F(1, 6)),
+        (ExpWpLog(RECT, Domain(F(11, 10), F(5, 2))), (3, 6), default_eps(128)),
+        (ExpWpLog(RECT, Domain(F(11, 10), F(5, 2))), (4, 7), F(1, 2)),
+        (WideQuadratic(), (3, 6, 9), F(1, 20)),
+    ]
+    for h, schedule, eps in cases:
+        rep = count_report(h, schedule, eps, 128)
+        assert (rep.counts, rep.undetermined) == all_pairs_oracle(h, schedule, eps)
+
+
+def test_wide_enclosures_reach_all_three_classes():
+    h = WideQuadratic()
+    eps = F(1, 20)
+    qs = enumerate_rationals(9, Domain(F(0), None))
+    seen = {classify_point(h, p, q, eps).klass
+            for p in enumerate_rationals(9, h.domain) for q in qs}
+    assert seen == {CONFIRMED, EXCLUDED, UNDETERMINED}
+    rep = count_report(h, (9,), eps)
+    assert rep.counts[0] > 0 and rep.undetermined[0] > 0
+
+
+def test_precision_error_counts_as_undetermined():
+    h = WideQuadratic(pole=F(2))
+    verdict = classify_point(h, RationalQ(2, 1), RationalQ(1, 1), F(1, 20))
+    assert verdict.klass == UNDETERMINED
+    rep = count_report(h, (2, 3), F(1, 20))
+    assert (rep.counts, rep.undetermined) == all_pairs_oracle(h, (2, 3), F(1, 20))
+    clean = count_report(WideQuadratic(), (2, 3), F(1, 20))
+    # p = 2 (height 2) pairs with 3 qs up to H = 2 and 7 up to H = 3; all
+    # turn undetermined, including its one confirmed pair (2, 3/2)
+    assert tuple(u - c for u, c in zip(rep.undetermined, clean.undetermined)) == (3, 7)
+    assert tuple(c - n for c, n in zip(clean.counts, rep.counts)) == (0, 1)

@@ -202,3 +202,73 @@ def test_isr_reflection_and_negative():
     v = isr_equivalent(sq, exact_lattice(QuadNum(0, 1, -2)))
     assert v.outcome == "not_isogenous"
     assert v.used_reflection is None
+
+
+# -- the bounded numeric search against the exhaustive cube scan --------------
+
+def _matrices_up_to(bound):
+    """All 2x2 integer matrices ordered by max |entry|, then lexicographic."""
+    for k in range(1, bound + 1):
+        rng = range(-k, k + 1)
+        for a in rng:
+            for b in rng:
+                for c in rng:
+                    for d in rng:
+                        if max(abs(a), abs(b), abs(c), abs(d)) != k:
+                            continue
+                        if a * d - b * c == 0:
+                            continue
+                        yield ((a, b), (c, d))
+
+
+def cube_scan_isogeny(l1, l2, bound):
+    """Reference search: walk the (2k+1)^4 cube for each k with a float
+    midpoint prefilter, certify survivors by the interval residual, and
+    return (outcome, witness) of the first hit."""
+    t1, t2 = l1.tau_box(), l2.tau_box()
+    z1, z2 = complex(t1.mid()), complex(t2.mid())
+    slack = float(t1.rad() + t2.rad())
+    for m in _matrices_up_to(bound):
+        (a, b), (c, d) = m
+        den = z1 * c + d
+        if abs((z1 * a + b) - z2 * den) > 1e-4 + 16 * slack * (1 + abs(z2)) * (
+            abs(a) + abs(b) + abs(c) + abs(d)
+        ):
+            continue
+        den_box = t1 * c + d
+        if den_box.contains_zero():
+            continue
+        if ((t1 * a + b) - t2 * den_box).contains_zero():
+            return "isogenous", m
+    return "unknown_up_to_bound", None
+
+
+def _random_tau_box(rng):
+    return ComplexBox(ri(Fraction(rng.randint(-500, 500), 1000)),
+                      ri(Fraction(rng.randint(900, 2500), 1000)))
+
+
+def test_numeric_isogeny_matches_cube_scan():
+    rng = random.Random(1)
+    found = 0
+    with working_precision(128):
+        for _ in range(22):
+            tau1 = _random_tau_box(rng)
+            while True:
+                m = tuple(tuple(rng.randint(-2, 2) for _ in range(2))
+                          for _ in range(2))
+                if mat_det(m) != 0:
+                    break
+            l1 = make_lattice(ComplexBox(1), tau1)
+            l2 = make_lattice(ComplexBox(1), flt(m, tau1))
+            bound = rng.randint(3, 6)
+            v = is_isogenous(l1, l2, bound)
+            assert (v.outcome, v.witness) == cube_scan_isogeny(l1, l2, bound)
+            found += v.is_isogenous
+        for _ in range(3):
+            l1 = make_lattice(ComplexBox(1), _random_tau_box(rng))
+            l2 = make_lattice(ComplexBox(1), _random_tau_box(rng))
+            v = is_isogenous(l1, l2, 10)
+            assert (v.outcome, v.witness) == cube_scan_isogeny(l1, l2, 10)
+            assert v.outcome == "unknown_up_to_bound" and v.bound == 10
+    assert found >= 20

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from wplab import serialize as S
 from wplab.cintervals import ComplexBox, ri, working_precision
@@ -12,6 +13,7 @@ from wplab.errors import InvalidConfiguration
 from wplab.lattice_core import make_lattice
 from wplab.predim_engine import Configuration, FunctionSlot, GroupPoint, delta
 from wplab.quadfield import QuadNum
+from wplab.wp_numerics import invariants
 
 F = Fraction
 
@@ -33,6 +35,17 @@ def test_box_roundtrip_is_enclosure_widening():
         back = S.parse_box(S.box_record(z, 128))
         assert (back - z).contains_zero()
         assert back.rad() >= z.rad()
+
+
+def test_box_record_midpoint_full_precision_outside_scope():
+    model = invariants(make_lattice(QuadNum(1, 0, -1), QuadNum(0, 1, -1)), 256)
+    rec = S.box_record(model.g2, 256)  # no precision scope is active here
+    with mp.workprec(600):
+        err = mp.mpf(rec["err"])
+        for key, part in (("re", model.g2.re), ("im", model.g2.im)):
+            mid = mp.mpf(rec[key])
+            assert abs(mid - mp.mpf(part.a)) <= err
+            assert abs(mid - mp.mpf(part.b)) <= err
 
 
 def test_lattice_roundtrip_exact():
