@@ -1,9 +1,9 @@
 """Certified complex interval (rectangle) arithmetic over mpmath.iv.
 
 Every value is a closed axis-aligned rectangle guaranteed to contain the
-true result; all endpoint rounding is outward and handled by mpmath's
-interval context.  Comparisons that the enclosure cannot decide raise
-rather than guess.
+true result; all endpoint rounding is outward, done by mpmath's libmpi
+endpoint routines at iv.prec exactly as its interval context does it.
+Comparisons that the enclosure cannot decide raise rather than guess.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import iv, mp, mpf
+from mpmath.libmp import fzero, from_int, mpf_sign, round_ceiling, round_floor
+from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_sub
 
 from .errors import PrecisionExhausted
 
@@ -56,7 +58,7 @@ def ri_from_endpoints(lo, hi):
 
 
 def ri_contains_zero(x) -> bool:
-    return ri_lo(x) <= 0 <= ri_hi(x)
+    return _straddles_zero(x._mpi_)
 
 
 def ri_sqrt_hi(x) -> mpf:
@@ -91,62 +93,95 @@ class ComplexBox:
         return ComplexBox(ri(re), ri(im))
 
     # -- ring operations ---------------------------------------------------
+    #
+    # The operators work on the endpoint pairs (_mpi_) with mpmath's libmpi
+    # routines at iv.prec: the same outward rounding the iv context applies
+    # to ivmpf operators, without its argument conversion and dispatch.
 
     def __add__(self, other):
-        o = _coerce(other)
-        return ComplexBox(self.re + o.re, self.im + o.im)
+        o = other if type(other) is ComplexBox else _coerce(other)
+        p = _IV_PREC[0]
+        return _box(mpi_add(self.re._mpi_, o.re._mpi_, p),
+                    mpi_add(self.im._mpi_, o.im._mpi_, p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexBox(-self.re, -self.im)
+        p = _IV_PREC[0]
+        return _box(mpi_neg(self.re._mpi_, p), mpi_neg(self.im._mpi_, p))
 
     def __sub__(self, other):
-        o = _coerce(other)
-        return ComplexBox(self.re - o.re, self.im - o.im)
+        o = other if type(other) is ComplexBox else _coerce(other)
+        p = _IV_PREC[0]
+        return _box(mpi_sub(self.re._mpi_, o.re._mpi_, p),
+                    mpi_sub(self.im._mpi_, o.im._mpi_, p))
 
     def __rsub__(self, other):
-        return -(self - other)
+        return _coerce(other) - self
 
     def __mul__(self, other):
-        o = _coerce(other)
-        return ComplexBox(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        o = other if type(other) is ComplexBox else _coerce(other)
+        p = _IV_PREC[0]
+        re, im = _mul_pairs(self.re._mpi_, self.im._mpi_, o.re._mpi_, o.im._mpi_, p)
+        return _box(re, im)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(other)
-        n = o.abs_sq()
-        if ri_contains_zero(n):
-            raise PrecisionExhausted("division by an interval containing zero")
-        conj_num = self * o.conj()
-        return ComplexBox(conj_num.re / n, conj_num.im / n)
+        o = other if type(other) is ComplexBox else _coerce(other)
+        p = _IV_PREC[0]
+        n = o._divisor_norm(p)
+        re, im = _mul_pairs(self.re._mpi_, self.im._mpi_,
+                            o.re._mpi_, mpi_neg(o.im._mpi_, p), p)
+        return _box(mpi_div(re, n, p), mpi_div(im, n, p))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
+    def inv(self) -> "ComplexBox":
+        """1/z as conj(z) / |z|^2, with no product by an exact 1."""
+        p = _IV_PREC[0]
+        n = self._divisor_norm(p)
+        return _box(mpi_div(self.re._mpi_, n, p),
+                    mpi_div(mpi_neg(self.im._mpi_, p), n, p))
+
     def conj(self) -> "ComplexBox":
-        return ComplexBox(self.re, -self.im)
+        return _box(self.re._mpi_, mpi_neg(self.im._mpi_, _IV_PREC[0]))
 
     def pow_int(self, n: int) -> "ComplexBox":
         if n < 0:
-            return ComplexBox(1) / self.pow_int(-n)
-        out = ComplexBox(1)
+            return self.pow_int(-n).inv()
+        if n == 0:
+            return ComplexBox(1)
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
         return out
 
     # -- metric ------------------------------------------------------------
 
+    def _norm(self, p):
+        """|z|^2 as an endpoint pair."""
+        a, b = self.re._mpi_, self.im._mpi_
+        return mpi_add(mpi_mul(a, a, p), mpi_mul(b, b, p), p)
+
+    def _divisor_norm(self, p):
+        """|z|^2 as an endpoint pair, certified nonzero."""
+        n = self._norm(p)
+        if _straddles_zero(n):
+            raise PrecisionExhausted("division by an interval containing zero")
+        return n
+
     def abs_sq(self):
-        return self.re * self.re + self.im * self.im
+        return _ivmpf(self._norm(_IV_PREC[0]))
 
     def abs_hi(self) -> mpf:
         return ri_sqrt_hi(self.abs_sq())
@@ -155,7 +190,7 @@ class ComplexBox:
         return ri_sqrt_lo(self.abs_sq())
 
     def contains_zero(self) -> bool:
-        return ri_contains_zero(self.re) and ri_contains_zero(self.im)
+        return _straddles_zero(self.re._mpi_) and _straddles_zero(self.im._mpi_)
 
     def mid(self):
         return mp.mpc(mp.mpf(self.re.mid), mp.mpf(self.im.mid))
@@ -170,7 +205,7 @@ class ComplexBox:
         """Inflate both components by +-r (r an mpf or ivmpf upper bound)."""
         hi = ri_hi(r) if type(r).__name__ == "ivmpf" else mp.mpf(r)
         pad = ri_from_endpoints(-hi, hi)
-        return ComplexBox(self.re + pad, self.im + pad)
+        return self + ComplexBox(pad, pad)
 
     def overlaps(self, other: "ComplexBox") -> bool:
         return (self - other).contains_zero()
@@ -182,9 +217,44 @@ class ComplexBox:
         return f"ComplexBox({self.re}, {self.im})"
 
 
+_IV_PREC = iv._prec  # iv.prec is _IV_PREC[0]
+_IVMPF = iv.mpf
+_new = object.__new__
+_EXACT_ZERO = (fzero, fzero)
+
+
+def _ivmpf(v):
+    """The ivmpf holding the endpoint pair v."""
+    x = _new(_IVMPF)
+    x._mpi_ = v
+    return x
+
+
+def _box(re, im) -> ComplexBox:
+    """The box with endpoint pairs re, im (no type tests, no conversion)."""
+    z = _new(ComplexBox)
+    z.re = _ivmpf(re)
+    z.im = _ivmpf(im)
+    return z
+
+
+def _mul_pairs(a, b, c, d, p):
+    """Endpoint pairs of (a + ib)(c + id)."""
+    return (mpi_sub(mpi_mul(a, c, p), mpi_mul(b, d, p), p),
+            mpi_add(mpi_mul(a, d, p), mpi_mul(b, c, p), p))
+
+
+def _straddles_zero(v) -> bool:
+    return mpf_sign(v[0]) <= 0 <= mpf_sign(v[1])
+
+
 def _coerce(x) -> ComplexBox:
     if isinstance(x, ComplexBox):
         return x
+    if type(x) is int:
+        p = _IV_PREC[0]
+        return _box((from_int(x, p, round_floor), from_int(x, p, round_ceiling)),
+                    _EXACT_ZERO)
     if isinstance(x, (int, Fraction)):
         return ComplexBox(ri(x), iv.mpf(0))
     if isinstance(x, complex):

@@ -66,11 +66,17 @@ class CliError(WplabError):
 
 
 QUAD_RE = re.compile(
-    r"^\s*(?P<p>[+-]?\d+(?:/\d+)?)?\s*(?P<q>[+-](?:\d+(?:/\d+)?)?)i\s*:\s*(?P<d>-\d+)\s*$"
+    r"^\s*(?:(?P<p>[+-]?\d+(?:/\d+)?)\s*(?=[+-]))?(?P<q>[+-]?(?:\d+(?:/\d+)?)?)i\s*:\s*(?P<d>-\d+)\s*$"
 )
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:/\d+)?"
+# 'a+bi', 'a-i', 'bi', '-i': a real part is followed by a sign or the end,
+# so '1.5i' is purely imaginary.
 COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:\.\d+)?(?:/\d+)?)?\s*(?P<im>[+-]?(?:\d+(?:\.\d+)?(?:/\d+)?)?)i?\s*$"
+    rf"^(?P<re>[+-]?{_NUMBER}(?=[+-]|$))?(?:(?P<im>[+-]?(?:{_NUMBER})?)i)?$"
 )
+# The options that take a number; argparse reads '-0.25+1.5i' as an option.
+VALUE_OPTIONS = ("--tau", "--tau1", "--tau2", "--z")
+SIGNED_VALUE_RE = re.compile(r"^-[\d.i]")
 
 
 def parse_value(text: str, precision: int):
@@ -83,23 +89,19 @@ def parse_value(text: str, precision: int):
     if m:
         p = Fraction(m.group("p")) if m.group("p") else Fraction(0)
         qs = m.group("q")
-        if qs in ("+", "-"):
+        if qs in ("", "+", "-"):
             qs += "1"
         return QuadNum(p, Fraction(qs), int(m.group("d")))
     with working_precision(precision):
         if "i" in s:
-            body = s[: s.rindex("i")]
-            mm = re.match(
-                r"^\s*(?P<re>[+-]?\d+(?:\.\d+)?)?\s*(?P<im>[+-]?\d*(?:\.\d+)?)\s*$",
-                body,
-            )
+            mm = COMPLEX_RE.match("".join(s.split()))
             if not mm:
                 raise CliError(f"cannot parse complex value {text!r}")
             re_part = mm.group("re") or "0"
-            im_part = mm.group("im") or "1"
-            if im_part in ("+", "-"):
+            im_part = mm.group("im")
+            if im_part in ("", "+", "-"):
                 im_part += "1"
-            return ComplexBox(iv.mpf(re_part), iv.mpf(im_part))
+            return ComplexBox(_real_part(re_part), _real_part(im_part))
         try:
             return ComplexBox(ri(Fraction(s)))
         except ValueError:
@@ -107,6 +109,10 @@ def parse_value(text: str, precision: int):
                 return ComplexBox(iv.mpf(s))
             except Exception as exc:
                 raise CliError(f"cannot parse value {text!r}") from exc
+
+
+def _real_part(text: str):
+    return ri(Fraction(text)) if "/" in text else iv.mpf(text)
 
 
 def lattice_from_tau(tau, precision: int) -> Lattice:
@@ -636,10 +642,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_signed_values(argv):
+    """Pass a value such as '-0.25+1.5i' to a value option as
+    '--tau2=-0.25+1.5i', so that argparse does not take it for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in VALUE_OPTIONS and SIGNED_VALUE_RE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -23,7 +23,14 @@ from typing import Optional, Sequence
 
 from mpmath import iv, mp
 
-from .cintervals import ComplexBox, ri, ri_hi, ri_lo, working_precision
+from .cintervals import (
+    ComplexBox,
+    ri,
+    ri_from_endpoints,
+    ri_hi,
+    ri_lo,
+    working_precision,
+)
 from .errors import InvalidConfiguration, PrecisionError, PrecisionExhausted
 from .lattice_core import Lattice
 from .quadfield import QuadNum
@@ -143,23 +150,23 @@ class Composite:
 
     def _check_pole_margin(self):
         """The image of the domain under log must stay a certified margin
-        away from the real lattice points m * omega1."""
+        omega1/64 away from the real lattice points n * omega1."""
         if self.domain.lo is None or self.domain.lo <= 0 or self.domain.hi is None:
             raise InvalidConfiguration(
                 "composite targets need a bounded positive domain"
             )
         with working_precision(64):
-            w1 = ri_lo(self.lattice.omega1_box().re)
-            lo = ri_lo(iv.log(ri(self.domain.lo)))
-            hi = ri_hi(iv.log(ri(self.domain.hi)))
+            w1 = self.lattice.omega1_box().re
             margin = w1 / 64
-            n_lo = int(mp.floor(lo / w1)) - 1
-            n_hi = int(mp.ceil(hi / w1)) + 1
-            for n in range(n_lo, n_hi + 1):
+            lo = ri_lo(iv.log(ri(self.domain.lo)) - margin)
+            hi = ri_hi(iv.log(ri(self.domain.hi)) + margin)
+            # every n with n * omega1 possibly in [lo, hi]
+            ns = ri_from_endpoints(lo, hi) / w1
+            for n in range(int(mp.floor(ri_lo(ns))), int(mp.ceil(ri_hi(ns))) + 1):
                 pole = n * w1
-                if lo - margin <= pole <= hi + margin:
+                if not (ri_hi(pole) < lo or ri_lo(pole) > hi):
                     raise InvalidConfiguration(
-                        "domain's log-image comes within the certified "
+                        "domain's log-image is not certified outside the "
                         "margin of a wp pole"
                     )
 

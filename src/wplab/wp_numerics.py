@@ -240,6 +240,13 @@ def _reduce_argument(m: EllipticModel, z_raw):
 
 # -- wp and wp' --------------------------------------------------------------
 
+def _pole_terms(w: ComplexBox, want_prime: bool):
+    """w/(1-w)^2 and, if wanted, w(1+w)/(1-w)^3, from one reciprocal."""
+    r = (1 - w).inv()
+    p = w * r * r
+    return p, (p * (1 + w) * r if want_prime else None)
+
+
 def _wp_series(m: EllipticModel, t_red: ComplexBox, want_prime: bool):
     """Scaled q-series for wp (and optionally wp') at reduced argument."""
     q = m._q
@@ -253,20 +260,20 @@ def _wp_series(m: EllipticModel, t_red: ComplexBox, want_prime: bool):
         mp.ceil(abs(mp.log(u_lo, 2)))))
     n_terms = _pick_terms(q_hi, extra)
 
-    one = ComplexBox(1)
-    p_sum = ComplexBox(Fraction(1, 12)) + u / (one - u).pow_int(2)
-    pp_sum = u * (one + u) / (one - u).pow_int(3) if want_prime else None
+    u_inv = u.inv()
+    p_sum, pp_sum = _pole_terms(u, want_prime)
+    p_sum = ComplexBox(Fraction(1, 12)) + p_sum
     corr = ComplexBox(0)
     qn = ComplexBox(1)
     for _ in range(n_terms):
         qn = qn * q
-        w = qn * u
-        v = qn / u
-        p_sum = p_sum + w / (one - w).pow_int(2) + v / (one - v).pow_int(2)
-        corr = corr + qn / (one - qn).pow_int(2)
+        pw, ppw = _pole_terms(qn * u, want_prime)
+        pv, ppv = _pole_terms(qn * u_inv, want_prime)
+        rq = (1 - qn).inv()
+        p_sum = p_sum + pw + pv
+        corr = corr + qn * rq * rq
         if want_prime:
-            pp_sum = pp_sum + w * (one + w) / (one - w).pow_int(3) \
-                - v * (one + v) / (one - v).pow_int(3)
+            pp_sum = pp_sum + ppw - ppv
     p_sum = p_sum - 2 * corr
 
     # geometric tails: |q|^(n_terms+1) * max(|u|, 1/|u|) dominates both wings

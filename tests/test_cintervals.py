@@ -119,3 +119,159 @@ def test_is_exact_flags():
     with working_precision(64):
         assert ComplexBox(1, 2).is_exact()
         assert not ComplexBox(ri_from_endpoints(0, 1)).is_exact()
+
+
+# -- oracle: the same operations spelled with ivmpf operators --------------
+#
+# ComplexBox's operators call mpmath's libmpi endpoint routines directly.
+# The reference below spells each operation with ivmpf operators, which go
+# through mpmath's interval context; the two must agree endpoint for endpoint.
+
+def ref_add(a, b):
+    return ComplexBox(a.re + b.re, a.im + b.im)
+
+
+def ref_sub(a, b):
+    return ComplexBox(a.re - b.re, a.im - b.im)
+
+
+def ref_neg(a):
+    return ComplexBox(-a.re, -a.im)
+
+
+def ref_mul(a, b):
+    return ComplexBox(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def ref_abs_sq(a):
+    return a.re * a.re + a.im * a.im
+
+
+def ref_div(a, b):
+    n = ref_abs_sq(b)
+    if ri_lo(n) <= 0 <= ri_hi(n):
+        raise PrecisionExhausted("division by an interval containing zero")
+    c = ref_mul(a, ComplexBox(b.re, -b.im))
+    return ComplexBox(c.re / n, c.im / n)
+
+
+def ref_inv(a):
+    n = ref_abs_sq(a)
+    if ri_lo(n) <= 0 <= ri_hi(n):
+        raise PrecisionExhausted("division by an interval containing zero")
+    return ComplexBox(a.re / n, -a.im / n)
+
+
+def ref_pow_int(a, n):
+    """The square-and-multiply chain, started from an exact 1."""
+    if n < 0:
+        return ref_div(ComplexBox(1), ref_pow_int(a, -n))
+    out, base = ComplexBox(1), a
+    while n:
+        if n & 1:
+            out = ref_mul(out, base)
+        base = ref_mul(base, base)
+        n >>= 1
+    return out
+
+
+def endpoints(z):
+    if isinstance(z, ComplexBox):
+        return z.re._mpi_, z.im._mpi_
+    return z._mpi_
+
+
+def same_or_both_raise(f, g, *args):
+    try:
+        want = endpoints(g(*args))
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            f(*args)
+        return
+    assert endpoints(f(*args)) == want
+
+
+# Intervals from two sorted rationals: point intervals, intervals on one side
+# of zero and intervals straddling zero all occur; 1/3-type endpoints are
+# rounded outward, so the endpoints use every bit of the precision.
+intervals = st.tuples(small_fracs, small_fracs).map(sorted)
+wide_boxes = st.tuples(intervals, intervals)
+
+
+def make_box(parts):
+    (a, b), (c, d) = parts
+    return ComplexBox(ri_from_endpoints(ri(a), ri(b)),
+                      ri_from_endpoints(ri(c), ri(d)))
+
+
+@pytest.mark.parametrize("bits", [53, 128, 512])
+@settings(max_examples=120, deadline=None)
+@given(wide_boxes, wide_boxes)
+def test_box_operators_match_ivmpf_formulas(bits, pa, pb):
+    with working_precision(bits, guard=0):
+        a, b = make_box(pa), make_box(pb)
+        assert endpoints(a + b) == endpoints(ref_add(a, b))
+        assert endpoints(a - b) == endpoints(ref_sub(a, b))
+        assert endpoints(-a) == endpoints(ref_neg(a))
+        assert endpoints(a * b) == endpoints(ref_mul(a, b))
+        assert endpoints(a.abs_sq()) == endpoints(ref_abs_sq(a))
+        assert endpoints(a.conj()) == endpoints(ComplexBox(a.re, -a.im))
+        same_or_both_raise(lambda x, y: x / y, ref_div, a, b)
+        same_or_both_raise(ComplexBox.inv, ref_inv, b)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 512])
+@settings(max_examples=40, deadline=None)
+@given(wide_boxes, st.integers(min_value=-5, max_value=5))
+def test_mixed_operands_match_ivmpf_formulas(bits, pa, k):
+    with working_precision(bits, guard=0):
+        a = make_box(pa)
+        kb = ComplexBox(ri(k), iv.mpf(0))
+        assert endpoints(k + a) == endpoints(ref_add(kb, a))
+        assert endpoints(k - a) == endpoints(ref_sub(kb, a))
+        assert endpoints(a - k) == endpoints(ref_sub(a, kb))
+        assert endpoints(k * a) == endpoints(ref_mul(a, kb))
+        assert endpoints(Fraction(1, 3) * a) == endpoints(
+            ref_mul(a, ComplexBox(ri(Fraction(1, 3)), iv.mpf(0))))
+        same_or_both_raise(lambda x: k / x, lambda x: ref_div(kb, x), a)
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+@settings(max_examples=60, deadline=None)
+@given(wide_boxes)
+def test_pow_int_matches_square_and_multiply(bits, pa):
+    with working_precision(bits, guard=0):
+        a = make_box(pa)
+        for n in range(-3, 9):
+            same_or_both_raise(ComplexBox.pow_int, ref_pow_int, a, n)
+
+
+@given(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+def test_pow_int_exact_matches_repeated_multiplication(parts):
+    # On point boxes with small integer parts every product is exact, so
+    # any multiplication order gives the same endpoints.
+    with working_precision(128, guard=0):
+        a = ComplexBox(*parts)
+        for n in range(-3, 9):
+            rep = ComplexBox(1)
+            for _ in range(abs(n)):
+                rep = rep * a
+            same_or_both_raise(a.pow_int, lambda k: rep.inv() if k < 0 else rep, n)
+
+
+def test_pow_int_product_count(monkeypatch):
+    products = []
+    mul = ComplexBox.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(ComplexBox, "__mul__", counted)
+    with working_precision(64):
+        a = ComplexBox(Fraction(1, 3), Fraction(2, 7))
+        for n in range(1, 9):
+            products.clear()
+            a.pow_int(n)
+            # n.bit_length() - 1 squarings, one product per further set bit
+            assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1

@@ -9,7 +9,7 @@ import pytest
 
 from wplab import serialize
 from wplab.cintervals import ComplexBox
-from wplab.cli import parse_value, run
+from wplab.cli import CliError, parse_value, run
 from wplab.predim_engine import Configuration, FunctionSlot, GroupPoint
 from wplab.quadfield import QuadNum
 
@@ -28,11 +28,30 @@ def test_parse_value_literals():
     assert parse_value("i", 64) == QuadNum(0, 1, -1)
     assert parse_value("1/2+3/2i:-3", 64) == QuadNum(F(1, 2), F(3, 2), -3)
     assert parse_value("-1+2i:-1", 64) == QuadNum(F(-1), F(2), -1)
+    # a pure imaginary exact value, as in count's default --tau
+    assert parse_value("2i:-1", 64) == QuadNum(0, 2, -1)
+    assert parse_value("-i:-3", 64) == QuadNum(0, -1, -3)
     box = parse_value("0.25+1.5i", 64)
     assert isinstance(box, ComplexBox)
     assert abs(complex(box.mid()) - (0.25 + 1.5j)) < 1e-12
     real = parse_value("3/4", 64)
     assert isinstance(real, ComplexBox)
+
+
+def test_parse_value_numeric_forms():
+    def parts(text):
+        box = parse_value(text, 64)
+        assert isinstance(box, ComplexBox) and box.is_exact()
+        return complex(box.mid())
+
+    assert parts("1.5i") == 1.5j  # a lone number before i is imaginary
+    assert parts("-2i") == -2j
+    assert parts("-i") == -1j
+    assert parts("-1/2+i") == -0.5 + 1j
+    assert parts("1/4-3/2i") == 0.25 - 1.5j
+    assert parts("-.5+1.5i") == -0.5 + 1.5j
+    with pytest.raises(CliError):
+        parse_value("i+1", 64)
 
 
 def test_exit_codes():
@@ -108,3 +127,12 @@ def test_run_in_process_matches_subprocess(capsys):
     code = run(["lattice", "cm", "--tau", "0+1i:-3"])
     out = capsys.readouterr().out
     assert code == 0 and "cm_d = -3" in out
+
+
+def test_values_with_a_leading_minus():
+    base = ("lattice", "isogenous", "--tau1", "0.25+1.5i")
+    spaced = invoke(*base, "--tau2", "-0.25+1.5i")
+    joined = invoke(*base, "--tau2=-0.25+1.5i")
+    assert spaced[:2] == joined[:2] and spaced[0] == 0
+    assert run(["wp", "eval", "--tau", "-1/2+i", "--z", "-1/3"]) == 0
+    assert run(["wp", "invariants", "--tau", "-i"]) == 0

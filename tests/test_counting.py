@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from wplab.cintervals import working_precision
+from wplab.cintervals import ComplexBox, ri, ri_from_endpoints, ri_lo, working_precision
 from wplab.counting import (
     CONFIRMED,
     EXCLUDED,
@@ -128,6 +128,23 @@ def test_composite_pole_margin():
         ExpWpLog(RECT, Domain(F(1, 2), F(2)))
     with pytest.raises(InvalidConfiguration):
         ExpWpLog(RECT, Domain(F(11, 10), None))  # unbounded
+
+
+def test_composite_pole_margin_is_certified():
+    # omega1 = 1 exactly; the pole at 1 sits at log(e) and the margin is 1/64
+    with pytest.raises(InvalidConfiguration):  # log(27/10) = 1 - 0.0067
+        ExpWpLog(RECT, Domain(F(11, 10), F(27, 10)))
+    ExpWpLog(RECT, Domain(F(11, 10), F(5, 2)))  # log(5/2) = 1 - 0.084
+    # omega1 only known to lie in [1, 51/50]: the pole at -omega1 may sit
+    # at -1.02, within the margin of log(357/1000) = -1.0300, although
+    # -1 (the pole at the lower end of omega1) is 0.03 away.
+    with working_precision(64):
+        w1 = ComplexBox(ri_from_endpoints(ri(1), ri(F(51, 50))))
+        wide = make_lattice(w1, ComplexBox(0, 2))
+    assert ri_lo(wide.omega1_box().re) == 1
+    with pytest.raises(InvalidConfiguration):
+        ExpWpLog(wide, Domain(F(1, 4), F(357, 1000)))
+    ExpWpLog(wide, Domain(F(1, 4), F(34, 100)))  # log(0.34) = -1.079
 
 
 def test_composite_enclosures_nest_across_precision():

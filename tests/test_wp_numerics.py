@@ -3,15 +3,18 @@
 The package computes g2, g3 and wp by theta/q-series with certified tails;
 the oracle here is the literal double sum over lattice points, truncated at
 a radius with a crude float tail estimate.  Low precision, but independent.
+A second oracle, Jacobi theta quotients from mpmath at twice the working
+precision, checks the full-precision enclosures.
 """
 
 import cmath
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp
 
-from wplab.cintervals import ComplexBox, working_precision
+from wplab.cintervals import ComplexBox, ri_hi, ri_lo, working_precision
 from wplab.errors import (
     IndistinguishableBranch,
     NoSafeAnchor,
@@ -188,3 +191,52 @@ def test_hexagonal_g2_vanishes():
     assert m.g2.contains_zero()
     g2_ref, g3_ref = oracle_invariants(1, cmath.exp(1j * cmath.pi / 3))
     assert abs(complex(m.g3.mid()) - g3_ref) < 1e-3
+
+
+def theta_wp(tau: complex, z: complex, bits: int):
+    """(wp(z), wp'(z)) for the lattice Z + Z*tau by Jacobi theta quotients:
+    wp = pi^2 (t2^2 t3^2 (th4/th1)^2 - (t2^4 + t3^4)/3) at v = pi*z."""
+    with mp.workprec(bits):
+        q = mp.exp(1j * mp.pi * tau)
+        t2, t3 = mpmath.jtheta(2, 0, q), mpmath.jtheta(3, 0, q)
+        v = mp.pi * z
+        th1, th4 = mpmath.jtheta(1, v, q), mpmath.jtheta(4, v, q)
+        th1d, th4d = mpmath.jtheta(1, v, q, 1), mpmath.jtheta(4, v, q, 1)
+        a = t2 ** 2 * t3 ** 2
+        f = th4 / th1
+        fd = (th4d * th1 - th4 * th1d) / th1 ** 2
+        wp_val = mp.pi ** 2 * (a * f ** 2 - (t2 ** 4 + t3 ** 4) / 3)
+        return +wp_val, +(mp.pi ** 3 * 2 * a * f * fd)
+
+
+def _box_holds(box: ComplexBox, z) -> bool:
+    with mp.workprec(2 * 256):
+        return (ri_lo(box.re) <= z.real <= ri_hi(box.re)
+                and ri_lo(box.im) <= z.imag <= ri_hi(box.im))
+
+
+@pytest.mark.parametrize("tau_parts", [
+    (Fraction(1, 5), Fraction(6, 5)),
+    (Fraction(-1, 4), Fraction(3)),
+    (Fraction(1, 3), Fraction(9)),
+])
+def test_series_against_theta_reference(tau_parts):
+    bits = 256
+    tau = QuadNum(tau_parts[0], tau_parts[1], -1)
+    m = invariants(make_lattice(QuadNum(1, 0, -1), tau), bits)
+    with mp.workprec(2 * bits):
+        tau_c = mp.mpc(mp.mpf(tau.p.numerator) / tau.p.denominator,
+                       mp.mpf(tau.q.numerator) / tau.q.denominator)
+    for a, b in ((Fraction(31, 100), Fraction(27, 100)),
+                 (Fraction(-1, 5), Fraction(41, 100)),
+                 (Fraction(9, 20), Fraction(-1, 8))):
+        z = QuadNum.rational(a, -1) + QuadNum.rational(b, -1) * tau
+        with mp.workprec(2 * bits):
+            z_c = mp.mpf(a.numerator) / a.denominator \
+                + mp.mpf(b.numerator) / b.denominator * tau_c
+        ref_p, ref_pp = theta_wp(tau_c, z_c, 2 * bits)
+        for val, ref in ((wp(m, z), ref_p), (wp_prime(m, z), ref_pp)):
+            assert _box_holds(val, ref)
+            with working_precision(bits):
+                tol = mp.ldexp(max(mp.mpf(1), val.abs_hi()), -(bits - 8))
+                assert val.rad() <= tol
