@@ -8,6 +8,9 @@ Exit codes: 0 success, 1 for valid negative mathematical answers
 (not isogenous, not strong, point excluded), 2 for failures to decide or
 operate (precision, parsing, search bounds).  Identical invocations produce
 byte-identical output.
+
+Each subcommand imports its own engine when it runs, so a call loads only
+the layers it uses; sympy is loaded only by `deriv` (and `selftest`).
 """
 
 from __future__ import annotations
@@ -21,14 +24,6 @@ from mpmath import iv, mp
 
 from . import serialize
 from .cintervals import ComplexBox, ri, working_precision
-from .counting import (
-    Domain,
-    ExpWpLog,
-    Identity,
-    count_report,
-    default_eps,
-)
-from .differentials import der_dimension, extend_derivation, hcl_witness
 from .errors import WplabError
 from .lattice_core import (
     IsogenyVerdict,
@@ -39,26 +34,7 @@ from .lattice_core import (
     make_lattice,
     reduce_tau,
 )
-from .predim_engine import (
-    chain_decompose,
-    check_semimodularity,
-    delta,
-    independence_certificate,
-    is_strong,
-    predim_dim,
-    strong_hull,
-)
 from .quadfield import QuadNum
-from .wp_numerics import (
-    addition_residual,
-    homogeneity_residual,
-    invariants,
-    isogeny_residual,
-    ode_residual,
-    schwarz_residual,
-    wp,
-    wp_prime,
-)
 
 
 class CliError(WplabError):
@@ -215,7 +191,13 @@ def cmd_lattice(args) -> int:
         with working_precision(prec):
             d = cm_field(lat, args.bound)
         rec = {"cm_d": d}
-        emit(args, [f"cm_d = {d}"], rec)
+        lines = [f"cm_d = {d}"]
+        if d is None:
+            reason = ("no quadratic relation with coefficients up to bound "
+                      f"{args.bound}")
+            rec.update(bound=args.bound, reason=reason)
+            lines.append(f"reason = {reason}")
+        emit(args, lines, rec)
         return 0 if d is not None else 2
     tau1 = parse_value(args.tau1, prec)
     tau2 = parse_value(args.tau2, prec)
@@ -256,6 +238,17 @@ def _random_cell_points(lat: Lattice, count: int, seed: int, precision: int):
 
 
 def cmd_wp(args) -> int:
+    from .wp_numerics import (
+        addition_residual,
+        homogeneity_residual,
+        invariants,
+        isogeny_residual,
+        ode_residual,
+        schwarz_residual,
+        wp,
+        wp_prime,
+    )
+
     prec = args.precision
     tau = parse_value(args.tau, prec)
     lat = lattice_from_tau(tau, prec)
@@ -328,6 +321,16 @@ def _load_config(path):
 
 
 def cmd_predim(args) -> int:
+    from .predim_engine import (
+        chain_decompose,
+        check_semimodularity,
+        delta,
+        independence_certificate,
+        is_strong,
+        predim_dim,
+        strong_hull,
+    )
+
     cfg = _load_config(args.config)
     subset = parse_subset(getattr(args, "set", None))
     base = parse_subset(getattr(args, "base", None))
@@ -444,6 +447,8 @@ def _parse_assignments(text):
 
 
 def cmd_deriv(args) -> int:
+    from .differentials import der_dimension, extend_derivation, hcl_witness
+
     p, forms = _load_presentation(args.presentation)
     if args.action == "rank":
         dim = der_dimension(p, forms)
@@ -490,6 +495,8 @@ def cmd_deriv(args) -> int:
 # -- count -------------------------------------------------------------------
 
 def cmd_count(args) -> int:
+    from .counting import Domain, ExpWpLog, Identity, count_report, default_eps
+
     prec = args.precision
     lo, _, hi = args.domain.partition(":")
     domain = Domain(

@@ -16,7 +16,6 @@ from mpmath import iv, mp
 from .cintervals import ComplexBox, ri_hi, working_precision
 from .errors import InvalidConfiguration
 from .lattice_core import Lattice, make_lattice
-from .predim_engine import Configuration, FunctionSlot, GroupPoint
 from .quadfield import QuadNum
 
 
@@ -120,6 +119,8 @@ def configuration_record(cfg: Configuration) -> dict:
 
 
 def parse_configuration(rec: dict) -> Configuration:
+    from .predim_engine import Configuration, FunctionSlot, GroupPoint
+
     slots = [
         FunctionSlot(i, s["kind"], s.get("d"), s.get("label"))
         for i, s in enumerate(rec.get("slots", []))

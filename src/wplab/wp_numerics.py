@@ -129,7 +129,7 @@ def _eisenstein(q: ComplexBox, weight: int, n_terms: int):
     qn = ComplexBox(1)
     for n in range(1, n_terms + 1):
         qn = qn * q
-        total = total + ComplexBox(iv.mpf(n) ** weight) * qn / (ComplexBox(1) - qn)
+        total = total + n ** weight * qn / (1 - qn)
     q_hi = q.abs_hi()
     first = (iv.mpf(n_terms + 1) ** weight * iv.mpf(q_hi) ** (n_terms + 1)) / (
         1 - iv.mpf(q_hi)

@@ -68,10 +68,12 @@ def test_exit_codes():
 def test_cm_without_relation_exits_unknown():
     code, out, _ = invoke("lattice", "cm", "--tau", "0.2345+1.618i",
                           "--bound", "20")
-    assert code == 2 and out == "cm_d = None\n"
+    reason = "no quadratic relation with coefficients up to bound 20"
+    assert code == 2 and out == f"cm_d = None\nreason = {reason}\n"
     code, out, _ = invoke("lattice", "cm", "--tau", "0.2345+1.618i",
                           "--bound", "20", "--format", "record")
-    assert code == 2 and json.loads(out) == {"cm_d": None}
+    assert code == 2 and json.loads(out) == {"cm_d": None, "bound": 20,
+                                             "reason": reason}
 
 
 def test_record_format_is_json(tmp_path):

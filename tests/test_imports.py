@@ -1,6 +1,11 @@
-"""Source hygiene: every module-level import in src/wplab is used."""
+"""Source hygiene: every module-level import in src/wplab is used, and the
+CLI loads only the layers a subcommand runs (sympy only for `deriv`)."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,16 +13,24 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "wplab"
 
 
-def unused_imports(path: Path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    imported = {}
+def parse(path: Path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def module_imports(tree):
+    """(node, alias) for each module-level import of a parsed file."""
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                name = (alias.asname or alias.name).split(".")[0]
-                imported[name] = node.lineno
+                yield node, alias
+
+
+def unused_imports(path: Path):
+    tree = parse(path)
+    imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                for node, alias in module_imports(tree)}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
@@ -26,3 +39,83 @@ def unused_imports(path: Path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def test_only_differentials_imports_sympy_at_module_level():
+    def imports_sympy(node, alias):
+        name = node.module if isinstance(node, ast.ImportFrom) else alias.name
+        return name is not None and name.split(".")[0] == "sympy"
+
+    importers = sorted(path.name for path in SRC.glob("*.py")
+                       if any(imports_sympy(*imp) for imp in module_imports(parse(path))))
+    assert importers == ["differentials.py"]
+
+
+RUN_IN_FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+from wplab import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.run(sys.argv[1:])
+print(json.dumps({"code": code, "out": out.getvalue(), "modules": sorted(sys.modules)}))
+"""
+
+
+def run_fresh(*argv):
+    """cli.run(argv) in a new interpreter: its exit code, its stdout and the
+    names of the modules loaded by the end of the call."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_IN_FRESH_INTERPRETER, *argv],
+        capture_output=True, text=True, timeout=300, env=env, check=True,
+    )
+    rec = json.loads(proc.stdout)
+    return rec["code"], rec["out"], set(rec["modules"])
+
+
+CONFIG = {
+    "coordinates": ["b", "e"],
+    "matroid": {"rows": [["1", "0"], ["0", "1"]]},
+    "slots": [{"kind": "exp"}],
+    "points": [{"slot": 0, "b": "b", "e": "e"}],
+    "relations": [],
+    "base": [],
+}
+PRESENTATION = {
+    "mode": "generic",
+    "generators": ["a", "e"],
+    "relations": [],
+    "precision": 128,
+    "forms": [{"slot": 0, "b": 0, "fb": 1, "fprime": "e"}],
+}
+SYMPY_LAYERS = {"sympy", "wplab.differentials"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (("wp", "invariants", "--tau", "i"),
+     SYMPY_LAYERS | {"wplab.predim_engine", "wplab.counting"}),
+    (("wp", "eval", "--tau", "i", "--z", "0.3+0.2i"),
+     SYMPY_LAYERS | {"wplab.predim_engine", "wplab.counting"}),
+    (("lattice", "isogenous", "--tau1", "0+1i:-1", "--tau2", "0+2i:-1"),
+     SYMPY_LAYERS),
+    (("lattice", "cm", "--tau", "0+1i:-3"), SYMPY_LAYERS),
+    (("count", "--h", "identity", "--heights", "2,5"), SYMPY_LAYERS),
+    (("predim", "hull", "--config", "{config}", "--set", "b"), SYMPY_LAYERS),
+], ids=["wp invariants", "wp eval", "lattice isogenous", "lattice cm", "count",
+        "predim hull"])
+def test_subcommand_loads_only_its_layers(argv, absent, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    code, out, modules = run_fresh(*(a.format(config=config) for a in argv))
+    assert code == 0 and out
+    assert modules.isdisjoint(absent), sorted(modules & absent)
+
+
+def test_deriv_still_answers_in_a_fresh_interpreter(tmp_path):
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps(PRESENTATION), encoding="utf-8")
+    code, out, modules = run_fresh("deriv", "extend", "--presentation",
+                                   str(pres), "--boundary", "a=1")
+    assert code == 0 and out.startswith("kind = unique\n")
+    assert SYMPY_LAYERS <= modules

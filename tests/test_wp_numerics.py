@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
+from wplab import wp_numerics
 from wplab.cintervals import ComplexBox, ri_hi, ri_lo, working_precision
 from wplab.errors import (
     IndistinguishableBranch,
@@ -24,6 +25,7 @@ from wplab.errors import (
 from wplab.lattice_core import make_lattice
 from wplab.quadfield import QuadNum
 from wplab.wp_numerics import (
+    _geom_tail,
     addition_residual,
     curve_add,
     curve_neg,
@@ -240,3 +242,36 @@ def test_series_against_theta_reference(tau_parts):
             with working_precision(bits):
                 tol = mp.ldexp(max(mp.mpf(1), val.abs_hi()), -(bits - 8))
                 assert val.rad() <= tol
+
+
+def _eisenstein_ivmpf(q, weight, n_terms):
+    """The Eisenstein sum with n^k built as an ivmpf power and 1 boxed."""
+    total = ComplexBox(0)
+    qn = ComplexBox(1)
+    for n in range(1, n_terms + 1):
+        qn = qn * q
+        total = total + ComplexBox(iv.mpf(n) ** weight) * qn / (ComplexBox(1) - qn)
+    q_hi = q.abs_hi()
+    first = (iv.mpf(n_terms + 1) ** weight * iv.mpf(q_hi) ** (n_terms + 1)) / (
+        1 - iv.mpf(q_hi)
+    )
+    ratio = iv.mpf(q_hi) * (iv.mpf(n_terms + 2) / iv.mpf(n_terms + 1)) ** weight
+    return total.widened(_geom_tail(ri_hi(first), ri_hi(ratio)))
+
+
+def _endpoints(box):
+    return box.re._mpi_, box.im._mpi_
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_eisenstein_exact_powers_keep_invariant_endpoints(bits, monkeypatch):
+    taus = [QuadNum(0, 1, -1), QuadNum(Fraction(1, 2), Fraction(1, 2), -3),
+            QuadNum(0, 2, -1), QuadNum(Fraction(1, 3), Fraction(3, 2), -2),
+            QuadNum(Fraction(1, 4), Fraction(5, 2), -7)]
+    lattices = [make_lattice(QuadNum.rational(1, t.d), t) for t in taus]
+    new = [invariants(lat, bits) for lat in lattices]
+    monkeypatch.setattr(wp_numerics, "_eisenstein", _eisenstein_ivmpf)
+    old = [invariants(lat, bits) for lat in lattices]
+    for a, b in zip(new, old):
+        assert _endpoints(a.g2) == _endpoints(b.g2)
+        assert _endpoints(a.g3) == _endpoints(b.g3)
