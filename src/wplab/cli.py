@@ -57,7 +57,7 @@ SIGNED_VALUE_RE = re.compile(r"^-[\d.i]")
 
 def parse_value(text: str, precision: int):
     """Parse 'p+qi:d' (exact quadratic), 'a+bi' (numeric box), 'i', or a
-    plain real number."""
+    plain real number (an exact Fraction when rational)."""
     s = text.strip()
     if s in ("i", "+i", "1i"):
         return QuadNum(Fraction(0), Fraction(1), -1)
@@ -79,7 +79,7 @@ def parse_value(text: str, precision: int):
                 im_part += "1"
             return ComplexBox(_real_part(re_part), _real_part(im_part))
         try:
-            return ComplexBox(ri(Fraction(s)))
+            return Fraction(s)
         except ValueError:
             try:
                 return ComplexBox(iv.mpf(s))
@@ -89,6 +89,11 @@ def parse_value(text: str, precision: int):
 
 def _real_part(text: str):
     return ri(Fraction(text)) if "/" in text else iv.mpf(text)
+
+
+def _as_period(value):
+    """A rational period or tau as a box at the working precision."""
+    return ComplexBox(ri(value)) if isinstance(value, Fraction) else value
 
 
 def lattice_from_tau(tau, precision: int) -> Lattice:
@@ -164,7 +169,7 @@ def cmd_lattice(args) -> int:
         w1 = parse_value(args.w1, prec)
         w2 = parse_value(args.w2, prec)
         with working_precision(prec):
-            lat = make_lattice(w1, w2)
+            lat = make_lattice(_as_period(w1), _as_period(w2))
             rec = serialize.lattice_record(lat, prec)
         emit(args, [
             f"tau = {value_str(lat.tau, prec)}",
@@ -174,7 +179,7 @@ def cmd_lattice(args) -> int:
     if args.action == "reduce":
         tau = parse_value(args.tau, prec)
         with working_precision(prec):
-            red, mat = reduce_tau(tau)
+            red, mat = reduce_tau(_as_period(tau))
         rec = {
             "tau_reduced": serialize.quad_record(red)
             if isinstance(red, QuadNum) else serialize.box_record(red, prec),

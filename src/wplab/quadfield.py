@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 def squarefree_kernel(n: int) -> int:
@@ -32,6 +33,7 @@ def squarefree_kernel(n: int) -> int:
     return sign * out * n
 
 
+@lru_cache(maxsize=256)  # every QuadNum result re-checks its field's d
 def is_squarefree(n: int) -> bool:
     return n != 0 and squarefree_kernel(n) == n
 

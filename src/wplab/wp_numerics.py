@@ -5,17 +5,18 @@ residual verification of the functional identities (differential equation,
 homogeneity, conjugation symmetry, addition, isogeny functoriality).
 
 Everything is computed in rectangle interval arithmetic; every returned bound
-is an enclosure, never an estimate.  Series are q-expansions with explicit
-geometric tail bounds folded into the result's radius, so the reported radius
-is sound by construction.  Near lattice points wp itself is hopeless, and
-exp_E switches to the group-structure identity
+is an enclosure, never an estimate.  Jacobi theta series give g2, g3 and the
+discriminant (from the theta constants, computed once per model) and wp, wp'
+(as theta quotients); their geometric tail bounds are folded into the result's
+radius, so the reported radius is sound by construction.  Near lattice points
+wp itself is hopeless, and exp_E switches to the group-structure identity
 exp_E(z) = n*(exp_E(b) - exp_E(a)) with z = n*(b - a) and both a, b kept in a
 safe region away from the poles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -63,9 +64,11 @@ class EllipticModel:
     g2: ComplexBox
     g3: ComplexBox
     precision: int
-    _q: ComplexBox = field(repr=False, default=None)
     _tau: ComplexBox = field(repr=False, default=None)
     _omega1: ComplexBox = field(repr=False, default=None)
+    _q4: ComplexBox = field(repr=False, default=None)  # q^(1/4), q = e^(i pi tau)
+    _theta: tuple = field(repr=False, default=None)  # theta2..theta4 at 0
+    _pi_w1: ComplexBox = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -105,82 +108,104 @@ def _box_eq(a: ComplexBox, b: ComplexBox) -> bool:
     )
 
 
-# -- invariants via Eisenstein q-expansions ----------------------------------
+# -- Jacobi theta series ------------------------------------------------------
+# With nome q = e^(i pi tau), q^(1/4) = e^(i pi tau/4), w = e^(iv) and
+# T(k, +-) = q^(k^2/4) w^(+-k) (DLMF 20.2):
+#   theta1(v) = -i sum_{k odd} (-1)^((k-1)/2) (T(k,+) - T(k,-))
+#   theta2(v) =    sum_{k odd} (T(k,+) + T(k,-))
+#   theta3(v) = 1 + sum_{k even} (T(k,+) + T(k,-))
+#   theta4(v) = 1 + sum_{k even} (-1)^(k/2) (T(k,+) + T(k,-))
 
-def _q_of(tau: ComplexBox) -> ComplexBox:
-    q = exp_2pi_i(tau)
-    if not ri_hi(q.abs_sq()) < 1:
-        raise PrecisionExhausted("cannot certify |q| < 1 for this tau enclosure")
-    return q
-
-
-def _geom_tail(first_hi: mpf, ratio_hi: mpf) -> mpf:
-    """Upper bound for a series dominated by first * ratio^j, j >= 0."""
-    if not ratio_hi < 1:
-        raise PrecisionExhausted("series tail ratio not certified below 1")
-    one = iv.mpf(1)
-    bound = iv.mpf(first_hi) / (one - iv.mpf(ratio_hi))
-    return ri_hi(bound)
-
-
-def _eisenstein(q: ComplexBox, weight: int, n_terms: int):
-    """sum_{n>=1} n^k q^n / (1 - q^n) for k = weight, with certified tail."""
-    total = ComplexBox(0)
-    qn = ComplexBox(1)
-    for n in range(1, n_terms + 1):
-        qn = qn * q
-        total = total + n ** weight * qn / (1 - qn)
-    q_hi = q.abs_hi()
-    first = (iv.mpf(n_terms + 1) ** weight * iv.mpf(q_hi) ** (n_terms + 1)) / (
-        1 - iv.mpf(q_hi)
-    )
-    ratio = iv.mpf(q_hi) * (iv.mpf(n_terms + 2) / iv.mpf(n_terms + 1)) ** weight
-    tail = _geom_tail(ri_hi(first), ri_hi(ratio))
-    return total.widened(tail)
-
-
-def _pick_terms(q_hi: mpf, extra_bits: int) -> int:
-    decay = -mp.log(q_hi, 2)
-    if decay <= 0:
+def _pick_terms(q4_hi: mpf, w_max: mpf) -> int:
+    """Least N with N^2 b - 2 N c >= iv.prec + 48, where b = -log2|q| and
+    c = log2 max(|w|, 1/|w|): the terms q^(n^2) w^(+-2n) with n >= N are
+    below 2^-(prec+48), so the series stop before k = 2N."""
+    b = -4 * mp.log(q4_hi, 2)
+    if not b > 0:
         raise PrecisionExhausted("|q| too close to 1")
-    n = int(mp.ceil((iv.prec + extra_bits) / decay)) + 4
+    c = mp.log(w_max, 2)
+    n = max(1, int(mp.ceil((c + mp.sqrt(c * c + b * (iv.prec + 48))) / b)))
     if n > SERIES_CAP:
         raise PrecisionExhausted(f"series length {n} exceeds cap {SERIES_CAP}")
     return n
 
 
+def _theta_sums(q4: ComplexBox, w: ComplexBox):
+    """(theta1, theta2, theta3, theta4) at v, for w = e^(iv) and the nome
+    q4^4, with the tail past the last term folded into each radius."""
+    wi = w.inv()
+    w_max = max(w.abs_hi(), wi.abs_hi())
+    q4_hi = q4.abs_hi()
+    n = _pick_terms(q4_hi, w_max)
+
+    q4sq = q4 * q4
+    up, dn = q4 * w, q4 * wi        # q4^(2k+1) w^(+-1), advanced by q4^2
+    tp, tm = up, dn                 # T(k, +), T(k, -) at k = 1
+    th1 = th2 = ComplexBox(0)
+    th3 = th4 = ComplexBox(1)
+    for k in range(1, 2 * n):
+        if k > 1:
+            up, dn = up * q4sq, dn * q4sq
+            tp, tm = tp * up, tm * dn
+        s = tp + tm
+        if k & 1:
+            th2 = th2 + s
+            th1 = th1 - (tp - tm) if k & 2 else th1 + (tp - tm)
+        else:
+            th3 = th3 + s
+            th4 = th4 - s if k & 2 else th4 + s
+
+    # the tail from k = 2n on: each parity is dominated by a geometric series
+    # from its first term, of ratio |q|^(2n+1) max(|w|, 1/|w|)^2
+    qh, wm = iv.mpf(q4_hi), iv.mpf(w_max)
+    first = (qh ** (4 * n * n) * wm ** (2 * n)
+             + qh ** ((2 * n + 1) ** 2) * wm ** (2 * n + 1))
+    ratio = qh ** (4 * (2 * n + 1)) * wm * wm
+    if not ri_hi(ratio) < 1:
+        raise PrecisionExhausted("series tail ratio not certified below 1")
+    tail = ri_hi(2 * first / (1 - ratio))
+    th1 = ComplexBox(0, -1) * th1
+    return tuple(t.widened(tail) for t in (th1, th2, th3, th4))
+
+
 def invariants(lattice: Lattice, precision: int = 128) -> EllipticModel:
-    """Certified g2, g3 of the lattice.  The relative error radius meets
-    2^(-precision+8); the discriminant g2^3 - 27 g3^2 is certified nonzero."""
+    """Certified g2, g3 of the lattice from the theta constants.  The
+    relative error radius meets 2^(-precision+8); the discriminant
+    16 (pi/omega1)^12 (theta2 theta3 theta4)^8 is certified nonzero."""
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
     with working_precision(precision):
-        tau = lattice.tau_box()
-        w1 = lattice.omega1_box()
-        q = _q_of(tau)
-        n_terms = _pick_terms(q.abs_hi(), 48)
-        e4 = ComplexBox(1) + 240 * _eisenstein(q, 3, n_terms)
-        e6 = ComplexBox(1) - 504 * _eisenstein(q, 5, n_terms)
-        two_pi_over_w1 = ComplexBox(2 * iv.pi) / w1
-        g2 = two_pi_over_w1.pow_int(4) * e4 * Fraction(1, 12)
-        g3 = two_pi_over_w1.pow_int(6) * e6 * Fraction(1, 216)
-        for g in (g2, g3):
+        m = model_with(lattice, None, None, precision)
+        (t2, t3, t4), s = m._theta, m._pi_w1
+        p2, p3, p4 = (t.pow_int(4) for t in (t2, t3, t4))
+        s2 = s * s
+        s4 = s2 * s2
+        g2 = s4 * (p2 * p2 + p3 * p3 + p4 * p4) * Fraction(2, 3)
+        g3 = s4 * s2 * (p2 + p3) * (p3 + p4) * (p4 - p2) * Fraction(4, 27)
+        for name, g in (("g2", g2), ("g3", g3)):
             tol = mp.ldexp(max(mpf(1), g.abs_hi()), -(precision - 8))
-            if not g.rad() <= tol:
-                raise PrecisionExhausted("invariant radius exceeds target")
-        disc = g2.pow_int(3) - 27 * g3 * g3
+            rad = g.rad()
+            if not rad <= tol:
+                raise PrecisionExhausted(
+                    f"invariant radius exceeds target: {name} radius "
+                    f"{mp.nstr(rad, 5)}, needed {mp.nstr(tol, 5)}")
+        disc = 16 * (s4 * s2).pow_int(2) * (t2 * t3 * t4).pow_int(8)
         if disc.contains_zero():
             raise PrecisionExhausted("discriminant not certified nonzero")
-        return EllipticModel(lattice, g2, g3, precision, q, tau, w1)
+        return replace(m, g2=g2, g3=g3)
 
 
 def model_with(lattice: Lattice, g2: ComplexBox, g3: ComplexBox,
                precision: int) -> EllipticModel:
-    """Model with caller-supplied invariants (negative-control harnesses)."""
+    """Model with caller-supplied invariants (negative-control harnesses),
+    holding the theta constants that invariants() derives g2, g3 from."""
     with working_precision(precision):
         tau = lattice.tau_box()
-        return EllipticModel(lattice, g2, g3, precision, _q_of(tau), tau,
-                             lattice.omega1_box())
+        w1 = lattice.omega1_box()
+        q4 = exp_2pi_i(tau * Fraction(1, 8))
+        _, t2, t3, t4 = _theta_sums(q4, ComplexBox(1))
+        return EllipticModel(lattice, g2, g3, precision, tau, w1, q4,
+                             (t2, t3, t4), ComplexBox(iv.pi) / w1)
 
 
 # -- argument reduction ------------------------------------------------------
@@ -240,59 +265,25 @@ def _reduce_argument(m: EllipticModel, z_raw):
 
 # -- wp and wp' --------------------------------------------------------------
 
-def _pole_terms(w: ComplexBox, want_prime: bool):
-    """w/(1-w)^2 and, if wanted, w(1+w)/(1-w)^3, from one reciprocal."""
-    r = (1 - w).inv()
-    p = w * r * r
-    return p, (p * (1 + w) * r if want_prime else None)
-
-
-def _wp_series(m: EllipticModel, t_red: ComplexBox, want_prime: bool):
-    """Scaled q-series for wp (and optionally wp') at reduced argument."""
-    q = m._q
-    u = exp_2pi_i(t_red)
-    q_hi = q.abs_hi()
-    u_hi = u.abs_hi()
-    u_lo = u.abs_lo()
-    if u_lo <= 0:
-        raise PrecisionExhausted("argument enclosure too wide for the series")
-    extra = 48 + max(0, int(mp.ceil(abs(mp.log(u_hi, 2)))) + int(
-        mp.ceil(abs(mp.log(u_lo, 2)))))
-    n_terms = _pick_terms(q_hi, extra)
-
-    u_inv = u.inv()
-    p_sum, pp_sum = _pole_terms(u, want_prime)
-    p_sum = ComplexBox(Fraction(1, 12)) + p_sum
-    corr = ComplexBox(0)
-    qn = ComplexBox(1)
-    for _ in range(n_terms):
-        qn = qn * q
-        pw, ppw = _pole_terms(qn * u, want_prime)
-        pv, ppv = _pole_terms(qn * u_inv, want_prime)
-        rq = (1 - qn).inv()
-        p_sum = p_sum + pw + pv
-        corr = corr + qn * rq * rq
-        if want_prime:
-            pp_sum = pp_sum + ppw - ppv
-    p_sum = p_sum - 2 * corr
-
-    # geometric tails: |q|^(n_terms+1) * max(|u|, 1/|u|) dominates both wings
-    qN = iv.mpf(q_hi) ** (n_terms + 1)
-    for lead in (iv.mpf(u_hi), 1 / iv.mpf(u_lo)):
-        a = qN * lead
-        if not ri_hi(a) < mpf("0.5"):
-            raise PrecisionExhausted("series tail leading term not small")
-        p_first = a / (1 - a) ** 2
-        p_sum = p_sum.widened(_geom_tail(ri_hi(p_first), q_hi))
-        if want_prime:
-            pp_first = a * (1 + a) / (1 - a) ** 3
-            pp_sum = pp_sum.widened(_geom_tail(ri_hi(pp_first), q_hi))
-    c_first = 2 * qN / (1 - qN) ** 2
-    p_sum = p_sum.widened(_geom_tail(ri_hi(c_first), q_hi))
-
-    s = ComplexBox(0, 2 * iv.pi) / m._omega1  # 2*pi*i / omega1
-    wp_val = s.pow_int(2) * p_sum
-    wp_prime_val = s.pow_int(3) * pp_sum if want_prime else None
+def _wp_theta(m: EllipticModel, t_red: ComplexBox, want_prime: bool):
+    """wp (and optionally wp') at reduced argument t_red = z/omega1:
+    wp  = s^2 ((t2 t3 theta4(v) / theta1(v))^2 - (t2^4 + t3^4)/3),
+    wp' = -2 s^3 (t2 t3 t4)^2 theta2(v) theta3(v) theta4(v) / theta1(v)^3,
+    with s = pi/omega1, v = pi*t_red and t2, t3, t4 the theta constants."""
+    w = exp_2pi_i(t_red * Fraction(1, 2))
+    th1, th2, th3, th4 = _theta_sums(m._q4, w)
+    t2, t3, t4 = m._theta
+    s = m._pi_w1
+    r = th1.inv()
+    g = th4 * r
+    a = t2 * t3
+    f = a * g
+    s2 = s * s
+    wp_val = s2 * (f * f - (t2.pow_int(4) + t3.pow_int(4)) * Fraction(1, 3))
+    if not want_prime:
+        return wp_val, None
+    c = a * t4
+    wp_prime_val = -2 * s2 * s * c * c * g * th2 * th3 * r * r
     return wp_val, wp_prime_val
 
 
@@ -301,14 +292,14 @@ def wp(m: EllipticModel, z) -> ComplexBox:
     lattice first)."""
     with working_precision(m.precision):
         _, _, t_red = _reduce_argument(m, z)
-        val, _ = _wp_series(m, t_red, want_prime=False)
+        val, _ = _wp_theta(m, t_red, want_prime=False)
         return val
 
 
 def wp_prime(m: EllipticModel, z) -> ComplexBox:
     with working_precision(m.precision):
         _, _, t_red = _reduce_argument(m, z)
-        _, val = _wp_series(m, t_red, want_prime=True)
+        _, val = _wp_theta(m, t_red, want_prime=True)
         return val
 
 
@@ -348,7 +339,7 @@ def _anchor_box(m: EllipticModel, a: tuple) -> ComplexBox:
 
 
 def _exp_direct(m: EllipticModel, t_red: ComplexBox) -> CurvePoint:
-    p, pp = _wp_series(m, t_red, want_prime=True)
+    p, pp = _wp_theta(m, t_red, want_prime=True)
     return CurvePoint(p, pp, ComplexBox(1))
 
 
@@ -505,7 +496,7 @@ def ode_residual(m: EllipticModel, z) -> Residual:
     """|wp'(z)^2 - 4 wp(z)^3 + g2 wp(z) + g3|, certified."""
     with working_precision(m.precision):
         _, _, t_red = _reduce_argument(m, z)
-        p, pp = _wp_series(m, t_red, want_prime=True)
+        p, pp = _wp_theta(m, t_red, want_prime=True)
         defect = pp * pp - (4 * p.pow_int(3) - m.g2 * p - m.g3)
         return Residual(defect.abs_hi(), "ode")
 

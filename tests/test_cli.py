@@ -34,8 +34,8 @@ def test_parse_value_literals():
     box = parse_value("0.25+1.5i", 64)
     assert isinstance(box, ComplexBox)
     assert abs(complex(box.mid()) - (0.25 + 1.5j)) < 1e-12
-    real = parse_value("3/4", 64)
-    assert isinstance(real, ComplexBox)
+    assert parse_value("3/4", 64) == F(3, 4)  # a rational stays exact
+    assert parse_value("-0.25", 64) == F(-1, 4)
 
 
 def test_parse_value_numeric_forms():
@@ -138,3 +138,16 @@ def test_values_with_a_leading_minus():
     assert spaced[:2] == joined[:2] and spaced[0] == 0
     assert run(["wp", "eval", "--tau", "-1/2+i", "--z", "-1/3"]) == 0
     assert run(["wp", "invariants", "--tau", "-i"]) == 0
+
+
+def test_exact_rational_z_on_the_lattice_is_a_certified_pole():
+    for z in ("0", "1", "-2"):
+        code, out, err = invoke("wp", "eval", "--tau", "i", "--z", z)
+        assert code == 2 and out == ""
+        assert err == "error: argument lies on the lattice\n"
+    # off the lattice an exact rational prints what its box prints
+    assert invoke("wp", "eval", "--tau", "i", "--z", "1/3") \
+        == invoke("wp", "eval", "--tau", "i", "--z", "1/3+0i")
+    # a real number is still no period ratio, and periods may be rational
+    assert run(["lattice", "reduce", "--tau", "3/4"]) == 2
+    assert run(["lattice", "normalize", "--w1", "2", "--w2", "1/2+3/2i"]) == 0

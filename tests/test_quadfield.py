@@ -33,10 +33,12 @@ def test_is_squarefree():
 
 
 def test_constructor_rejects_bad_d():
-    with pytest.raises(ValueError):
-        QuadNum(1, 1, 4)
-    with pytest.raises(ValueError):
-        QuadNum(1, 1, -4)
+    # twice over: the second pass reads the cached squarefree test
+    for _ in range(2):
+        for d in (4, 0, -4, -12):
+            with pytest.raises(ValueError):
+                QuadNum(1, 1, d)
+        assert QuadNum(1, 1, -3).d == -3
 
 
 @given(quads(-5), quads(-5), quads(-5))

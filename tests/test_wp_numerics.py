@@ -1,31 +1,44 @@
-"""Weierstrass machinery against direct lattice-sum oracles.
+"""Weierstrass machinery against oracles coded apart from the engine.
 
-The package computes g2, g3 and wp by theta/q-series with certified tails;
-the oracle here is the literal double sum over lattice points, truncated at
-a radius with a crude float tail estimate.  Low precision, but independent.
-A second oracle, Jacobi theta quotients from mpmath at twice the working
-precision, checks the full-precision enclosures.
+The package computes the theta constants, g2, g3, wp and wp' from Jacobi
+theta series with certified tails.  Three oracles check it:
+- the literal double sum over lattice points, truncated at a radius with a
+  crude float tail estimate (low precision, but independent);
+- mpmath's Jacobi theta functions at twice the working precision;
+- the certified q-series the theta layer replaced (Eisenstein series for
+  g2, g3 and the Lambert-type series for wp, wp'), kept here verbatim so
+  that every theta enclosure can be checked to overlap its enclosure.
 """
 
 import cmath
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
-from mpmath import iv, mp
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import iv, mp, mpf
 
-from wplab import wp_numerics
-from wplab.cintervals import ComplexBox, ri_hi, ri_lo, working_precision
+from wplab.cintervals import (
+    ComplexBox,
+    exp_2pi_i,
+    ri_hi,
+    working_precision,
+)
+from wplab.cli import lattice_from_tau, parse_value, run
 from wplab.errors import (
     IndistinguishableBranch,
     NoSafeAnchor,
     PoleAtLatticePoint,
+    PrecisionExhausted,
     UndecidablePoleProximity,
 )
 from wplab.lattice_core import make_lattice
 from wplab.quadfield import QuadNum
 from wplab.wp_numerics import (
-    _geom_tail,
+    SERIES_CAP,
+    _reduce_argument,
     addition_residual,
     curve_add,
     curve_neg,
@@ -212,9 +225,11 @@ def theta_wp(tau: complex, z: complex, bits: int):
 
 
 def _box_holds(box: ComplexBox, z) -> bool:
-    with mp.workprec(2 * 256):
-        return (ri_lo(box.re) <= z.real <= ri_hi(box.re)
-                and ri_lo(box.im) <= z.imag <= ri_hi(box.im))
+    """z in the box, compared with the exact endpoints (no rounding to the
+    mp precision, which may be below the box's)."""
+    (re_lo, re_hi), (im_lo, im_hi) = (
+        (mp.make_mpf(a), mp.make_mpf(b)) for a, b in (box.re._mpi_, box.im._mpi_))
+    return re_lo <= z.real <= re_hi and im_lo <= z.imag <= im_hi
 
 
 @pytest.mark.parametrize("tau_parts", [
@@ -244,34 +259,208 @@ def test_series_against_theta_reference(tau_parts):
                 assert val.rad() <= tol
 
 
-def _eisenstein_ivmpf(q, weight, n_terms):
-    """The Eisenstein sum with n^k built as an ivmpf power and 1 boxed."""
+# -- the q-series layer the theta series replaced, kept as an oracle ----------
+
+def _q_of(tau: ComplexBox) -> ComplexBox:
+    q = exp_2pi_i(tau)
+    if not ri_hi(q.abs_sq()) < 1:
+        raise PrecisionExhausted("cannot certify |q| < 1 for this tau enclosure")
+    return q
+
+
+def _geom_tail(first_hi: mpf, ratio_hi: mpf) -> mpf:
+    """Upper bound for a series dominated by first * ratio^j, j >= 0."""
+    if not ratio_hi < 1:
+        raise PrecisionExhausted("series tail ratio not certified below 1")
+    one = iv.mpf(1)
+    bound = iv.mpf(first_hi) / (one - iv.mpf(ratio_hi))
+    return ri_hi(bound)
+
+
+def _pick_terms(q_hi: mpf, extra_bits: int) -> int:
+    decay = -mp.log(q_hi, 2)
+    if decay <= 0:
+        raise PrecisionExhausted("|q| too close to 1")
+    n = int(mp.ceil((iv.prec + extra_bits) / decay)) + 4
+    if n > SERIES_CAP:
+        raise PrecisionExhausted(f"series length {n} exceeds cap {SERIES_CAP}")
+    return n
+
+
+def _eisenstein(q: ComplexBox, weight: int, n_terms: int):
+    """sum_{n>=1} n^k q^n / (1 - q^n) for k = weight, with certified tail."""
     total = ComplexBox(0)
     qn = ComplexBox(1)
     for n in range(1, n_terms + 1):
         qn = qn * q
-        total = total + ComplexBox(iv.mpf(n) ** weight) * qn / (ComplexBox(1) - qn)
+        total = total + n ** weight * qn / (1 - qn)
     q_hi = q.abs_hi()
     first = (iv.mpf(n_terms + 1) ** weight * iv.mpf(q_hi) ** (n_terms + 1)) / (
         1 - iv.mpf(q_hi)
     )
     ratio = iv.mpf(q_hi) * (iv.mpf(n_terms + 2) / iv.mpf(n_terms + 1)) ** weight
-    return total.widened(_geom_tail(ri_hi(first), ri_hi(ratio)))
+    tail = _geom_tail(ri_hi(first), ri_hi(ratio))
+    return total.widened(tail)
 
 
-def _endpoints(box):
-    return box.re._mpi_, box.im._mpi_
+def _pole_terms(w: ComplexBox, want_prime: bool):
+    """w/(1-w)^2 and, if wanted, w(1+w)/(1-w)^3, from one reciprocal."""
+    r = (1 - w).inv()
+    p = w * r * r
+    return p, (p * (1 + w) * r if want_prime else None)
+
+
+def _wp_series(m, t_red: ComplexBox, want_prime: bool):
+    """Scaled q-series for wp (and optionally wp') at reduced argument."""
+    q = m._q
+    u = exp_2pi_i(t_red)
+    q_hi = q.abs_hi()
+    u_hi = u.abs_hi()
+    u_lo = u.abs_lo()
+    if u_lo <= 0:
+        raise PrecisionExhausted("argument enclosure too wide for the series")
+    extra = 48 + max(0, int(mp.ceil(abs(mp.log(u_hi, 2)))) + int(
+        mp.ceil(abs(mp.log(u_lo, 2)))))
+    n_terms = _pick_terms(q_hi, extra)
+
+    u_inv = u.inv()
+    p_sum, pp_sum = _pole_terms(u, want_prime)
+    p_sum = ComplexBox(Fraction(1, 12)) + p_sum
+    corr = ComplexBox(0)
+    qn = ComplexBox(1)
+    for _ in range(n_terms):
+        qn = qn * q
+        pw, ppw = _pole_terms(qn * u, want_prime)
+        pv, ppv = _pole_terms(qn * u_inv, want_prime)
+        rq = (1 - qn).inv()
+        p_sum = p_sum + pw + pv
+        corr = corr + qn * rq * rq
+        if want_prime:
+            pp_sum = pp_sum + ppw - ppv
+    p_sum = p_sum - 2 * corr
+
+    # geometric tails: |q|^(n_terms+1) * max(|u|, 1/|u|) dominates both wings
+    qN = iv.mpf(q_hi) ** (n_terms + 1)
+    for lead in (iv.mpf(u_hi), 1 / iv.mpf(u_lo)):
+        a = qN * lead
+        if not ri_hi(a) < mpf("0.5"):
+            raise PrecisionExhausted("series tail leading term not small")
+        p_first = a / (1 - a) ** 2
+        p_sum = p_sum.widened(_geom_tail(ri_hi(p_first), q_hi))
+        if want_prime:
+            pp_first = a * (1 + a) / (1 - a) ** 3
+            pp_sum = pp_sum.widened(_geom_tail(ri_hi(pp_first), q_hi))
+    c_first = 2 * qN / (1 - qN) ** 2
+    p_sum = p_sum.widened(_geom_tail(ri_hi(c_first), q_hi))
+
+    s = ComplexBox(0, 2 * iv.pi) / m._omega1  # 2*pi*i / omega1
+    wp_val = s.pow_int(2) * p_sum
+    wp_prime_val = s.pow_int(3) * pp_sum if want_prime else None
+    return wp_val, wp_prime_val
+
+
+def q_series_oracle(lattice, precision):
+    """g2, g3 from the Eisenstein series, plus the nome and omega1 that
+    _wp_series reads, at the working precision of `precision` bits."""
+    with working_precision(precision):
+        tau = lattice.tau_box()
+        w1 = lattice.omega1_box()
+        q = _q_of(tau)
+        n_terms = _pick_terms(q.abs_hi(), 48)
+        e4 = ComplexBox(1) + 240 * _eisenstein(q, 3, n_terms)
+        e6 = ComplexBox(1) - 504 * _eisenstein(q, 5, n_terms)
+        two_pi_over_w1 = ComplexBox(2 * iv.pi) / w1
+        g2 = two_pi_over_w1.pow_int(4) * e4 * Fraction(1, 12)
+        g3 = two_pi_over_w1.pow_int(6) * e6 * Fraction(1, 216)
+    return SimpleNamespace(g2=g2, g3=g3, _q=q, _omega1=w1)
+
+
+# -- theta layer against both oracles -----------------------------------------
+
+def _mpc(x: QuadNum):
+    """x = p + q sqrt(d) as an mpc at the current mp precision."""
+    return mp.mpc(mp.mpf(x.p.numerator) / x.p.denominator,
+                  mp.mpf(x.q.numerator) / x.q.denominator * mp.sqrt(-x.d))
+
+
+def theta_invariants(tau, w1, bits: int):
+    """(g2, g3) of the lattice Z*w1 + Z*tau*w1 from mpmath's theta
+    constants: g2 = (2/3) s^4 (t2^8 + t3^8 + t4^8),
+    g3 = (4/27) s^6 (t2^4 + t3^4)(t3^4 + t4^4)(t4^4 - t2^4), s = pi/w1."""
+    with mp.workprec(bits):
+        q = mp.exp(1j * mp.pi * tau)
+        t2, t3, t4 = (mpmath.jtheta(n, 0, q) ** 4 for n in (2, 3, 4))
+        s = mp.pi / w1
+        g2 = Fraction(2, 3) * s ** 4 * (t2 ** 2 + t3 ** 2 + t4 ** 2)
+        g3 = Fraction(4, 27) * s ** 6 * (t2 + t3) * (t3 + t4) * (t4 - t2)
+        return +g2, +g3
+
+
+def _reference_invariants(lattice, bits):
+    with mp.workprec(bits):
+        return theta_invariants(_mpc(lattice.tau), _mpc(lattice.omega1), bits)
+
+
+def _near_box(box: ComplexBox, ref, bits: int) -> bool:
+    """ref, computed at 2*bits, in the box widened by the reference's own
+    error, taken as 2^-(2*bits - 32) relative to max(|ref|, 1): a component
+    far below the value's magnitude, such as the imaginary part of g2 on a
+    nearly rectangular lattice, is not known to the reference any better."""
+    with mp.workprec(2 * bits):
+        err = mp.ldexp(max(abs(ref), 1), -(2 * bits - 32))
+    with working_precision(2 * bits):
+        return _box_holds(box.widened(err), ref)
 
 
 @pytest.mark.parametrize("bits", [128, 256, 512])
-def test_eisenstein_exact_powers_keep_invariant_endpoints(bits, monkeypatch):
-    taus = [QuadNum(0, 1, -1), QuadNum(Fraction(1, 2), Fraction(1, 2), -3),
-            QuadNum(0, 2, -1), QuadNum(Fraction(1, 3), Fraction(3, 2), -2),
-            QuadNum(Fraction(1, 4), Fraction(5, 2), -7)]
-    lattices = [make_lattice(QuadNum.rational(1, t.d), t) for t in taus]
-    new = [invariants(lat, bits) for lat in lattices]
-    monkeypatch.setattr(wp_numerics, "_eisenstein", _eisenstein_ivmpf)
-    old = [invariants(lat, bits) for lat in lattices]
-    for a, b in zip(new, old):
-        assert _endpoints(a.g2) == _endpoints(b.g2)
-        assert _endpoints(a.g3) == _endpoints(b.g3)
+@settings(max_examples=30, deadline=None)
+@given(re_tau=st.integers(-32, 32), im_tau=st.integers(56, 1920),
+       x=st.integers(-512, 512), y=st.integers(-512, 512))
+def test_theta_layer_inside_q_series_and_jtheta(bits, re_tau, im_tau, x, y):
+    """Im tau from sqrt(3)/2 to 30 (in steps of 1/64, |tau| >= 1) and z
+    anywhere in the cell off the lattice (coordinates in steps of 1/1024)."""
+    assume(re_tau ** 2 + im_tau ** 2 >= 64 ** 2 and (x, y) != (0, 0))
+    tau = QuadNum(Fraction(re_tau, 64), Fraction(im_tau, 64), -1)
+    lat = make_lattice(QuadNum(1, 0, -1), tau)
+    m = invariants(lat, bits)
+    oracle = q_series_oracle(lat, bits)
+    g2_ref, g3_ref = _reference_invariants(lat, 2 * bits)
+    for new, old, ref in ((m.g2, oracle.g2, g2_ref), (m.g3, oracle.g3, g3_ref)):
+        assert new.overlaps(old)
+        assert _near_box(new, ref, bits)
+
+    z = QuadNum.rational(Fraction(x, 1024), -1) \
+        + QuadNum.rational(Fraction(y, 1024), -1) * tau
+    with working_precision(bits):
+        _, _, t_red = _reduce_argument(m, z)
+        old = _wp_series(oracle, t_red, want_prime=True)
+    with mp.workprec(2 * bits):
+        ref = theta_wp(_mpc(tau), _mpc(z), 2 * bits)
+    for new, old_val, ref_val in zip((wp(m, z), wp_prime(m, z)), old, ref):
+        assert new.overlaps(old_val)
+        assert _near_box(new, ref_val, bits)
+
+
+@pytest.mark.parametrize("tau_text", ["0+30i:-1", "1/2+1/100i:-1"])
+def test_discriminant_certified_at_large_im_tau(tau_text):
+    """Delta = 16 (pi/omega1)^12 (t2 t3 t4)^8 has no cancellation: both
+    lattices (the second reduces to 1/2 + 25i) are certified at 128 bits."""
+    assert run(["wp", "invariants", "--tau", tau_text]) == 0
+    lat = lattice_from_tau(parse_value(tau_text, 128), 128)
+    m = invariants(lat, 128)
+    g2_ref, g3_ref = _reference_invariants(lat, 256)
+    assert _near_box(m.g2, g2_ref, 128) and _near_box(m.g3, g3_ref, 128)
+
+
+def test_invariant_precision_failure_states_radii():
+    # periods known to about 96 bits cannot give g2 to 256
+    with working_precision(64):
+        lat = make_lattice(ComplexBox(1), ComplexBox.from_fractions(
+            Fraction(1, 3), Fraction(11, 10)))
+    with pytest.raises(PrecisionExhausted) as info:
+        invariants(lat, 256)
+    found = re.fullmatch(r"invariant radius exceeds target: g2 radius (\S+), "
+                         r"needed (\S+)", str(info.value))
+    assert found
+    reached, needed = (mp.mpf(v) for v in found.groups())
+    assert reached > needed > mp.ldexp(1, -256)
