@@ -157,7 +157,7 @@ def criterion_3(seed=0):
         v = is_isogenous(lat, lat2)
         for _ in range(50):
             z = _cell_sample(rng, lat2)
-            r = isogeny_residual(lat, lat2, v.alpha, z, PRECISION)
+            r = isogeny_residual(m, lat2, v.alpha, z)
             worst["isogeny"] = max(worst.get("isogeny", mp.mpf(0)), r.value)
         # negative control: perturb g3 by 1e-5; the ODE residual must exceed 1e-6
         bad = model_with(lat, m.g2, m.g3 + ComplexBox(Fraction(1, 10 ** 5)),

@@ -91,11 +91,6 @@ def _real_part(text: str):
     return ri(Fraction(text)) if "/" in text else iv.mpf(text)
 
 
-def _as_period(value):
-    """A rational period or tau as a box at the working precision."""
-    return ComplexBox(ri(value)) if isinstance(value, Fraction) else value
-
-
 def lattice_from_tau(tau, precision: int) -> Lattice:
     if isinstance(tau, QuadNum):
         return make_lattice(QuadNum.rational(1, tau.d), tau)
@@ -169,7 +164,7 @@ def cmd_lattice(args) -> int:
         w1 = parse_value(args.w1, prec)
         w2 = parse_value(args.w2, prec)
         with working_precision(prec):
-            lat = make_lattice(_as_period(w1), _as_period(w2))
+            lat = make_lattice(w1, w2)
             rec = serialize.lattice_record(lat, prec)
         emit(args, [
             f"tau = {value_str(lat.tau, prec)}",
@@ -179,7 +174,8 @@ def cmd_lattice(args) -> int:
     if args.action == "reduce":
         tau = parse_value(args.tau, prec)
         with working_precision(prec):
-            red, mat = reduce_tau(_as_period(tau))
+            red, mat = reduce_tau(ComplexBox(ri(tau))
+                                  if isinstance(tau, Fraction) else tau)
         rec = {
             "tau_reduced": serialize.quad_record(red)
             if isinstance(red, QuadNum) else serialize.box_record(red, prec),
@@ -288,6 +284,13 @@ def cmd_wp(args) -> int:
     worst = mp.mpf(0)
     tag = args.identity
     with working_precision(prec):
+        if tag == "isogeny":
+            tau2 = parse_value(args.tau2, prec) if args.tau2 else None
+            l2 = (lattice_from_tau(tau2, prec) if tau2 is not None
+                  else make_lattice(lat.omega1_box(), lat.omega2_box() * 2))
+            v = is_isogenous(lat, l2, args.bound)
+            if not v.is_isogenous:
+                raise CliError("lattices not certified isogenous")
         for z in zs:
             if tag == "ode":
                 r = ode_residual(model, z)
@@ -298,14 +301,7 @@ def cmd_wp(args) -> int:
             elif tag == "addition":
                 r = addition_residual(model, z, 0.7 * z + 0.11)
             else:  # isogeny
-                tau2 = parse_value(args.tau2, prec) if args.tau2 else None
-                l2 = (lattice_from_tau(tau2, prec) if tau2 is not None
-                      else make_lattice(lat.omega1_box(),
-                                        lat.omega2_box() * 2))
-                v = is_isogenous(lat, l2, args.bound)
-                if not v.is_isogenous:
-                    raise CliError("lattices not certified isogenous")
-                r = isogeny_residual(lat, l2, v.alpha, z, prec)
+                r = isogeny_residual(model, l2, v.alpha, z)
             worst = max(worst, r.value)
     bound_str = mp.nstr(worst, 8)
     rec = {

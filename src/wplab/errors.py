@@ -47,10 +47,6 @@ class UnknownUpToBound(WplabError):
         super().__init__(message or f"undecided up to search bound {bound}")
 
 
-class NoSafeAnchor(WplabError):
-    pass
-
-
 class GroundSetTooLarge(WplabError):
     pass
 

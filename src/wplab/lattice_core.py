@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from mpmath import iv, mp
 
-from .cintervals import ComplexBox, quadnum_box, ri_hi, ri_lo
+from .cintervals import ComplexBox, quadnum_box, ri, ri_hi, ri_lo
 from .errors import DegenerateLattice, PrecisionExhausted, UnknownUpToBound
 from .quadfield import QuadNum, squarefree_kernel
 
@@ -141,8 +141,20 @@ class Lattice:
         return quadnum_box(self.tau) if self.exact else self.tau
 
 
+def _lift_rational(w, partner):
+    """A rational period joins the quadratic field of an exact partner and
+    is boxed beside a numeric one."""
+    if not isinstance(w, (int, Fraction)):
+        return w
+    if isinstance(partner, QuadNum):
+        return QuadNum.rational(w, partner.d)
+    return ComplexBox(ri(w))
+
+
 def _coerce_pair(w1, w2):
     """Bring the two periods to a common representation."""
+    w1 = _lift_rational(w1, w2)
+    w2 = _lift_rational(w2, w1)
     if isinstance(w1, QuadNum) and isinstance(w2, QuadNum):
         if w1.q != 0 and w2.q != 0 and w1.d != w2.d:
             warnings.warn(

@@ -8,10 +8,10 @@ Everything is computed in rectangle interval arithmetic; every returned bound
 is an enclosure, never an estimate.  Jacobi theta series give g2, g3 and the
 discriminant (from the theta constants, computed once per model) and wp, wp'
 (as theta quotients); their geometric tail bounds are folded into the result's
-radius, so the reported radius is sound by construction.  Near lattice points
-wp itself is hopeless, and exp_E switches to the group-structure identity
-exp_E(z) = n*(exp_E(b) - exp_E(a)) with z = n*(b - a) and both a, b kept in a
-safe region away from the poles.
+radius, so the reported radius is sound by construction.  The quotients stay
+certified close to the lattice, wherever the enclosure of theta1(v) excludes
+zero, so exp_E uses them at every point off the lattice; nearer than that the
+working precision is too low, and raising it recovers the point.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .cintervals import (
 )
 from .errors import (
     IndistinguishableBranch,
-    NoSafeAnchor,
     PoleAtLatticePoint,
     PrecisionExhausted,
     UndecidablePoleProximity,
@@ -303,40 +302,7 @@ def wp_prime(m: EllipticModel, z) -> ComplexBox:
         return val
 
 
-# -- safe region and exp_E ---------------------------------------------------
-
-def _cell_diameter_hi(m: EllipticModel) -> mpf:
-    w1, w2 = m._omega1, m._omega1 * m._tau
-    return max((w1 + w2).abs_hi(), (w1 - w2).abs_hi())
-
-
-def _dist_to_lattice_lo(m: EllipticModel, t_red: ComplexBox) -> mpf:
-    """Lower bound for dist(z, Lambda) with z = t_red * omega1 in the
-    centered cell; the nearest lattice points are the 9 surrounding ones."""
-    best = None
-    for a in (-1, 0, 1):
-        for b in (-1, 0, 1):
-            lam = ComplexBox(a) + ComplexBox(b) * m._tau
-            d = ((t_red - lam) * m._omega1).abs_lo()
-            best = d if best is None else min(best, d)
-    return best
-
-
-ANCHOR_FRACTIONS = [
-    (Fraction(3, 8), Fraction(3, 8)),
-    (Fraction(1, 2), Fraction(3, 8)),
-    (Fraction(3, 8), Fraction(1, 2)),
-    (Fraction(-3, 8), Fraction(3, 8)),
-    (Fraction(1, 4), Fraction(1, 2)),
-    (Fraction(1, 2), Fraction(1, 4)),
-    (Fraction(-1, 2), Fraction(-3, 8)),
-    (Fraction(1, 3), Fraction(1, 3)),
-]
-
-
-def _anchor_box(m: EllipticModel, a: tuple) -> ComplexBox:
-    return ComplexBox(ri(a[0])) + ComplexBox(ri(a[1])) * m._tau
-
+# -- exp_E -------------------------------------------------------------------
 
 def _exp_direct(m: EllipticModel, t_red: ComplexBox) -> CurvePoint:
     p, pp = _wp_theta(m, t_red, want_prime=True)
@@ -345,62 +311,16 @@ def _exp_direct(m: EllipticModel, t_red: ComplexBox) -> CurvePoint:
 
 def exp_E(m: EllipticModel, z) -> CurvePoint:
     """Covering map z -> [wp(z) : wp'(z) : 1], with [0:1:0] at certified
-    lattice points and the group-structure evaluation near poles."""
+    lattice points.  Near a pole the theta quotient holds as long as
+    theta1(v) is certified nonzero; otherwise PrecisionExhausted (or
+    UndecidablePoleProximity when z overlaps the lattice) asks for more
+    precision."""
     with working_precision(m.precision):
-        if _exact_pole(m.lattice, z):
-            return identity_point()
         try:
-            xr, yr, t_red = _reduce_argument(m, z)
+            _, _, t_red = _reduce_argument(m, z)
         except PoleAtLatticePoint:
             return identity_point()
-        margin = _cell_diameter_hi(m) / 4
-        if _dist_to_lattice_lo(m, t_red) >= margin:
-            return _exp_direct(m, t_red)
-        return _near_pole_auto(m, t_red, margin)
-
-
-def _near_pole_auto(m: EllipticModel, t_red: ComplexBox, margin) -> CurvePoint:
-    zb = t_red * m._omega1
-    for n in range(2, 7):
-        for frac in ANCHOR_FRACTIONS:
-            a_box = _anchor_box(m, frac) * m._omega1
-            b_box = zb / n + a_box
-            xb, yb = _lattice_coords(m, b_box)
-            tb = ComplexBox(xb) + ComplexBox(yb) * m._tau
-            if _dist_to_lattice_lo(m, tb - ComplexBox(int(mp.nint(mp.mpf(xb.mid))))
-                                   - ComplexBox(int(mp.nint(mp.mpf(yb.mid)))) * m._tau) < margin:
-                continue
-            ta = _anchor_box(m, frac)
-            if _dist_to_lattice_lo(m, ta) < margin:
-                continue
-            try:
-                pa = _exp_direct(m, ta)
-                pb = exp_E(m, b_box)
-                diff = curve_add(m, pb, curve_neg(pa))
-                return curve_smul(m, n, diff)
-            except (IndistinguishableBranch, PrecisionExhausted):
-                continue
-    raise NoSafeAnchor("no anchor/n pair placed both points in the safe region")
-
-
-def near_pole_eval(m: EllipticModel, z, anchor: tuple, n: int) -> CurvePoint:
-    """exp_E(z) through exp_E(z) = n*(exp_E(b) - exp_E(a)) with b = z/n + a.
-    The anchor is an exact pair of lattice coordinates (Fractions), i.e.
-    a = (a1 + a2*tau) * omega1; both a and b must sit in the safe region."""
-    with working_precision(m.precision):
-        if _exact_pole(m.lattice, z):
-            return identity_point()
-        a1, a2 = Fraction(anchor[0]), Fraction(anchor[1])
-        ta = ComplexBox(ri(a1)) + ComplexBox(ri(a2)) * m._tau
-        margin = _cell_diameter_hi(m) / 4
-        if _dist_to_lattice_lo(m, ta) < margin:
-            raise NoSafeAnchor("anchor outside the safe region")
-        zb = _as_box(z)
-        b_box = zb / n + ta * m._omega1
-        pb = exp_E(m, b_box)
-        pa = _exp_direct(m, ta)
-        diff = curve_add(m, pb, curve_neg(pa))
-        return curve_smul(m, n, diff)
+        return _exp_direct(m, t_red)
 
 
 # -- group law ---------------------------------------------------------------
@@ -541,29 +461,26 @@ def addition_residual(m: EllipticModel, z1, z2) -> Residual:
         return Residual(point_defect(m, lhs, rhs), "addition")
 
 
-def isogeny_residual(l1: Lattice, l2: Lattice, alpha, z,
-                     precision: int = 128) -> Residual:
+def isogeny_residual(m: EllipticModel, l2: Lattice, alpha, z) -> Residual:
     """Well-definedness of the isogeny induced by a scalar alpha with
-    alpha*Lambda(l2) inside Lambda(l1): the map w -> exp_{E1}(c*w) must be
-    Lambda(l2)-periodic for c = alpha; the inverse convention c = 1/alpha is
-    tried as well and the certified direction is reported in the tag."""
-    with working_precision(precision):
-        m1 = invariants(l1, precision)
-        a = _as_box(alpha) if not isinstance(alpha, QuadNum) else quadnum_box(alpha)
+    alpha*Lambda(l2) inside the model's lattice: the map w -> exp_E(c*w) must
+    be Lambda(l2)-periodic for c = alpha; the inverse convention c = 1/alpha
+    is tried as well and the certified direction is reported in the tag."""
+    with working_precision(m.precision):
+        a = _as_box(alpha)
         zb = _as_box(z)
         w1, w2 = l2.omega1_box(), l2.omega2_box()
         results = []
         for tag, c in (("isogeny:alpha", a), ("isogeny:alpha_inverse",
                                               ComplexBox(1) / a)):
             try:
-                base = exp_E(m1, c * zb)
+                base = exp_E(m, c * zb)
                 worst = mpf(0)
                 for lam in (w1, w2, w1 + w2):
-                    shifted = exp_E(m1, c * (zb + lam))
-                    worst = max(worst, point_defect(m1, base, shifted))
+                    shifted = exp_E(m, c * (zb + lam))
+                    worst = max(worst, point_defect(m, base, shifted))
                 results.append(Residual(worst, tag))
-            except (PrecisionExhausted, UndecidablePoleProximity,
-                    IndistinguishableBranch, NoSafeAnchor):
+            except (PrecisionExhausted, UndecidablePoleProximity):
                 continue
         if not results:
             raise PrecisionExhausted("neither alpha direction certified")

@@ -151,3 +151,12 @@ def test_exact_rational_z_on_the_lattice_is_a_certified_pole():
     # a real number is still no period ratio, and periods may be rational
     assert run(["lattice", "reduce", "--tau", "3/4"]) == 2
     assert run(["lattice", "normalize", "--w1", "2", "--w2", "1/2+3/2i"]) == 0
+
+
+def test_rational_period_beside_an_exact_one_stays_exact():
+    code, out, err = invoke("lattice", "normalize", "--w1", "1", "--w2", "i",
+                            "--format", "record")
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert rec["rep"] == "quad"
+    assert serialize.parse_quad(rec["tau"]) == QuadNum(0, 1, -1)

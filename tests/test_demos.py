@@ -1,0 +1,20 @@
+"""Each script in demos/ runs to completion in a fresh interpreter against
+the package in src/, so a demo that uses removed API fails here."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, timeout=300, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr

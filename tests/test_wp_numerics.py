@@ -8,6 +8,9 @@ theta series with certified tails.  Three oracles check it:
 - the certified q-series the theta layer replaced (Eisenstein series for
   g2, g3 and the Lambert-type series for wp, wp'), kept here verbatim so
   that every theta enclosure can be checked to overlap its enclosure.
+The anchored group-law route exp_E used to take near the lattice is kept
+verbatim as well: wherever it answers, the theta quotient must answer with a
+box inside the same neighbourhood and no wider.
 """
 
 import cmath
@@ -23,21 +26,26 @@ from mpmath import iv, mp, mpf
 from wplab.cintervals import (
     ComplexBox,
     exp_2pi_i,
+    ri,
     ri_hi,
     working_precision,
 )
 from wplab.cli import lattice_from_tau, parse_value, run
 from wplab.errors import (
     IndistinguishableBranch,
-    NoSafeAnchor,
     PoleAtLatticePoint,
+    PrecisionError,
     PrecisionExhausted,
     UndecidablePoleProximity,
+    WplabError,
 )
 from wplab.lattice_core import make_lattice
 from wplab.quadfield import QuadNum
 from wplab.wp_numerics import (
     SERIES_CAP,
+    _exact_pole,
+    _exp_direct,
+    _lattice_coords,
     _reduce_argument,
     addition_residual,
     curve_add,
@@ -47,7 +55,6 @@ from wplab.wp_numerics import (
     identity_point,
     invariants,
     model_with,
-    near_pole_eval,
     ode_residual,
     on_curve_defect,
     point_defect,
@@ -171,16 +178,6 @@ def test_exp_identity_and_inverse(model):
         assert r.value <= mp.ldexp(1, -100)
 
 
-def test_near_pole_eval(model):
-    with working_precision(128):
-        z = ComplexBox.from_fractions(Fraction(1, 2 ** 30), Fraction(1, 2 ** 31))
-        p = near_pole_eval(model, z, (Fraction(3, 8), Fraction(3, 8)), 2)
-        assert on_curve_defect(model, p) <= mp.ldexp(1, -80)
-        # periodicity through the pole neighborhood
-        q = near_pole_eval(model, z + ComplexBox(1), (Fraction(3, 8), Fraction(3, 8)), 2)
-        assert point_defect(model, p, q) <= mp.ldexp(1, -80)
-
-
 def test_exp_E_auto_near_pole(model):
     with working_precision(128):
         z = ComplexBox.from_fractions(Fraction(1, 2 ** 40), Fraction(1, 2 ** 40))
@@ -191,7 +188,7 @@ def test_exp_E_auto_near_pole(model):
 def test_two_torsion_doubling(model):
     with working_precision(128):
         half = exp_E(model, Fraction(1, 2))
-        with pytest.raises((IndistinguishableBranch, NoSafeAnchor)):
+        with pytest.raises(IndistinguishableBranch):
             # doubling a 2-torsion point needs the tangent at a ramification
             # point; the chord slope denominator vanishes
             curve_add(model, half, exp_E(model, ComplexBox.from_fractions(
@@ -464,3 +461,157 @@ def test_invariant_precision_failure_states_radii():
     assert found
     reached, needed = (mp.mpf(v) for v in found.groups())
     assert reached > needed > mp.ldexp(1, -256)
+
+
+# -- the anchored near-pole path exp_E used to take, kept as an oracle -------
+
+class _NoSafeAnchor(WplabError):
+    """No anchor/n pair placed both points in the safe region."""
+
+
+def _cell_diameter_hi(m) -> mpf:
+    w1, w2 = m._omega1, m._omega1 * m._tau
+    return max((w1 + w2).abs_hi(), (w1 - w2).abs_hi())
+
+
+def _dist_to_lattice_lo(m, t_red: ComplexBox) -> mpf:
+    """Lower bound for dist(z, Lambda) with z = t_red * omega1 in the
+    centered cell; the nearest lattice points are the 9 surrounding ones."""
+    best = None
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            lam = ComplexBox(a) + ComplexBox(b) * m._tau
+            d = ((t_red - lam) * m._omega1).abs_lo()
+            best = d if best is None else min(best, d)
+    return best
+
+
+ANCHOR_FRACTIONS = [
+    (Fraction(3, 8), Fraction(3, 8)),
+    (Fraction(1, 2), Fraction(3, 8)),
+    (Fraction(3, 8), Fraction(1, 2)),
+    (Fraction(-3, 8), Fraction(3, 8)),
+    (Fraction(1, 4), Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1, 4)),
+    (Fraction(-1, 2), Fraction(-3, 8)),
+    (Fraction(1, 3), Fraction(1, 3)),
+]
+
+
+def _anchor_box(m, a: tuple) -> ComplexBox:
+    return ComplexBox(ri(a[0])) + ComplexBox(ri(a[1])) * m._tau
+
+
+def anchored_exp_E(m, z):
+    """exp_E with the series only beyond a quarter cell diameter from the
+    lattice and exp_E(z) = n*(exp_E(b) - exp_E(a)), z = n*(b - a), nearer."""
+    with working_precision(m.precision):
+        if _exact_pole(m.lattice, z):
+            return identity_point()
+        try:
+            xr, yr, t_red = _reduce_argument(m, z)
+        except PoleAtLatticePoint:
+            return identity_point()
+        margin = _cell_diameter_hi(m) / 4
+        if _dist_to_lattice_lo(m, t_red) >= margin:
+            return _exp_direct(m, t_red)
+        return _near_pole_auto(m, t_red, margin)
+
+
+def _near_pole_auto(m, t_red: ComplexBox, margin):
+    zb = t_red * m._omega1
+    for n in range(2, 7):
+        for frac in ANCHOR_FRACTIONS:
+            a_box = _anchor_box(m, frac) * m._omega1
+            b_box = zb / n + a_box
+            xb, yb = _lattice_coords(m, b_box)
+            tb = ComplexBox(xb) + ComplexBox(yb) * m._tau
+            if _dist_to_lattice_lo(m, tb - ComplexBox(int(mp.nint(mp.mpf(xb.mid))))
+                                   - ComplexBox(int(mp.nint(mp.mpf(yb.mid)))) * m._tau) < margin:
+                continue
+            ta = _anchor_box(m, frac)
+            if _dist_to_lattice_lo(m, ta) < margin:
+                continue
+            try:
+                pa = _exp_direct(m, ta)
+                pb = anchored_exp_E(m, b_box)
+                diff = curve_add(m, pb, curve_neg(pa))
+                return curve_smul(m, n, diff)
+            except (IndistinguishableBranch, PrecisionExhausted):
+                continue
+    raise _NoSafeAnchor("no anchor/n pair placed both points in the safe region")
+
+
+# -- exp_E near the lattice against the anchored path and jtheta --------------
+
+def _reference_point(lattice, z: QuadNum, bits: int):
+    """(wp(z), wp'(z)) from jtheta at `bits`, by homogeneity from the
+    lattice Z + Z*tau: wp(z) = omega1^-2 wp_tau(z/omega1), and omega1^-3
+    for wp'."""
+    with mp.workprec(bits):
+        w1 = _mpc(lattice.omega1)
+        p, pp = theta_wp(_mpc(lattice.tau), _mpc(z) / w1, bits)
+        return p / w1 ** 2, pp / w1 ** 3
+
+
+def _is_affine(p) -> bool:
+    return p.Z.is_exact() and p.Z.overlaps(ComplexBox(1))
+
+
+def _check_near_pole(m, z: QuadNum, offset: QuadNum, old, bits: int):
+    """exp_E(z) answers affinely, inside the anchored path's boxes (when
+    given) and no wider, and holds the jtheta values at twice the bits.
+    z lies a lattice vector away from the small offset, where the reference
+    is taken: jtheta near a shifted zero of theta1 loses the bits the shift
+    adds."""
+    new = exp_E(m, z)
+    assert _is_affine(new)
+    ref = _reference_point(m.lattice, offset, 2 * bits)
+    old_boxes = (None, None) if old is None else (old.X, old.Y)
+    for box, val, old_box in zip((new.X, new.Y), ref, old_boxes):
+        assert _near_box(box, val, bits)
+        if old_box is not None:
+            assert box.overlaps(old_box)
+            with working_precision(bits):
+                assert box.rad() <= old_box.rad()
+    return new
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@settings(max_examples=25, deadline=None)
+@given(re_tau=st.integers(-32, 32), im_tau=st.integers(64, 1920),
+       scale=st.sampled_from([Fraction(1), Fraction(3, 2)]),
+       a=st.integers(-3, 3), b=st.integers(-3, 3), e=st.integers(1, 60),
+       shift=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_exp_E_near_pole_against_anchored_path(bits, re_tau, im_tau, scale,
+                                               a, b, e, shift):
+    """Im tau from 1 to 30 and z = ((a + b i) 10^-e + n1 + n2 tau) omega1:
+    wherever the anchored path answers, so does the theta quotient."""
+    assume(re_tau ** 2 + im_tau ** 2 >= 64 ** 2 and (a, b) != (0, 0))
+    w1 = QuadNum.rational(scale, -1)
+    tau = QuadNum(Fraction(re_tau, 64), Fraction(im_tau, 64), -1)
+    m = invariants(make_lattice(w1, w1 * tau), bits)
+    offset = QuadNum(Fraction(a, 10 ** e), Fraction(b, 10 ** e), -1) * w1
+    z = offset + (shift[0] + shift[1] * tau) * w1
+    try:
+        old = anchored_exp_E(m, z)
+    except (_NoSafeAnchor, PrecisionError):
+        return
+    assert _is_affine(old)
+    _check_near_pole(m, z, offset, old, bits)
+
+
+def test_exp_E_answers_where_the_anchored_path_gave_up():
+    """Im tau = 27356/915 ~ 29.9 at 128 bits and z = (3 + i) 10^-30 omega1:
+    no anchor placed the group-law route's points in the safe region, while
+    theta1(v) is certified nonzero and the quotient is tight."""
+    w1 = QuadNum.rational(Fraction(3, 2), -1)
+    tau = QuadNum(0, Fraction(27356, 915), -1)
+    m = invariants(make_lattice(w1, w1 * tau), 128)
+    z = QuadNum(Fraction(3, 10 ** 30), Fraction(1, 10 ** 30), -1) * w1
+    with pytest.raises(_NoSafeAnchor):
+        anchored_exp_E(m, z)
+    p = _check_near_pole(m, z, z, None, 128)
+    with working_precision(128):
+        for box in (p.X, p.Y):
+            assert box.rad() <= mp.ldexp(box.abs_hi(), -50)
