@@ -174,7 +174,7 @@ def cmd_lattice(args) -> int:
     if args.action == "reduce":
         tau = parse_value(args.tau, prec)
         with working_precision(prec):
-            red, mat = reduce_tau(ComplexBox(ri(tau))
+            red, mat = reduce_tau(QuadNum.rational(tau)
                                   if isinstance(tau, Fraction) else tau)
         rec = {
             "tau_reduced": serialize.quad_record(red)

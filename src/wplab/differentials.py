@@ -373,24 +373,10 @@ def hcl_witness(p: FieldPresentation, forms, b_index: int) -> HclVerdict:
     otherwise an explicit derivation normalized to derivative 1 there."""
     if not 0 <= b_index < p.m:
         raise InvalidConfiguration("b_index out of range")
-    rows = _all_rows(p, forms)
-    unit = [0] * p.m
-    unit[b_index] = 1
-    if p.mode == GENERIC:
-        unit_row = [sympy.Integer(x) for x in unit]
-        base = rows_rank(p, rows)
-        lifted = rows_rank(p, rows + [unit_row])
-        if lifted == base:
-            return HclVerdict(True)
-        res = _solve_generic(p, rows, {}, (p.generators[b_index], 1))
-    else:
-        unit_row = [ComplexBox(x) for x in unit]
-        with working_precision(p.precision):
-            base = _numeric_rank(rows, p.m)
-            lifted = _numeric_rank(rows + [unit_row], p.m)
-        if lifted == base:
-            return HclVerdict(True)
-        res = _solve_numeric(p, rows, {}, (p.generators[b_index], 1))
+    # b is in the closure exactly when no annihilating derivation takes the
+    # value 1 there, i.e. when the system with that target is inconsistent
+    solve = _solve_generic if p.mode == GENERIC else _solve_numeric
+    res = solve(p, _all_rows(p, forms), {}, (p.generators[b_index], 1))
     if res.kind == "inconsistent":
         return HclVerdict(True)
     return HclVerdict(False, res.assignment)

@@ -142,12 +142,14 @@ class Lattice:
 
 
 def _lift_rational(w, partner):
-    """A rational period joins the quadratic field of an exact partner and
-    is boxed beside a numeric one."""
+    """A rational period joins the quadratic field of an exact partner, stays
+    exact beside a rational one and is boxed beside a numeric one."""
     if not isinstance(w, (int, Fraction)):
         return w
     if isinstance(partner, QuadNum):
         return QuadNum.rational(w, partner.d)
+    if isinstance(partner, (int, Fraction)):
+        return QuadNum.rational(w)
     return ComplexBox(ri(w))
 
 

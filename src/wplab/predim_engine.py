@@ -13,9 +13,12 @@ delta over extensions, greedy chain decomposition, the semimodularity
 inequalities, and the independence certificate replaying the main
 inequality chain d3 <= min(d1, d2), delta0(A/C) <= d1 + d2 - d3.
 
-Subsets are bitmasks over the coordinate list; every rank query is memoized,
-which keeps exhaustive subset scans (the semantics) fast enough for ground
-sets up to the documented cap of 20 coordinates.
+Subsets are bitmasks over the coordinate list.  td ranks are memoized per
+coordinate mask and group ranks per set of slot points, so every superset
+query is one scan: `_min_delta` (strong hull = its first minimizer,
+dimension = its minimum) or the first-violator scan of `is_strong`.
+Intersection-compatibility compares the distinct per-slot point sets, so it
+is decided at every size up to the cap of 20 coordinates.
 """
 
 from __future__ import annotations
@@ -166,6 +169,11 @@ class Configuration:
         self._grk_cache = {}
         self._compat_cache = None
         self._validate_basic()
+        # per slot, each point's coordinate pair as a mask
+        self._point_pairs = tuple(
+            tuple(self.mask((self.points[j].b, self.points[j].e)) for j in pts)
+            for pts in self.points_by_slot
+        )
 
     # -- invariant checks ----------------------------------------------------
 
@@ -248,52 +256,37 @@ class Configuration:
 
     # -- grk ------------------------------------------------------------------
 
-    def _point_row(self, slot_i: int, pos: int):
-        """Unit row for the pos-th slot point in that slot's coefficient ring."""
-        npts = len(self.points_by_slot[slot_i])
+    def _points_in(self, slot_i: int, mask: int) -> int:
+        """Bitmask over the slot's points of those with both coordinates in
+        mask; the points in A ^ B are those in A and in B."""
+        included = 0
+        for pos, pair in enumerate(self._point_pairs[slot_i]):
+            if mask & pair == pair:
+                included |= 1 << pos
+        return included
+
+    def _points_rank(self, slot_i: int, included: int) -> int:
+        """Rank of relations + unit rows for the points in the `included`
+        bitmask, over the slot's coefficient ring."""
+        key = (slot_i, included)
+        hit = self._grk_cache.get(key)
+        if hit is not None:
+            return hit
         if self.slots[slot_i].kind == "wp_cm":
             zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
         else:
             zero, one = Fraction(0), Fraction(1)
-        return [one if j == pos else zero for j in range(npts)]
+        npts = len(self.points_by_slot[slot_i])
+        rows = list(self.relations[slot_i]) + [
+            [one if j == pos else zero for j in range(npts)]
+            for pos in range(npts) if included >> pos & 1]
+        rank = self._slot_rank(slot_i, rows)
+        self._grk_cache[key] = rank
+        return rank
 
     def _gamma_rank(self, slot_i: int, mask: int) -> int:
         """Rank of relations + the points with both coordinates in mask."""
-        key = (slot_i, mask)
-        hit = self._grk_cache.get(key)
-        if hit is not None:
-            return hit
-        rows = list(self.relations[slot_i])
-        for pos, j in enumerate(self.points_by_slot[slot_i]):
-            p = self.points[j]
-            if mask >> self.index[p.b] & 1 and mask >> self.index[p.e] & 1:
-                rows.append(self._point_row(slot_i, pos))
-        rank = self._slot_rank(slot_i, rows)
-        self._grk_cache[key] = rank
-        return rank
-
-    def _gamma_join_rank(self, slot_i: int, mask_a: int, mask_b: int) -> int:
-        """Rank of relations + points lying in A + points lying in B
-        (the sum Gamma(A) + Gamma(B), not Gamma(A u B))."""
-        included = 0
-        for pos, j in enumerate(self.points_by_slot[slot_i]):
-            p = self.points[j]
-            bi, ei = self.index[p.b], self.index[p.e]
-            in_a = mask_a >> bi & 1 and mask_a >> ei & 1
-            in_b = mask_b >> bi & 1 and mask_b >> ei & 1
-            if in_a or in_b:
-                included |= 1 << pos
-        key = (slot_i, "pts", included)
-        hit = self._grk_cache.get(key)
-        if hit is not None:
-            return hit
-        rows = list(self.relations[slot_i])
-        for pos in range(len(self.points_by_slot[slot_i])):
-            if included >> pos & 1:
-                rows.append(self._point_row(slot_i, pos))
-        rank = self._slot_rank(slot_i, rows)
-        self._grk_cache[key] = rank
-        return rank
+        return self._points_rank(slot_i, self._points_in(slot_i, mask))
 
     def grk_mask(self, slot_i: int, b_mask: int, a_mask: int = 0) -> int:
         """dim over k_i of (Gamma(B) + Gamma(A)) / Gamma(A) in the quotient
@@ -335,10 +328,13 @@ def _delta_int(cfg, slots_subset, b_mask, a_mask) -> int:
     return t - sum(cfg.grk_mask(i, b_mask, a_mask) for i in slots_subset)
 
 
-def _supersets_of(cfg, base_mask):
-    """Masks S with base_mask <= S <= full, by popcount then value."""
+def _supersets_of(cfg, base_mask, within=None):
+    """Masks S with base_mask <= S <= within (default: every coordinate),
+    by popcount then lexicographic order of the added coordinates."""
+    if within is None:
+        within = cfg.full_mask
     free = [i for i in range(len(cfg.coordinates))
-            if not base_mask >> i & 1]
+            if within >> i & 1 and not base_mask >> i & 1]
     for k in range(len(free) + 1):
         for combo in combinations(free, k):
             m = base_mask
@@ -347,52 +343,57 @@ def _supersets_of(cfg, base_mask):
             yield m
 
 
+def _min_delta(cfg, slots_subset, base_mask, rel_mask, within=None):
+    """(least delta(S / rel), first S attaining it) over the supersets S of
+    base_mask inside within, in the order of _supersets_of."""
+    best = best_mask = None
+    for s_mask in _supersets_of(cfg, base_mask, within):
+        d = _delta_int(cfg, slots_subset, s_mask, rel_mask)
+        if best is None or d < best:
+            best, best_mask = d, s_mask
+    return best, best_mask
+
+
 def validate(cfg: Configuration) -> dict:
     """Structured diagnostics: the constructor invariants (re-stated) plus
-    intersection-compatibility of the relation data."""
-    diagnostics = {"valid": True, "failures": []}
-    try:
-        compatible = is_intersection_compatible(cfg)
-    except GroundSetTooLarge as e:
-        diagnostics["failures"].append(f"compatibility check skipped: {e}")
-        compatible = None
-    if compatible is False:
-        diagnostics["valid"] = False
-        diagnostics["failures"].append(
-            "intersection-compatibility fails: some A, B have "
-            "Gamma(A) ^ Gamma(B) larger than Gamma(A ^ B)"
-        )
-    diagnostics["intersection_compatible"] = compatible
-    return diagnostics
+    intersection-compatibility of the relation data, decided at every size
+    of the ground set."""
+    compatible = is_intersection_compatible(cfg)
+    failures = [] if compatible else [
+        "intersection-compatibility fails: some A, B have "
+        "Gamma(A) ^ Gamma(B) larger than Gamma(A ^ B)"
+    ]
+    return {"valid": compatible, "failures": failures,
+            "intersection_compatible": compatible}
 
 
 def is_intersection_compatible(cfg: Configuration) -> bool:
     """span(points in A) ^ span(points in B) = span(points in A^B) inside
     V_i / relations, for all subset pairs; via the rank identity
     rank(A) + rank(B) - rank(A u B) == rank(A ^ B) with relation rows as the
-    common base (intersection can only be larger, never smaller)."""
-    if not any(cfg.relations):
-        return True
-    if cfg._compat_cache is not None:
-        return cfg._compat_cache
-    n = len(cfg.coordinates)
-    if n > 10:
-        raise GroundSetTooLarge("exhaustive pair check beyond 10 coordinates")
-    full = cfg.full_mask
-    for i in range(len(cfg.slots)):
-        if not cfg.relations[i]:
-            continue
-        for a in range(full + 1):
-            ra = cfg._gamma_rank(i, a)
-            for b in range(a, full + 1):
-                rb = cfg._gamma_rank(i, b)
-                rab = cfg._gamma_join_rank(i, a, b)
-                rint = cfg._gamma_rank(i, a & b)
-                if ra + rb - rab != rint:
-                    cfg._compat_cache = False
-                    return False
-    cfg._compat_cache = True
-    return True
+    common base (intersection can only be larger, never smaller).
+
+    Both sides depend on A and B only through the point sets P = points in A
+    and Q = points in B: Gamma(A) + Gamma(B) is spanned by P | Q, and the
+    points in A ^ B are P & Q.  So the test runs over pairs of the distinct
+    point sets of each slot: the sets of points lying in some union of
+    point coordinate pairs."""
+    if cfg._compat_cache is None:
+        cfg._compat_cache = all(_slot_compatible(cfg, i)
+                                for i in range(len(cfg.slots))
+                                if cfg.relations[i])
+    return cfg._compat_cache
+
+
+def _slot_compatible(cfg, slot_i) -> bool:
+    unions = {0}
+    for pair in cfg._point_pairs[slot_i]:
+        unions |= {u | pair for u in unions}
+    sets = sorted({cfg._points_in(slot_i, u) for u in unions})
+    rank = {p: cfg._points_rank(slot_i, p) for p in sets}
+    return all(rank[p] + rank[q] - cfg._points_rank(slot_i, p | q)
+               == cfg._points_rank(slot_i, p & q)
+               for p, q in combinations(sets, 2))
 
 
 def is_strong(cfg: Configuration, a_subset, slots_subset=None):
@@ -403,24 +404,21 @@ def is_strong(cfg: Configuration, a_subset, slots_subset=None):
         slots_subset = all_slots(cfg)
     a_mask = _mask_of(cfg, a_subset)
     for s_mask in _supersets_of(cfg, a_mask):
-        if s_mask == a_mask:
-            continue
         if _delta_int(cfg, slots_subset, s_mask, a_mask) < 0:
             return False, cfg.names(s_mask)
     return True, None
 
 
 def strong_hull(cfg: Configuration, a_subset, slots_subset=None) -> frozenset:
-    """Smallest strong superset, by iteratively absorbing a minimal
-    delta-violating witness."""
+    """The first minimizer S* of delta(S/A) over S >= A, by cardinality then
+    lexicographic order.  It is strong for every configuration, since
+    delta(T/S*) = delta(T/A) - delta(S*/A) >= 0 for T >= S*, and it is the
+    least strong superset of A whenever one exists (always, under
+    intersection-compatibility)."""
     if slots_subset is None:
         slots_subset = all_slots(cfg)
     a_mask = _mask_of(cfg, a_subset)
-    while True:
-        ok, witness = is_strong(cfg, a_mask, slots_subset)
-        if ok:
-            return cfg.names(a_mask)
-        a_mask |= cfg.mask(witness)
+    return cfg.names(_min_delta(cfg, slots_subset, a_mask, a_mask)[1])
 
 
 def predim_dim(cfg: Configuration, a_subset, c_subset=(), slots_subset=None,
@@ -433,12 +431,7 @@ def predim_dim(cfg: Configuration, a_subset, c_subset=(), slots_subset=None,
     if not ok:
         raise BaseNotStrong("the base subset is not strong")
     a_mask = _mask_of(cfg, a_subset) | c_mask
-    best = None
-    best_mask = None
-    for s_mask in _supersets_of(cfg, a_mask):
-        d = _delta_int(cfg, slots_subset, s_mask, c_mask)
-        if best is None or d < best:
-            best, best_mask = d, s_mask
+    best, best_mask = _min_delta(cfg, slots_subset, a_mask, c_mask)
     if with_witness:
         return best, cfg.names(best_mask)
     return best
@@ -453,32 +446,20 @@ def chain_decompose(cfg: Configuration, a_subset, b_subset,
         slots_subset = all_slots(cfg)
     a_mask = _mask_of(cfg, a_subset)
     b_mask = _mask_of(cfg, b_subset) | a_mask
-    # strong within B: delta(S/A) >= 0 for A <= S <= B
-    for s_mask in _supersets_of(cfg, a_mask):
-        if s_mask | b_mask == b_mask and \
-                _delta_int(cfg, slots_subset, s_mask, a_mask) < 0:
-            raise NotStrong("the chain base is not strong in the target")
+    if _min_delta(cfg, slots_subset, a_mask, a_mask, within=b_mask)[0] < 0:
+        raise NotStrong("the chain base is not strong in the target")
     steps = []
     cur = a_mask
     while cur != b_mask:
-        found = None
-        free = [i for i in range(len(cfg.coordinates))
-                if b_mask >> i & 1 and not cur >> i & 1]
-        for k in range(1, len(free) + 1):
-            for combo in combinations(free, k):
-                ext = cur
-                for i in combo:
-                    ext |= 1 << i
-                if _delta_int(cfg, slots_subset, ext, cur) == 0:
-                    found = ext
-                    break
-            if found is not None:
-                break
+        found = next((ext for ext in _supersets_of(cfg, cur, within=b_mask)
+                      if ext != cur
+                      and _delta_int(cfg, slots_subset, ext, cur) == 0), None)
         if found is not None:
             steps.append(ChainStep(cfg.names(found), "delta_zero", 0))
             cur = found
             continue
-        ext = cur | (1 << free[0])
+        rest = b_mask & ~cur
+        ext = cur | (rest & -rest)
         d = _delta_int(cfg, slots_subset, ext, cur)
         t = cfg.td_mask(ext, cur)
         if not (d == 1 and t == 1):
@@ -512,7 +493,7 @@ def check_semimodularity(cfg: Configuration, a_subset, b_subset, c_subset=(),
     c_mask = _mask_of(cfg, c_subset)
     a_mask = _mask_of(cfg, a_subset) | c_mask
     b_mask = _mask_of(cfg, b_subset) | c_mask
-    if any(cfg.relations) and not is_intersection_compatible(cfg):
+    if not is_intersection_compatible(cfg):
         raise IncompatibleConfiguration(
             "the configuration's relation data violates "
             "intersection-compatibility; the lemma does not apply to it"

@@ -160,3 +160,15 @@ def test_rational_period_beside_an_exact_one_stays_exact():
     rec = json.loads(out)
     assert rec["rep"] == "quad"
     assert serialize.parse_quad(rec["tau"]) == QuadNum(0, 1, -1)
+
+
+def test_two_rational_periods_are_certified_degenerate():
+    code, out, err = invoke("lattice", "normalize", "--w1", "1", "--w2", "2")
+    assert (code, out, err) == (2, "", "error: periods have a real ratio\n")
+
+
+def test_rational_tau_is_certified_degenerate():
+    code, out, err = invoke("lattice", "reduce", "--tau", "1/2")
+    assert (code, out, err) == (
+        2, "", "error: tau must have positive imaginary part\n")
+

@@ -1,5 +1,6 @@
 """Derivation spaces from finite presentations, generic and at points."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -134,3 +135,79 @@ def test_symbolic_annihilation_matches_rank():
     forms = f_forms(p, [(0, 0, 1, "e")])
     assert rows_rank(p, [list(f.vector) for f in forms]) == 1
     assert der_dimension(p, forms) == 2
+
+
+def _random_generic_case(rng):
+    gens = tuple(f"g{i}" for i in range(rng.randint(2, 4)))
+    p = FieldPresentation(GENERIC, gens)
+    specs = []
+    for _ in range(rng.randint(0, 3)):
+        b, fb = rng.sample(range(len(gens)), 2)
+        fprime = rng.choice((rng.choice(gens), F(rng.randint(-3, 3)),
+                             f"{rng.choice(gens)}*{rng.choice(gens)}"))
+        specs.append((0, b, fb, fprime))
+    return p, f_forms(p, specs)
+
+
+def _random_numeric_case(rng):
+    m = rng.randint(2, 4)
+    gens = tuple(f"x{i}" for i in range(m))
+    values = [F(rng.randint(1, 3)) for _ in range(m)]
+    relations = []
+    for j in range(1, m):
+        if rng.random() < 0.5:  # x_j a square or a multiple of an earlier x_i
+            i = rng.randrange(j)
+            c = rng.randint(1, 3)
+            if rng.random() < 0.5:
+                relations.append(f"x{j} - x{i}**2")
+                values[j] = values[i] ** 2
+            else:
+                relations.append(f"x{j} - {c}*x{i}")
+                values[j] = c * values[i]
+    p = FieldPresentation(NUMERIC_POINT, gens, tuple(relations),
+                          _boxes(**{g: v for g, v in zip(gens, values)}), 128)
+    specs = []
+    for _ in range(rng.randint(0, 2)):
+        b, fb = rng.sample(range(m), 2)
+        specs.append((0, b, fb, F(rng.randint(-3, 3))))
+    return p, f_forms(p, specs)
+
+
+@pytest.mark.parametrize("make_case", [_random_generic_case, _random_numeric_case],
+                         ids=["generic", "numeric"])
+def test_hcl_witness_against_the_rank_comparison(make_case):
+    # oracle: b is in the closure iff the unit row at b lies in the row space
+    rng = random.Random(31)
+    with working_precision(128):
+        zero, one = ComplexBox(0), ComplexBox(1)
+    verdicts = set()
+    for _ in range(30):
+        p, forms = make_case(rng)
+        b = rng.randrange(p.m)
+        rows = [list(r) for r in omega_presentation(p)]
+        rows += [list(f.vector) for f in forms]
+        if p.mode == GENERIC:
+            unit = [sympy.Integer(int(j == b)) for j in range(p.m)]
+        else:
+            unit = [one if j == b else zero for j in range(p.m)]
+        in_closure = rows_rank(p, rows + [unit]) == rows_rank(p, rows)
+        v = hcl_witness(p, forms, b)
+        assert v.in_closure == in_closure
+        verdicts.add(in_closure)
+        if in_closure:
+            assert v.witness is None
+            continue
+        w = [v.witness[g] for g in p.generators]
+        if p.mode == GENERIC:
+            assert w[b] == 1
+            for row in rows:
+                assert sympy.simplify(sum(c * x for c, x in zip(row, w))) == 0
+        else:
+            with working_precision(p.precision):
+                assert (w[b] - 1).contains_zero()
+                for row in rows:
+                    acc = zero
+                    for c, x in zip(row, w):
+                        acc = acc + c * x
+                    assert acc.contains_zero()
+    assert verdicts == {True, False}

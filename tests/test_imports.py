@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in src/wplab is used, and the
-CLI loads only the layers a subcommand runs (sympy only for `deriv`)."""
+"""Source hygiene: every module-level import in src/wplab is used, every
+private helper is referenced, and the CLI loads only the layers a subcommand
+runs (sympy only for `deriv`)."""
 
 import ast
 import json
@@ -39,6 +40,26 @@ def unused_imports(path: Path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def test_every_private_helper_is_referenced():
+    # a helper a refactor left behind: defined with a leading underscore,
+    # named nowhere in src/wplab (dunder methods are called implicitly)
+    trees = [parse(path) for path in sorted(SRC.glob("*.py"))]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert sorted(defined - referenced) == []
 
 
 def test_only_differentials_imports_sympy_at_module_level():

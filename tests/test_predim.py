@@ -1,11 +1,13 @@
 """Predimension calculus: micro-examples, invariants, and a brute oracle."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from wplab.cli import run
 from wplab.errors import (
     BaseNotStrong,
     GroundSetTooLarge,
@@ -28,6 +30,7 @@ from wplab.predim_engine import (
     td,
     validate,
 )
+from wplab.serialize import parse_configuration
 
 F = Fraction
 
@@ -228,3 +231,168 @@ def test_certificate_withheld_when_hypotheses_fail():
     assert not cert.hypotheses_hold
     assert not cert.certified
     assert "withheld" in cert.note
+
+
+# -- oracles: the absorption hull and the coordinate-pair compatibility scan ---
+
+def absorption_hull(cfg, a_subset):
+    """Strong hull by absorbing the first delta-violating witness until the
+    set is strong."""
+    a_mask = cfg.mask(a_subset)
+    while True:
+        ok, witness = is_strong(cfg, a_mask)
+        if ok:
+            return cfg.names(a_mask)
+        a_mask |= cfg.mask(witness)
+
+
+def pair_scan_compatible(cfg):
+    """rank(A) + rank(B) - rank(Gamma(A) + Gamma(B)) == rank(A ^ B) for every
+    pair of coordinate masks A <= B in value order, each rank taken over the
+    relation rows plus the unit rows of the points involved."""
+    full = cfg.full_mask
+    for i, rel in enumerate(cfg.relations):
+        if not rel:
+            continue
+        pts = [cfg.points[j] for j in cfg.points_by_slot[i]]
+        if cfg.slots[i].kind == "wp_cm":
+            zero, one = (F(0), F(0)), (F(1), F(0))
+        else:
+            zero, one = F(0), F(1)
+        cache = {}
+
+        def rank(chosen):
+            if chosen not in cache:
+                rows = [list(r) for r in rel] + [
+                    [one if k == pos else zero for k in range(len(pts))]
+                    for pos in chosen]
+                cache[chosen] = cfg._slot_rank(i, rows)
+            return cache[chosen]
+
+        def lying_in(mask):
+            return frozenset(
+                pos for pos, p in enumerate(pts)
+                if mask >> cfg.index[p.b] & 1 and mask >> cfg.index[p.e] & 1)
+
+        inside = [lying_in(m) for m in range(full + 1)]
+        for a in range(full + 1):
+            for b in range(a, full + 1):
+                if rank(inside[a]) + rank(inside[b]) \
+                        - rank(inside[a] | inside[b]) != rank(inside[a & b]):
+                    return False
+    return True
+
+
+def least_strong_superset(cfg, a_mask):
+    """The intersection of all strong supersets of A when it is itself
+    strong, else None; strongness from a superset-minimum table of the
+    absolute delta (delta(T/S) = delta(T) - delta(S) for S <= T)."""
+    n = len(cfg.coordinates)
+    slots = tuple(range(len(cfg.slots)))
+    d = [delta(cfg, slots, m).delta for m in range(1 << n)]
+    sup_min = list(d)
+    for i in range(n):
+        for m in range(1 << n):
+            if not m >> i & 1:
+                sup_min[m] = min(sup_min[m], sup_min[m | 1 << i])
+    least = cfg.full_mask
+    for s in range(1 << n):
+        if s & a_mask == a_mask and sup_min[s] >= d[s]:
+            least &= s
+    return least if sup_min[least] >= d[least] else None
+
+
+def random_config(rng, n, with_relations):
+    """Points on random coordinate pairs of one or two slots (exp, generic
+    or CM), with one or two random relation rows on a slot when asked."""
+    coords = [f"c{i}" for i in range(n)]
+    matroid = [[F(rng.randint(-2, 2)) for _ in range(n)]
+               for _ in range(rng.randint(2, n))]
+    slots, points, relations = [], [], {}
+    for i in range(rng.randint(1, 2)):
+        kind = rng.choice(("exp", "wp_generic", "wp_cm"))
+        slots.append(FunctionSlot(i, kind, rng.choice((-1, -2, -3))
+                                  if kind == "wp_cm" else None))
+        pairs = [rng.sample(coords, 2) for _ in range(rng.randint(1, 3))]
+        k = rng.randint(2, 4)
+        points += [GroupPoint(i, *rng.choice(pairs)) for _ in range(k)]
+        if with_relations and (i == 0 or rng.random() < 0.5):
+
+            def entry():
+                x = rng.choice((0, 0, -2, -1, 1, 2))
+                return (F(x), F(rng.choice((0, 0, 1)))) if kind == "wp_cm" \
+                    else F(x)
+
+            relations[i] = [[entry() for _ in range(k)]
+                            for _ in range(rng.randint(1, 2))]
+    try:
+        return Configuration(coords, matroid, slots, points, relations)
+    except InvalidConfiguration:  # a degenerate relation matrix: draw again
+        return random_config(rng, n, with_relations)
+
+
+INCOMPATIBLE_HULL_CONFIG = {
+    "base": [], "coordinates": ["c0", "c1", "c2", "c3"],
+    "matroid": {"rows": [["1", "0", "1", "-2"], ["0", "1", "-1", "-2"]]},
+    "points": [{"b": "c3", "e": "c1", "slot": 0},
+               {"b": "c2", "e": "c3", "slot": 0},
+               {"b": "c2", "e": "c3", "slot": 0}],
+    "relations": [{"rows": [[["-2", "1"], ["0", "0"], ["1", "1"]]], "slot": 0}],
+    "slots": [{"d": -1, "kind": "wp_cm"}],
+}
+
+
+def test_hull_is_the_least_strong_superset_on_an_incompatible_config(
+        tmp_path, capsys):
+    cfg = parse_configuration(INCOMPATIBLE_HULL_CONFIG)
+    assert not is_intersection_compatible(cfg)
+    hull = strong_hull(cfg, ("c0", "c3"))
+    assert hull == {"c0", "c2", "c3"}
+    assert is_strong(cfg, hull) == (True, None)
+    # absorbing the first violator overshoots to every coordinate
+    assert absorption_hull(cfg, ("c0", "c3")) == set(cfg.coordinates)
+    assert cfg.names(least_strong_superset(cfg, cfg.mask(("c0", "c3")))) == hull
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(INCOMPATIBLE_HULL_CONFIG))
+    assert run(["predim", "hull", "--config", str(path), "--set", "c0,c3"]) == 0
+    assert capsys.readouterr().out == "hull = ['c0', 'c2', 'c3']\n"
+
+
+@pytest.mark.parametrize("with_relations", [False, True],
+                         ids=["relation-free", "with-relations"])
+def test_hull_and_compatibility_against_oracles(with_relations):
+    rng = random.Random(7 + with_relations)
+    seen = {True: 0, False: 0}
+    for _ in range(100):
+        n = rng.randint(3, 8)
+        cfg = random_config(rng, n, with_relations)
+        compatible = is_intersection_compatible(cfg)
+        assert compatible == pair_scan_compatible(cfg)
+        assert validate(cfg)["valid"] is compatible
+        seen[compatible] += 1
+        a_mask = rng.getrandbits(n) & rng.getrandbits(n)
+        hull = strong_hull(cfg, a_mask)
+        assert is_strong(cfg, hull) == (True, None)
+        if compatible:
+            assert hull == absorption_hull(cfg, cfg.names(a_mask))
+        else:
+            least = least_strong_superset(cfg, a_mask)
+            if least is not None:
+                assert hull == cfg.names(least)
+    assert seen[True] > 0 and (seen[False] > 0 or not with_relations)
+
+
+def test_compatibility_decided_beyond_ten_coordinates():
+    pad = [f"x{i}" for i in range(8)]
+    coords = ("b1", "e1", "b2", "e2", *pad)
+    cm = [FunctionSlot(0, "wp_cm", -1)]
+    apart = [GroupPoint(0, "b1", "e1"), GroupPoint(0, "b2", "e2")]
+    shared = [GroupPoint(0, "b1", "e1"), GroupPoint(0, "b1", "e1")]
+    rel = {0: [[(F(0), F(1)), (F(-1), F(0))]]}
+    cfg = Configuration(coords, free_matroid(12), cm, apart, rel)
+    assert not is_intersection_compatible(cfg)
+    assert validate(cfg)["valid"] is False
+    cfg = Configuration(coords, free_matroid(12), cm, shared, rel)
+    assert is_intersection_compatible(cfg)
+    assert validate(cfg) == {"valid": True, "failures": [],
+                             "intersection_compatible": True}
