@@ -22,10 +22,11 @@ from .counting import (
     Domain,
     ExpWpLog,
     Identity,
-    _classify_enclosure,
-    _q_window,
+    _bisect_pairs,
+    _farey_pairs,
+    _in_domain,
+    _trichotomy,
     count_report,
-    enumerate_rationals,
 )
 from .differentials import (
     GENERIC,
@@ -597,18 +598,19 @@ def criterion_9(seed=0):
     h = ExpWpLog(lat, domain)
     eps = Fraction(1, 2 ** 64)
     height = 50
-    ps = enumerate_rationals(height, domain)
-    qs = enumerate_rationals(height, Domain(Fraction(0), None))
-    qvals = [q.value for q in qs]
+    qs = _farey_pairs(height)
+    ps = _in_domain(qs, domain)
     flips = 0
     confirmed = {128: 0, 256: 0}
-    for p in ps:
-        lo1, hi1 = h.enclosure(p.value, 128)
-        lo2, hi2 = h.enclosure(p.value, 256)
-        i0, i1 = _q_window(qvals, min(lo1, lo2), max(hi1, hi2), eps)
-        for q in qvals[i0:i1]:
-            k1 = _classify_enclosure(lo1 - q, hi1 - q, eps)
-            k2 = _classify_enclosure(lo2 - q, hi2 - q, eps)
+    for a, b in ps:
+        lo1, hi1 = h.enclosure(Fraction(a, b), 128)
+        lo2, hi2 = h.enclosure(Fraction(a, b), 256)
+        lo, hi = min(lo1, lo2) - abs(eps), max(hi1, hi2) + abs(eps)
+        i0 = _bisect_pairs(qs, lo.numerator, lo.denominator)
+        i1 = _bisect_pairs(qs, hi.numerator, hi.denominator, right=True)
+        for qa, qb in qs[i0:i1]:
+            k1 = _trichotomy(lo1, hi1, qa, qb, eps)
+            k2 = _trichotomy(lo2, hi2, qa, qb, eps)
             if {k1, k2} == {CONFIRMED, EXCLUDED}:
                 flips += 1
             confirmed[128] += k1 == CONFIRMED

@@ -7,10 +7,12 @@ inside (-eps, eps), Excluded when it stays outside, Undetermined otherwise.
 Counts N(H) feed a descriptive least-squares fit of log N against
 log log H, reported with residuals and no claim beyond the data.
 
-Enclosure endpoints are converted to exact rationals before comparison, so
-the per-pair classification is exact given the (certified) function
-enclosure; running at higher precision can only shrink enclosures, never
-flip a confirmation into an exclusion at the same eps.
+Rationals of height <= H are integer pairs (a, b) in increasing order,
+from the Farey next-term recurrence (no gcd, no sort).  Enclosure endpoints
+are exact rationals and the trichotomy cross-multiplies integers, so the
+per-pair classification is exact given the (certified) function enclosure;
+running at higher precision can only shrink enclosures, never flip a
+confirmation into an exclusion at the same eps.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, log
 from typing import Optional, Sequence
 
@@ -41,12 +44,12 @@ def mpf_to_fraction(x) -> Fraction:
     sign, man, exp, _ = mp.mpf(x)._mpf_
     if man == 0 and exp != 0:
         raise ValueError("non-finite endpoint")
-    val = Fraction(int(man), 1)
-    val = val * Fraction(2) ** exp
+    man = int(man)
+    val = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -val if sign else val
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class RationalQ:
     """Positive rational in lowest terms with its height."""
 
@@ -83,20 +86,46 @@ class Domain:
         return True
 
 
+def _farey_pairs(height: int) -> list:
+    """The pairs (a, b) of the positive rationals a/b in lowest terms with
+    max(a, b) <= H, in increasing order.  Below 1 these are the Farey
+    sequence of order H, each term following from the two before it;
+    above 1 they are the reciprocals of those terms in reverse order."""
+    if height < 1:
+        return []
+    below = []
+    a, b, c, d = 0, 1, 1, height
+    while d > 1:
+        below.append((c, d))
+        k = (height + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return below + [(1, 1)] + [(d, c) for c, d in reversed(below)]
+
+
+def _bisect_pairs(pairs, num: int, den: int, right: bool = False) -> int:
+    """Index of the first of the increasing pairs (a, b) with a/b >= num/den,
+    or a/b > num/den when `right`; den > 0, so the sign of a*den - num*b is
+    the sign of a/b - num/den."""
+    find = bisect_right if right else bisect_left
+    return find(pairs, 0, key=lambda ab: ab[0] * den - num * ab[1])
+
+
+def _in_domain(pairs, domain: Domain) -> list:
+    """The increasing pairs that lie inside the open domain."""
+    lo, hi = domain.lo, domain.hi
+    i0 = 0 if lo is None else _bisect_pairs(pairs, lo.numerator,
+                                            lo.denominator, right=True)
+    i1 = len(pairs) if hi is None else _bisect_pairs(pairs, hi.numerator,
+                                                     hi.denominator)
+    return pairs[i0:i1]
+
+
 def enumerate_rationals(height_bound: int, domain: Domain) -> list:
     """All positive rationals of height <= H in the domain, increasing."""
     if height_bound < 1:
         raise InvalidConfiguration("height bound must be >= 1")
-    out = []
-    for b in range(1, height_bound + 1):
-        for a in range(1, height_bound + 1):
-            if gcd(a, b) != 1:
-                continue
-            v = Fraction(a, b)
-            if domain.contains(v):
-                out.append(RationalQ(a, b))
-    out.sort(key=lambda r: r.value)
-    return out
+    return [RationalQ(a, b)
+            for a, b in _in_domain(_farey_pairs(height_bound), domain)]
 
 
 # -- target functions --------------------------------------------------------
@@ -217,10 +246,20 @@ class PointVerdict:
     interval: tuple  # exact rational enclosure of h(p) - q
 
 
-def _classify_enclosure(lo: Fraction, hi: Fraction, eps: Fraction) -> str:
-    if -eps < lo and hi < eps:
+def _trichotomy(lo, hi, a: int, b: int, eps) -> str:
+    """Class of the enclosure [lo, hi] of h(p) minus q = a/b (b > 0) against
+    eps.  CONFIRMED when -eps < lo - q and hi - q < eps; EXCLUDED when
+    [lo - q, hi - q] misses 0 and reaches no nearer than eps to it from
+    either side; UNDETERMINED otherwise.  Each inequality is tested exactly,
+    multiplied through by a positive common denominator."""
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    en, ed = eps.numerator, eps.denominator
+    dlo = (ln * b - a * ld) * ed  # (lo - q) * ld*b*ed
+    dhi = (hn * b - a * hd) * ed  # (hi - q) * hd*b*ed
+    elo, ehi = en * ld * b, en * hd * b  # eps on the same two scales
+    if -elo < dlo and dhi < ehi:
         return CONFIRMED
-    if (lo > 0 or hi < 0) and (lo >= eps or hi <= -eps):
+    if (dlo > 0 or dhi < 0) and (dlo >= elo or dhi <= -ehi):
         return EXCLUDED
     return UNDETERMINED
 
@@ -238,9 +277,8 @@ def classify_point(h, p: RationalQ, q: RationalQ, eps: Fraction,
         lo, hi = h.enclosure(p.value, precision)
     except PrecisionError:
         return PointVerdict(p, q, UNDETERMINED, (None, None))
-    dlo, dhi = lo - q.value, hi - q.value
-    return PointVerdict(p, q, _classify_enclosure(dlo, dhi, Fraction(eps)),
-                        (dlo, dhi))
+    klass = _trichotomy(lo, hi, q.numerator, q.denominator, Fraction(eps))
+    return PointVerdict(p, q, klass, (lo - q.value, hi - q.value))
 
 
 # -- counting and the log-log fit --------------------------------------------
@@ -279,50 +317,50 @@ def fit_log_counts(h_schedule: Sequence[int], counts: Sequence[int]):
     return (_exp(b), k, ssr)
 
 
-def _q_window(qvals, lo: Fraction, hi: Fraction, eps: Fraction):
-    """Index range [i0, i1) of the sorted q values inside
-    [lo - |eps|, hi + |eps|]; every q outside it is EXCLUDED against the
-    enclosure [lo, hi] by construction."""
-    pad = abs(eps)
-    return bisect_left(qvals, lo - pad), bisect_right(qvals, hi + pad)
+def _counts_up_to(per_height, schedule) -> tuple:
+    """For each H of the schedule, the sum of per_height[1..H]; 0 for H < 1."""
+    upto = list(accumulate(per_height))
+    return tuple(upto[H] if H > 0 else 0 for H in schedule)
 
 
 def count_report(h, h_schedule: Sequence[int], eps=None,
                  precision: int = 128) -> CountReport:
     """N(H) over the schedule: confirmed pairs (p, q) with p in the domain
-    and both heights <= H.  Enclosures are computed once per p at the
-    largest height and reused across the schedule; only the qs in each p's
-    window are classified, the rest are excluded by construction."""
+    and both heights <= H.  The qs are the Farey pairs of height <= max H
+    and the ps their slice inside the domain.  Each p's enclosure [lo, hi]
+    is computed once; only the qs in [lo - |eps|, hi + |eps|], found by
+    bisection, go through the integer trichotomy, and the rest are excluded
+    by construction.  Counts are prefix sums of per-height histograms."""
     schedule = list(h_schedule)
     if schedule != sorted(schedule) or len(set(schedule)) != len(schedule):
         raise InvalidConfiguration("H schedule must be strictly increasing")
     eps = Fraction(eps) if eps is not None else default_eps(precision)
     h_max = schedule[-1] if schedule else 0
-    q_domain = Domain(Fraction(0), None)
-    ps = enumerate_rationals(h_max, h.domain) if h_max else []
-    qs = enumerate_rationals(h_max, q_domain) if h_max else []
-    qvals = [q.value for q in qs]
-    confirmed_heights = []
-    undetermined_heights = []
-    for p in ps:
+    if h_max < 0:
+        raise InvalidConfiguration("height bound must be >= 1")
+    qs = _farey_pairs(h_max)
+    pad, ed = abs(eps.numerator), eps.denominator  # |eps| = pad/ed
+    confirmed = [0] * (h_max + 1)
+    undetermined = [0] * (h_max + 1)
+    for pa, pb in _in_domain(qs, h.domain):
+        ph = max(pa, pb)
         try:
-            lo, hi = h.enclosure(p.value, precision)
+            lo, hi = h.enclosure(Fraction(pa, pb), precision)
         except PrecisionError:
-            for q in qs:
-                undetermined_heights.append(max(p.height, q.height))
+            for qa, qb in qs:
+                undetermined[max(ph, qa, qb)] += 1
             continue
-        i0, i1 = _q_window(qvals, lo, hi, eps)
-        for q in qs[i0:i1]:
-            k = _classify_enclosure(lo - q.value, hi - q.value, eps)
+        ld, hd = lo.denominator, hi.denominator
+        i0 = _bisect_pairs(qs, lo.numerator * ed - pad * ld, ld * ed)
+        i1 = _bisect_pairs(qs, hi.numerator * ed + pad * hd, hd * ed,
+                           right=True)
+        for qa, qb in qs[i0:i1]:
+            k = _trichotomy(lo, hi, qa, qb, eps)
             if k == CONFIRMED:
-                confirmed_heights.append(max(p.height, q.height))
+                confirmed[max(ph, qa, qb)] += 1
             elif k == UNDETERMINED:
-                undetermined_heights.append(max(p.height, q.height))
-    counts = tuple(
-        sum(1 for h_ in confirmed_heights if h_ <= H) for H in schedule
-    )
-    undet = tuple(
-        sum(1 for h_ in undetermined_heights if h_ <= H) for H in schedule
-    )
-    return CountReport(tuple(schedule), counts, undet,
+                undetermined[max(ph, qa, qb)] += 1
+    counts = _counts_up_to(confirmed, schedule)
+    return CountReport(tuple(schedule), counts,
+                       _counts_up_to(undetermined, schedule),
                        fit_log_counts(schedule, counts), eps, precision)

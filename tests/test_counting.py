@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from wplab.cintervals import ComplexBox, ri, ri_from_endpoints, ri_lo, working_precision
@@ -30,6 +30,10 @@ from wplab.quadfield import QuadNum
 F = Fraction
 
 
+def _inside(lo, hi, v):
+    return (lo is None or v > lo) and (hi is None or v < hi)
+
+
 def stern_brocot(height):
     """Independent enumeration oracle: expand the Stern-Brocot tree until
     both numerator and denominator exceed the bound."""
@@ -52,6 +56,19 @@ def test_enumeration_matches_stern_brocot():
         assert ours == stern_brocot(h)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), height=st.integers(1, 40))
+def test_enumeration_against_stern_brocot(data, height):
+    """Domain ends absent, exactly on a rational of the set (open ends), or
+    anywhere, negative included; lo >= hi leaves nothing."""
+    oracle = stern_brocot(height)
+    end = st.one_of(st.none(), st.sampled_from(oracle),
+                    st.fractions(-2, height + 1, max_denominator=2 * height))
+    lo, hi = data.draw(end), data.draw(end)
+    got = enumerate_rationals(height, Domain(lo, hi))
+    assert [r.value for r in got] == [v for v in oracle if _inside(lo, hi, v)]
+
+
 def test_enumeration_respects_domain():
     got = [r.value for r in enumerate_rationals(3, Domain(F(1, 2), F(2)))]
     assert got == [F(2, 3), F(1), F(3, 2)]
@@ -64,6 +81,12 @@ def test_rationalq_invariants():
         RationalQ(2, 4)
     with pytest.raises(InvalidConfiguration):
         RationalQ(-1, 2)
+
+
+def test_rationalq_is_not_ordered():
+    # fields would order 2/1 before 3/5 by numerator, not by value
+    with pytest.raises(TypeError):
+        RationalQ(2, 1) < RationalQ(3, 5)
 
 
 @given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
@@ -85,9 +108,9 @@ def test_classification_trichotomy():
         ident, RationalQ(1, 2), RationalQ(51, 100), eps
     )
     assert borderline.klass == EXCLUDED  # |diff| = eps, outside the open band
-    from wplab.counting import _classify_enclosure
+    from wplab.counting import _trichotomy
 
-    assert _classify_enclosure(-eps / 2, 2 * eps, eps) == UNDETERMINED
+    assert _trichotomy(-eps / 2, 2 * eps, 0, 1, eps) == UNDETERMINED
 
 
 def test_identity_counts():
@@ -178,23 +201,27 @@ def test_count_report_composite_smoke():
 
 def all_pairs_oracle(h, schedule, eps, precision=128):
     """(counts, undetermined) from classifying every (p, q) pair by the
-    trichotomy's definition, with no window; a p whose enclosure fails
-    leaves all its pairs undetermined."""
-    h_max = schedule[-1]
-    qs = enumerate_rationals(h_max, Domain(F(0), None))
+    trichotomy's definition in Fraction arithmetic, with no window, over
+    the Stern-Brocot rationals: excluded needs h(p) != q certified, which
+    decides pairs at eps <= 0.  A p whose enclosure fails leaves all its
+    pairs undetermined."""
+    qs = stern_brocot(schedule[-1])
     confirmed, undetermined = [], []
-    for p in enumerate_rationals(h_max, h.domain):
+    for p in qs:
+        if not _inside(h.domain.lo, h.domain.hi, p):
+            continue
         try:
-            lo, hi = h.enclosure(p.value, precision)
+            lo, hi = h.enclosure(p, precision)
         except PrecisionError:
             lo = hi = None
         for q in qs:
-            height = max(p.height, q.height)
+            height = max(p.numerator, p.denominator, q.numerator, q.denominator)
             if lo is None:
                 undetermined.append(height)
-            elif -eps < lo - q.value and hi - q.value < eps:
+            elif -eps < lo - q and hi - q < eps:
                 confirmed.append(height)
-            elif not (lo - q.value >= eps or hi - q.value <= -eps):
+            elif not ((lo - q > 0 or hi - q < 0)  # certified h(p) != q
+                      and (lo - q >= eps or hi - q <= -eps)):
                 undetermined.append(height)
     return (tuple(sum(1 for x in confirmed if x <= H) for H in schedule),
             tuple(sum(1 for x in undetermined if x <= H) for H in schedule))
@@ -228,6 +255,31 @@ def test_count_report_matches_all_pairs_oracle():
     for h, schedule, eps in cases:
         rep = count_report(h, schedule, eps, 128)
         assert (rep.counts, rep.undetermined) == all_pairs_oracle(h, schedule, eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(target=st.sampled_from(["identity", "wide", "wide_with_pole"]),
+       lo=st.one_of(st.none(), st.fractions(-1, 3, max_denominator=4)),
+       hi=st.one_of(st.none(), st.fractions(0, 6, max_denominator=4)),
+       schedule=st.lists(st.integers(-3, 10), min_size=1, max_size=4,
+                         unique=True).map(sorted).filter(lambda s: s[-1] >= 1),
+       eps=st.sampled_from([F(-1, 64), F(0), F(1, 2 ** 64), F(1, 64)]))
+@example(target="wide_with_pole", lo=None, hi=None, schedule=[-1, 0, 1, 3, 7],
+         eps=F(1, 64))
+@example(target="identity", lo=F(1, 3), hi=None, schedule=[0, 2, 5], eps=F(0))
+def test_count_report_against_all_pairs_oracle(target, lo, hi, schedule, eps):
+    """Schedules with entries below 1 read 0 there; a pole at 3/2 (or 2,
+    if 3/2 is outside the domain) makes the enclosure raise PrecisionError.
+    At eps = 0 the pair q = h(p) sits on both closed ends of its window."""
+    domain = Domain(lo, hi)
+    if target == "identity":
+        h = Identity(domain)
+    elif target == "wide":
+        h = WideQuadratic(domain)
+    else:
+        h = WideQuadratic(domain, pole=F(3, 2) if _inside(lo, hi, F(3, 2)) else F(2))
+    rep = count_report(h, schedule, eps, 128)
+    assert (rep.counts, rep.undetermined) == all_pairs_oracle(h, schedule, eps)
 
 
 def test_wide_enclosures_reach_all_three_classes():

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv, mp, mpf
 
 from wplab.cintervals import (
@@ -583,6 +583,7 @@ def _check_near_pole(m, z: QuadNum, offset: QuadNum, old, bits: int):
        scale=st.sampled_from([Fraction(1), Fraction(3, 2)]),
        a=st.integers(-3, 3), b=st.integers(-3, 3), e=st.integers(1, 60),
        shift=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+@example(re_tau=0, im_tau=64, scale=Fraction(1), a=0, b=-1, e=48, shift=(0, 0))
 def test_exp_E_near_pole_against_anchored_path(bits, re_tau, im_tau, scale,
                                                a, b, e, shift):
     """Im tau from 1 to 30 and z = ((a + b i) 10^-e + n1 + n2 tau) omega1:
@@ -597,8 +598,9 @@ def test_exp_E_near_pole_against_anchored_path(bits, re_tau, im_tau, scale,
         old = anchored_exp_E(m, z)
     except (_NoSafeAnchor, PrecisionError):
         return
-    assert _is_affine(old)
-    _check_near_pole(m, z, offset, old, bits)
+    # the oracle can round a point just off the lattice to the identity;
+    # exp_E is then checked against jtheta alone
+    _check_near_pole(m, z, offset, old if _is_affine(old) else None, bits)
 
 
 def test_exp_E_answers_where_the_anchored_path_gave_up():
