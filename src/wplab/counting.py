@@ -133,8 +133,6 @@ def enumerate_rationals(height_bound: int, domain: Domain) -> list:
 class Identity:
     """h(t) = t; enclosures are exact."""
 
-    descriptor = "identity"
-
     def __init__(self, domain: Domain = Domain(Fraction(0), None)):
         self.domain = domain
 
@@ -145,8 +143,6 @@ class Identity:
 class Composite:
     """h(t) = exp(g(log t)) with g the wp-function of a rectangular lattice
     restricted to the real line."""
-
-    descriptor = "composite"
 
     def __init__(self, lattice: Lattice, domain: Domain):
         self.lattice = lattice
@@ -227,8 +223,6 @@ class Composite:
 
 class ExpWpLog(Composite):
     """The concrete h(t) = exp(wp(log t)) target."""
-
-    descriptor = "exp_wp_log"
 
 
 # -- classification ----------------------------------------------------------
@@ -335,9 +329,7 @@ def count_report(h, h_schedule: Sequence[int], eps=None,
     if schedule != sorted(schedule) or len(set(schedule)) != len(schedule):
         raise InvalidConfiguration("H schedule must be strictly increasing")
     eps = Fraction(eps) if eps is not None else default_eps(precision)
-    h_max = schedule[-1] if schedule else 0
-    if h_max < 0:
-        raise InvalidConfiguration("height bound must be >= 1")
+    h_max = max(schedule[-1], 0) if schedule else 0
     qs = _farey_pairs(h_max)
     pad, ed = abs(eps.numerator), eps.denominator  # |eps| = pad/ed
     confirmed = [0] * (h_max + 1)

@@ -13,8 +13,15 @@ certified point as complex rectangles).  On top of it:
   * hcl_witness: either "the coordinate is forced to derivative zero" or an
     explicit derivation with derivative 1 there.
 
-Numeric rank uses interval-certified pivoting: a pivot is accepted only when
-its rectangle excludes zero, and rows left over after elimination must all
+Each system is reduced once, by the one elimination of its arithmetic:
+sympy's exact rref for generic presentations, interval Gauss-Jordan
+elimination at numeric points.  The rank (the pivot count), an
+inconsistency (a pivot in the right-hand column, whose row is the
+certificate) and a particular solution (back-substitution with the free
+unknowns at 0) are all read from that reduction.
+
+Numeric elimination is interval-certified: a pivot is accepted only when its
+rectangle excludes zero, and rows left over after elimination must all
 enclose zero; anything else raises RankNotCertified rather than letting a
 tolerance decide.
 """
@@ -181,14 +188,7 @@ def _all_rows(p: FieldPresentation, forms):
     return rows
 
 
-# -- certified rank ----------------------------------------------------------
-
-def _generic_rank(rows, m) -> int:
-    if not rows:
-        return 0
-    mat = sympy.Matrix([[sympy.simplify(e) for e in r] for r in rows])
-    return mat.rank()
-
+# -- one reduction per arithmetic --------------------------------------------
 
 def _numeric_rref(rows, m):
     """Interval Gaussian elimination.  Returns (pivot column list, reduced
@@ -196,7 +196,6 @@ def _numeric_rref(rows, m):
     leftover row must enclose zero in all entries."""
     work = [list(r) for r in rows]
     pivots = []
-    pivot_rows = []
     r = 0
     for col in range(m):
         best = None
@@ -217,7 +216,6 @@ def _numeric_rref(rows, m):
             factor = work[i][col] / piv
             work[i] = [work[i][j] - factor * work[r][j] for j in range(m)]
         pivots.append(col)
-        pivot_rows.append(work[r])
         r += 1
     for i in range(r, len(work)):
         for e in work[i]:
@@ -229,16 +227,20 @@ def _numeric_rref(rows, m):
     return pivots, work[:r]
 
 
-def _numeric_rank(rows, m) -> int:
-    pivots, _ = _numeric_rref(rows, m)
-    return len(pivots)
+def _reduce(p: FieldPresentation, rows, width):
+    """(pivot columns, reduced pivot rows) of one elimination: sympy's exact
+    rref for generic presentations, the certified interval elimination at
+    numeric points (call it under the presentation's working precision)."""
+    if p.mode == GENERIC:
+        red, pivots = sympy.Matrix(
+            len(rows), width, [e for r in rows for e in r]).rref()
+        return list(pivots), [list(red.row(i)) for i in range(len(pivots))]
+    return _numeric_rref(rows, width)
 
 
 def rows_rank(p: FieldPresentation, rows) -> int:
-    if p.mode == GENERIC:
-        return _generic_rank(rows, p.m)
     with working_precision(p.precision):
-        return _numeric_rank(rows, p.m)
+        return len(_reduce(p, rows, p.m)[0])
 
 
 def der_dimension(p: FieldPresentation, forms) -> int:
@@ -256,89 +258,63 @@ class ExtensionResult:
     certificate_row: Optional[tuple] = None
 
 
-def _solve_generic(p, rows, fixed, target):
-    syms = list(p.symbols)
-    unknowns = [sympy.Symbol(f"_d_{g}") for g in p.generators]
-    eqs = []
-    for row in rows:
-        eqs.append(sum(c * u for c, u in zip(row, unknowns)))
+def _scalars(p: FieldPresentation):
+    """0 and 1 in the presentation's arithmetic."""
+    if p.mode == GENERIC:
+        return sympy.Integer(0), sympy.Integer(1)
+    return ComplexBox(0), ComplexBox(1)
+
+
+def _system(p: FieldPresentation, rows, fixed: dict):
+    """The augmented rows of "annihilate every row, take the fixed values":
+    [A | -b] for generic presentations (sympy's sign), [A | b] at numeric
+    points."""
+    zero, one = _scalars(p)
+    system = [list(row) + [zero] for row in rows]
     for name, value in fixed.items():
-        eqs.append(unknowns[p.generators.index(name)] - _sympify(value, syms))
-    a_mat, b_vec = sympy.linear_eq_to_matrix(eqs, unknowns)
-    aug = a_mat.row_join(-b_vec)
-    red, piv = aug.rref()
-    n = len(unknowns)
-    for i in range(red.rows):
-        if all(sympy.simplify(red[i, j]) == 0 for j in range(n)) and \
-                sympy.simplify(red[i, n]) != 0:
-            return ExtensionResult(
-                "inconsistent",
-                certificate_row=tuple(red.row(i)),
-            )
-    dim = n - sum(1 for c in piv if c < n)
-    eqs_t = list(eqs)
-    if target is not None:
-        name, value = target
-        eqs_t.append(unknowns[p.generators.index(name)] - _sympify(value, syms))
-    sol = sympy.linsolve(eqs_t, unknowns)
-    if not sol:
-        return ExtensionResult(
-            "inconsistent",
-            certificate_row=("target incompatible with the row space",),
-        )
-    particular = next(iter(sol))
-    subs = {u: 0 for u in particular.free_symbols
-            if str(u).startswith("_d_") or str(u).startswith("tau")}
-    assignment = {
-        g: sympy.simplify(v.subs(subs))
-        for g, v in zip(p.generators, particular)
-    }
-    if dim == 0:
-        return ExtensionResult("unique", assignment)
-    return ExtensionResult("family", assignment, dim)
+        row = [zero] * (p.m + 1)
+        row[p.generators.index(name)] = one
+        if p.mode == GENERIC:
+            row[p.m] = -_sympify(value, p.symbols)
+        else:
+            row[p.m] = value if isinstance(value, ComplexBox) else \
+                ComplexBox(Fraction(value))
+        system.append(row)
+    return system
 
 
-def _solve_numeric(p, rows, fixed, target):
+def _solve(p: FieldPresentation, rows, fixed: dict, target=None):
+    """Reduce the system once and read everything off the reduction: its
+    rank, an inconsistency (a pivot in the right-hand column, whose row is
+    the certificate) or a particular solution (back-substitution with every
+    free unknown at 0).  A target (generator, value) costs one more
+    reduction and never counts in the dimension."""
+    m = p.m
     with working_precision(p.precision):
-        m = p.m
-        sys_rows = []
-        for row in rows:
-            sys_rows.append(list(row) + [ComplexBox(0)])
-        for name, value in fixed.items():
-            row = [ComplexBox(0)] * (m + 1)
-            row[p.generators.index(name)] = ComplexBox(1)
-            row[m] = value if isinstance(value, ComplexBox) else ComplexBox(
-                Fraction(value))
-            sys_rows.append(row)
-        dim = m - _numeric_rank([r[:m] for r in sys_rows], m)
-        if target is not None:
-            name, value = target
-            row = [ComplexBox(0)] * (m + 1)
-            row[p.generators.index(name)] = ComplexBox(1)
-            row[m] = value if isinstance(value, ComplexBox) else ComplexBox(
-                Fraction(value))
-            sys_rows.append(row)
-        pivots, red = _numeric_rref(sys_rows, m + 1)
+        system = _system(p, rows, fixed)
+        pivots, red = _reduce(p, system, m + 1)
+        dim = m - len(pivots)
+        if target is not None and m not in pivots:
+            pivots, red = _reduce(p, system + _system(p, [], dict([target])),
+                                  m + 1)
         if m in pivots:
-            for row in red:
-                if all(row[j].contains_zero() for j in range(m)):
-                    return ExtensionResult(
-                        "inconsistent", certificate_row=tuple(row)
-                    )
-            raise RankNotCertified("inconsistency row not isolated")
-        # back-substitute with free unknowns set to zero
-        values = [ComplexBox(0)] * m
-        for pos in range(len(pivots) - 1, -1, -1):
-            col = pivots[pos]
-            row = red[pos]
-            acc = row[m]
+            row = red[-1]
+            if p.mode == NUMERIC_POINT and \
+                    not all(e.contains_zero() for e in row[:m]):
+                raise RankNotCertified("inconsistency row not isolated")
+            return ExtensionResult("inconsistent", certificate_row=tuple(row))
+        values = [_scalars(p)[0]] * m
+        for col, row in reversed(list(zip(pivots, red))):
+            acc = -row[m] if p.mode == GENERIC else row[m]
             for j in range(col + 1, m):
                 acc = acc - row[j] * values[j]
             values[col] = acc / row[col]
-        assignment = {g: values[i] for i, g in enumerate(p.generators)}
-        if dim == 0:
-            return ExtensionResult("unique", assignment)
-        return ExtensionResult("family", assignment, dim)
+    if p.mode == GENERIC:
+        values = [sympy.simplify(v) for v in values]
+    assignment = dict(zip(p.generators, values))
+    if dim == 0:
+        return ExtensionResult("unique", assignment)
+    return ExtensionResult("family", assignment, dim)
 
 
 def extend_derivation(p: FieldPresentation, forms, boundary: dict,
@@ -355,9 +331,7 @@ def extend_derivation(p: FieldPresentation, forms, boundary: dict,
             raise InvalidConfiguration(f"boundary names unknown {name!r}")
     if target is not None and target[0] not in p.generators:
         raise InvalidConfiguration(f"target names unknown {target[0]!r}")
-    if p.mode == GENERIC:
-        return _solve_generic(p, rows, boundary, target)
-    return _solve_numeric(p, rows, boundary, target)
+    return _solve(p, rows, boundary, target)
 
 
 # -- holomorphic-closure witness ---------------------------------------------
@@ -374,9 +348,8 @@ def hcl_witness(p: FieldPresentation, forms, b_index: int) -> HclVerdict:
     if not 0 <= b_index < p.m:
         raise InvalidConfiguration("b_index out of range")
     # b is in the closure exactly when no annihilating derivation takes the
-    # value 1 there, i.e. when the system with that target is inconsistent
-    solve = _solve_generic if p.mode == GENERIC else _solve_numeric
-    res = solve(p, _all_rows(p, forms), {}, (p.generators[b_index], 1))
+    # value 1 there, i.e. when the rows with that value are inconsistent
+    res = _solve(p, _all_rows(p, forms), {p.generators[b_index]: 1})
     if res.kind == "inconsistent":
         return HclVerdict(True)
     return HclVerdict(False, res.assignment)

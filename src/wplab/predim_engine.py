@@ -515,9 +515,6 @@ def check_semimodularity(cfg: Configuration, a_subset, b_subset, c_subset=(),
     for i in slots_subset:
         if cfg.grk_mask(i, cap, c_mask) > cfg.grk_mask(i, ab, c_mask):
             mono_ok = False
-    partial = sum(cfg.grk_mask(i, ab, c_mask) for i in slots_subset[:1])
-    if partial > g(ab):
-        mono_ok = False
     return SemimodularityReport(grk_ok, td_ok, dl_ok, mono_ok)
 
 
@@ -566,8 +563,8 @@ def independence_certificate(cfg: Configuration, slots_f1, slots_f2,
     d3 = predim_dim(cfg, target, c_mask, f3)
 
     # hypotheses: dim_{F_i}(fa / C u a) = 0, computed as a dim difference
-    h1 = predim_dim(cfg, target, c_mask, f1) - predim_dim(cfg, a_mask, c_mask, f1)
-    h2 = predim_dim(cfg, target, c_mask, f2) - predim_dim(cfg, a_mask, c_mask, f2)
+    h1 = d1 - predim_dim(cfg, a_mask, c_mask, f1)
+    h2 = d2 - predim_dim(cfg, a_mask, c_mask, f2)
     hypotheses = h1 == 0 and h2 == 0
 
     b1_mask = cfg.mask(b1)
@@ -580,8 +577,7 @@ def independence_certificate(cfg: Configuration, slots_f1, slots_f2,
     conclusion = None
     note = ""
     if hypotheses:
-        conclusion = (predim_dim(cfg, target, c_mask, f0)
-                      - predim_dim(cfg, a_mask, c_mask, f0)) == 0
+        conclusion = d0 - predim_dim(cfg, a_mask, c_mask, f0) == 0
     else:
         note = ("certificate withheld: the local-closure hypotheses fail "
                 f"(dim_F1(fa/Ca) = {h1}, dim_F2(fa/Ca) = {h2})")

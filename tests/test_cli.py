@@ -10,6 +10,7 @@ import pytest
 from wplab import serialize
 from wplab.cintervals import ComplexBox
 from wplab.cli import CliError, parse_value, run
+from wplab.differentials import GENERIC, FieldPresentation
 from wplab.predim_engine import Configuration, FunctionSlot, GroupPoint
 from wplab.quadfield import QuadNum
 
@@ -115,6 +116,29 @@ def test_count_command():
                           "--format", "record")
     rec = json.loads(out)
     assert code == 0 and rec["counts"] == [3, 63]
+
+
+@pytest.mark.parametrize("heights", ["--heights=-2", "--heights=-3,-1",
+                                     "--heights=0", "--heights=-1,0"])
+def test_count_schedules_below_one_read_zero(heights, capsys):
+    # no positive rational has height below 1, so such a schedule counts
+    # nothing, whether it ends below 0 or at 0
+    code = run(["count", "--h", "identity", heights, "--format", "record"])
+    rec = json.loads(capsys.readouterr().out)
+    zeros = [0] * len(rec["heights"])
+    assert code == 0 and rec["counts"] == zeros and rec["undetermined"] == zeros
+
+
+def test_deriv_extend_on_the_empty_system_is_a_family(tmp_path):
+    # a generic presentation with no forms and no boundary: every
+    # derivation extends, so the answer is the whole space, not exit 1
+    path = tmp_path / "pres.json"
+    path.write_text(serialize.dumps(serialize.presentation_record(
+        FieldPresentation(GENERIC, ("a", "b")))))
+    code, out, _ = invoke("deriv", "extend", "--presentation", str(path))
+    assert code == 0
+    assert out == ("kind = family\ndimension = 2\n"
+                   "assignment = {'a': '0', 'b': '0'}\n")
 
 
 def test_determinism_same_bytes():

@@ -230,8 +230,6 @@ def all_pairs_oracle(h, schedule, eps, precision=128):
 class WideQuadratic:
     """h(t) = t^2/3 + 1/7, known only to within +-1/100."""
 
-    descriptor = "wide_quadratic"
-
     def __init__(self, domain=Domain(F(0), None), pole=None):
         self.domain = domain
         self.pole = pole

@@ -10,7 +10,10 @@ from wplab.cintervals import ComplexBox, working_precision
 from wplab.differentials import (
     GENERIC,
     NUMERIC_POINT,
+    ExtensionResult,
     FieldPresentation,
+    _numeric_rref,
+    _sympify,
     der_dimension,
     extend_derivation,
     f_forms,
@@ -18,7 +21,11 @@ from wplab.differentials import (
     omega_presentation,
     rows_rank,
 )
-from wplab.errors import InvalidConfiguration, SingularSpecialization
+from wplab.errors import (
+    InvalidConfiguration,
+    RankNotCertified,
+    SingularSpecialization,
+)
 
 F = Fraction
 
@@ -211,3 +218,192 @@ def test_hcl_witness_against_the_rank_comparison(make_case):
                         acc = acc + c * x
                     assert acc.contains_zero()
     assert verdicts == {True, False}
+
+
+# -- oracle: the two-pass solvers the single reduction replaced ---------------
+# Each system was eliminated twice: a rank or rref pass, then sympy's
+# linsolve (generic) or a second interval elimination (numeric).
+
+
+def _generic_rank(rows, m) -> int:
+    if not rows:
+        return 0
+    mat = sympy.Matrix([[sympy.simplify(e) for e in r] for r in rows])
+    return mat.rank()
+
+
+def _numeric_rank(rows, m) -> int:
+    pivots, _ = _numeric_rref(rows, m)
+    return len(pivots)
+
+
+def _solve_generic(p, rows, fixed, target):
+    syms = list(p.symbols)
+    unknowns = [sympy.Symbol(f"_d_{g}") for g in p.generators]
+    eqs = []
+    for row in rows:
+        eqs.append(sum(c * u for c, u in zip(row, unknowns)))
+    for name, value in fixed.items():
+        eqs.append(unknowns[p.generators.index(name)] - _sympify(value, syms))
+    a_mat, b_vec = sympy.linear_eq_to_matrix(eqs, unknowns)
+    aug = a_mat.row_join(-b_vec)
+    red, piv = aug.rref()
+    n = len(unknowns)
+    for i in range(red.rows):
+        if all(sympy.simplify(red[i, j]) == 0 for j in range(n)) and \
+                sympy.simplify(red[i, n]) != 0:
+            return ExtensionResult(
+                "inconsistent",
+                certificate_row=tuple(red.row(i)),
+            )
+    dim = n - sum(1 for c in piv if c < n)
+    eqs_t = list(eqs)
+    if target is not None:
+        name, value = target
+        eqs_t.append(unknowns[p.generators.index(name)] - _sympify(value, syms))
+    sol = sympy.linsolve(eqs_t, unknowns)
+    if not sol:
+        return ExtensionResult(
+            "inconsistent",
+            certificate_row=("target incompatible with the row space",),
+        )
+    particular = next(iter(sol))
+    subs = {u: 0 for u in particular.free_symbols
+            if str(u).startswith("_d_") or str(u).startswith("tau")}
+    assignment = {
+        g: sympy.simplify(v.subs(subs))
+        for g, v in zip(p.generators, particular)
+    }
+    if dim == 0:
+        return ExtensionResult("unique", assignment)
+    return ExtensionResult("family", assignment, dim)
+
+
+def _solve_numeric(p, rows, fixed, target):
+    with working_precision(p.precision):
+        m = p.m
+        sys_rows = []
+        for row in rows:
+            sys_rows.append(list(row) + [ComplexBox(0)])
+        for name, value in fixed.items():
+            row = [ComplexBox(0)] * (m + 1)
+            row[p.generators.index(name)] = ComplexBox(1)
+            row[m] = value if isinstance(value, ComplexBox) else ComplexBox(
+                Fraction(value))
+            sys_rows.append(row)
+        dim = m - _numeric_rank([r[:m] for r in sys_rows], m)
+        if target is not None:
+            name, value = target
+            row = [ComplexBox(0)] * (m + 1)
+            row[p.generators.index(name)] = ComplexBox(1)
+            row[m] = value if isinstance(value, ComplexBox) else ComplexBox(
+                Fraction(value))
+            sys_rows.append(row)
+        pivots, red = _numeric_rref(sys_rows, m + 1)
+        if m in pivots:
+            for row in red:
+                if all(row[j].contains_zero() for j in range(m)):
+                    return ExtensionResult(
+                        "inconsistent", certificate_row=tuple(row)
+                    )
+            raise RankNotCertified("inconsistency row not isolated")
+        # back-substitute with free unknowns set to zero
+        values = [ComplexBox(0)] * m
+        for pos in range(len(pivots) - 1, -1, -1):
+            col = pivots[pos]
+            row = red[pos]
+            acc = row[m]
+            for j in range(col + 1, m):
+                acc = acc - row[j] * values[j]
+            values[col] = acc / row[col]
+        assignment = {g: values[i] for i, g in enumerate(p.generators)}
+        if dim == 0:
+            return ExtensionResult("unique", assignment)
+        return ExtensionResult("family", assignment, dim)
+
+
+def _oracle_solve(p, rows, fixed, target):
+    solve = _solve_generic if p.mode == GENERIC else _solve_numeric
+    return solve(p, rows, fixed, target)
+
+
+def _oracle_rank(p, rows):
+    if p.mode == GENERIC:
+        return _generic_rank(rows, p.m)
+    with working_precision(p.precision):
+        return _numeric_rank(rows, p.m)
+
+
+def _shown(res):
+    """What the CLI prints of an extension: kind, dimension and the str of
+    each assignment value and certificate entry."""
+    return (res.kind, res.dimension,
+            res.assignment and {g: str(v) for g, v in res.assignment.items()},
+            res.certificate_row and [str(x) for x in res.certificate_row])
+
+
+def _random_system(rng, make_case):
+    """A random presentation and forms with a boundary, an optional target
+    and a generator to test for the closure."""
+    p, forms = make_case(rng)
+    boundary = {g: F(rng.randint(-3, 3)) for g in p.generators
+                if rng.random() < 0.4}
+    target = None
+    if rng.random() < 0.5:
+        target = (rng.choice(p.generators), F(rng.randint(-3, 3)))
+    return p, forms, boundary, target, rng.randrange(p.m)
+
+
+def compare_with_oracle(p, forms, boundary, target, b):
+    """The single-reduction driver against the two-pass oracle on one
+    system.  Returns the name of the intended output change the extension
+    shows, or None when the two agree on everything the CLI prints."""
+    rows = [list(r) for r in omega_presentation(p)]
+    rows += [list(f.vector) for f in forms]
+    assert der_dimension(p, forms) == p.m - _oracle_rank(p, rows)
+    old = _oracle_solve(p, rows, {}, (p.generators[b], 1))
+    new = hcl_witness(p, forms, b)
+    if old.kind == "inconsistent":
+        assert new.in_closure and new.witness is None
+    else:
+        assert not new.in_closure
+        assert {g: str(v) for g, v in new.witness.items()} == _shown(old)[2]
+    old = _oracle_solve(p, rows, boundary, target)
+    new = extend_derivation(p, forms, boundary, target)
+    if _shown(new) == _shown(old):
+        return None
+    if p.mode == GENERIC and not rows and not boundary and target is None:
+        # the empty system: every derivation, not an inconsistency
+        assert old.kind == "inconsistent" and new.kind == "family"
+        assert new.dimension == p.m
+        assert all(v == 0 for v in new.assignment.values())
+        return "empty system"
+    assert target is not None and new.kind == old.kind == "inconsistent"
+    if p.mode == NUMERIC_POINT:
+        # an inconsistent boundary is certified by its own rows
+        assert _shown(new) == _shown(_oracle_solve(p, rows, boundary, None))
+        return "numeric boundary certificate"
+    # the target's incompatibility is certified by the reduced row
+    assert old.certificate_row == ("target incompatible with the row space",)
+    assert all(e == 0 for e in new.certificate_row[:-1])
+    assert new.certificate_row[-1] != 0
+    return "generic target certificate"
+
+
+@pytest.mark.parametrize("make_case, shown", [
+    (_random_generic_case, {None, "empty system", "generic target certificate"}),
+    (_random_numeric_case, {None, "numeric boundary certificate"}),
+], ids=["generic", "numeric"])
+def test_single_reduction_against_the_two_pass_oracle(make_case, shown):
+    # the seed's 15 cases show every intended change of the mode
+    rng = random.Random(8)
+    changes = {compare_with_oracle(*_random_system(rng, make_case))
+               for _ in range(15)}
+    assert changes == shown
+
+
+def test_empty_generic_system_is_a_family():
+    p = FieldPresentation(GENERIC, ("a", "b"))
+    res = extend_derivation(p, [], {})
+    assert res.kind == "family" and res.dimension == 2
+    assert {g: str(v) for g, v in res.assignment.items()} == {"a": "0", "b": "0"}

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in src/wplab is used, every
-private helper is referenced, and the CLI loads only the layers a subcommand
-runs (sympy only for `deriv`)."""
+private helper is referenced, exact linear systems have one elimination
+routine, and the CLI loads only the layers a subcommand runs (sympy only for
+`deriv`)."""
 
 import ast
 import json
@@ -70,6 +71,30 @@ def test_only_differentials_imports_sympy_at_module_level():
     importers = sorted(path.name for path in SRC.glob("*.py")
                        if any(imports_sympy(*imp) for imp in module_imports(parse(path))))
     assert importers == ["differentials.py"]
+
+
+def second_eliminations(path: Path):
+    """The sympy solvers a module names besides Matrix.rref: linsolve,
+    linear_eq_to_matrix, or a .rank() call."""
+    solvers = {"linsolve", "linear_eq_to_matrix"}
+    found = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Name) and node.id in solvers:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in solvers:
+            found.add(node.attr)
+        elif isinstance(node, ast.alias) and node.name in solvers:
+            found.add(node.name)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "rank":
+            found.add("Matrix.rank")
+    return sorted(found)
+
+
+def test_one_symbolic_elimination_routine():
+    # every exact system goes through the one rref in differentials._reduce
+    found = {path.name: second_eliminations(path) for path in SRC.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 RUN_IN_FRESH_INTERPRETER = """
