@@ -121,9 +121,8 @@ def _in_domain(pairs, domain: Domain) -> list:
 
 
 def enumerate_rationals(height_bound: int, domain: Domain) -> list:
-    """All positive rationals of height <= H in the domain, increasing."""
-    if height_bound < 1:
-        raise InvalidConfiguration("height bound must be >= 1")
+    """All positive rationals of height <= H in the domain, increasing;
+    none when H < 1, as no positive rational has height below 1."""
     return [RationalQ(a, b)
             for a, b in _in_domain(_farey_pairs(height_bound), domain)]
 

@@ -427,14 +427,17 @@ def predim_dim(cfg: Configuration, a_subset, c_subset=(), slots_subset=None,
     if slots_subset is None:
         slots_subset = all_slots(cfg)
     c_mask = _mask_of(cfg, c_subset)
-    ok, _ = is_strong(cfg, c_mask, slots_subset)
-    if not ok:
-        raise BaseNotStrong("the base subset is not strong")
+    _require_strong(cfg, c_mask, slots_subset)
     a_mask = _mask_of(cfg, a_subset) | c_mask
     best, best_mask = _min_delta(cfg, slots_subset, a_mask, c_mask)
     if with_witness:
         return best, cfg.names(best_mask)
     return best
+
+
+def _require_strong(cfg, c_mask, slots_subset):
+    if not is_strong(cfg, c_mask, slots_subset)[0]:
+        raise BaseNotStrong("the base subset is not strong")
 
 
 def chain_decompose(cfg: Configuration, a_subset, b_subset,
@@ -557,18 +560,19 @@ def independence_certificate(cfg: Configuration, slots_f1, slots_f2,
     fa_mask = _mask_of(cfg, fa_subset)
     target = a_mask | fa_mask
 
-    d0 = predim_dim(cfg, target, c_mask, f0)
-    d1, b1 = predim_dim(cfg, target, c_mask, f1, with_witness=True)
-    d2, b2 = predim_dim(cfg, target, c_mask, f2, with_witness=True)
-    d3 = predim_dim(cfg, target, c_mask, f3)
+    # every dim below is over the base C: check it once per slot subset
+    for slots in dict.fromkeys((f0, f1, f2, f3)):
+        _require_strong(cfg, c_mask, slots)
+    d0 = _min_delta(cfg, f0, target, c_mask)[0]
+    d1, b1_mask = _min_delta(cfg, f1, target, c_mask)
+    d2, b2_mask = _min_delta(cfg, f2, target, c_mask)
+    d3 = _min_delta(cfg, f3, target, c_mask)[0]
 
     # hypotheses: dim_{F_i}(fa / C u a) = 0, computed as a dim difference
-    h1 = d1 - predim_dim(cfg, a_mask, c_mask, f1)
-    h2 = d2 - predim_dim(cfg, a_mask, c_mask, f2)
+    h1 = d1 - _min_delta(cfg, f1, a_mask, c_mask)[0]
+    h2 = d2 - _min_delta(cfg, f2, a_mask, c_mask)[0]
     hypotheses = h1 == 0 and h2 == 0
 
-    b1_mask = cfg.mask(b1)
-    b2_mask = cfg.mask(b2)
     a_int = b1_mask & b2_mask
     delta0_a = _delta_int(cfg, f0, a_int, c_mask)
     semi_ok = delta0_a <= d1 + d2 - d3
@@ -577,11 +581,12 @@ def independence_certificate(cfg: Configuration, slots_f1, slots_f2,
     conclusion = None
     note = ""
     if hypotheses:
-        conclusion = d0 - predim_dim(cfg, a_mask, c_mask, f0) == 0
+        conclusion = d0 - _min_delta(cfg, f0, a_mask, c_mask)[0] == 0
     else:
         note = ("certificate withheld: the local-closure hypotheses fail "
                 f"(dim_F1(fa/Ca) = {h1}, dim_F2(fa/Ca) = {h2})")
     return IndependenceCertificate(
-        d0, d1, d2, d3, b1, b2, cfg.names(a_int), delta0_a,
+        d0, d1, d2, d3, cfg.names(b1_mask), cfg.names(b2_mask),
+        cfg.names(a_int), delta0_a,
         semi_ok, d3_ok, hypotheses, conclusion, note,
     )

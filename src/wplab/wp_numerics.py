@@ -4,26 +4,50 @@ exp_E, the projective group law for Y^2 Z = 4X^3 - g2 X Z^2 - g3 Z^3, and
 residual verification of the functional identities (differential equation,
 homogeneity, conjugation symmetry, addition, isogeny functoriality).
 
-Everything is computed in rectangle interval arithmetic; every returned bound
-is an enclosure, never an estimate.  Jacobi theta series give g2, g3 and the
-discriminant (from the theta constants, computed once per model) and wp, wp'
-(as theta quotients); their geometric tail bounds are folded into the result's
-radius, so the reported radius is sound by construction.  The quotients stay
-certified close to the lattice, wherever the enclosure of theta1(v) excludes
-zero, so exp_E uses them at every point off the lattice; nearer than that the
-working precision is too low, and raising it recovers the point.
+Every returned bound is an enclosure, never an estimate.  Jacobi theta
+series give g2, g3 and the discriminant (from the theta constants, computed
+once per model with the quotient factors wp needs) and wp, wp' (as theta
+quotients).  The series run on a fixed-point kernel: Gaussian integers at a
+scale 2^-P a little finer than the working precision, each carrying a
+per-component radius in ulps that every product bounds by the rectangle rule
+plus its own rounding, so the running error bound is exact integer
+arithmetic.  The geometric tail bound is folded into the radius and the sums
+leave the kernel as outward-rounded rectangles; everything after them is
+rectangle interval arithmetic.  The quotients stay certified close to the
+lattice, wherever the enclosure of theta1(v) excludes zero, so exp_E uses
+them at every point off the lattice; nearer than that the working precision
+is too low, and raising it recovers the point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 from mpmath import iv, mp, mpf
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sqrt,
+    mpf_sub,
+    round_ceiling,
+    round_floor,
+)
 
 from .cintervals import (
     ComplexBox,
+    _box,
     exp_2pi_i,
     quadnum_box,
     ri,
@@ -66,8 +90,12 @@ class EllipticModel:
     _tau: ComplexBox = field(repr=False, default=None)
     _omega1: ComplexBox = field(repr=False, default=None)
     _q4: ComplexBox = field(repr=False, default=None)  # q^(1/4), q = e^(i pi tau)
-    _theta: tuple = field(repr=False, default=None)  # theta2..theta4 at 0
     _pi_w1: ComplexBox = field(repr=False, default=None)
+    # from the theta constants t2, t3, t4 at 0: t2 t3, (t2 t3 t4)^2 and
+    # (t2^4 + t3^4)/3, the factors of the wp quotient
+    _t23: ComplexBox = field(repr=False, default=None)
+    _t234_sq: ComplexBox = field(repr=False, default=None)
+    _wp_shift: ComplexBox = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -114,57 +142,185 @@ def _box_eq(a: ComplexBox, b: ComplexBox) -> bool:
 #   theta2(v) =    sum_{k odd} (T(k,+) + T(k,-))
 #   theta3(v) = 1 + sum_{k even} (T(k,+) + T(k,-))
 #   theta4(v) = 1 + sum_{k even} (-1)^(k/2) (T(k,+) + T(k,-))
+#
+# The sums run on Gaussian integers at the fixed scale 2^-P (an ulp), with
+# P = prec + 16 + ceil(b/4 + c) + bit_length(2N) for b = -log2|q| and
+# c = log2 max(|w|, 1/|w|), so that the leading terms, as small as |q|^(1/4)
+# and as large as |q|^(1/4) |w|, keep prec + 16 bits.  A value is
+# (a, b, ra, rb): its real part lies within ra ulps of a, its imaginary part
+# within rb ulps of b.  A product (a, b, ra, rb)(c, d, rc, rd) floors its
+# midpoint by >> P and bounds its radius by the rectangle rule
+#   rad(re) <= (|a| + ra) rc + |c| ra + (|b| + rb) rd + |d| rb,
+#   rad(im) <= (|a| + ra) rd + |d| ra + (|b| + rb) rc + |c| rb,
+# rounded up to whole ulps, plus 1 ulp when the midpoint's floor drops
+# nonzero bits (at most 2 ulps of rounding in all); sums add radii exactly.
+# The tail and the magnitudes it needs are libmpf bounds rounded upward.
 
-def _pick_terms(q4_hi: mpf, w_max: mpf) -> int:
-    """Least N with N^2 b - 2 N c >= iv.prec + 48, where b = -log2|q| and
+_FIXED_GUARD = 16
+_BOUND_PREC = 53  # precision of the directed-rounding magnitude and tail bounds
+
+
+def _ulps(x, scale: int) -> int:
+    """floor(x 2^scale) for a finite raw mpf x."""
+    sign, man, exp, _ = x
+    if sign:
+        man = -man
+    shift = exp + scale
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _fixed_part(v, scale: int):
+    """(midpoint, radius) in ulps 2^-scale of the interval with endpoints v."""
+    lo, hi = _ulps(v[0], scale), -_ulps(mpf_neg(v[1]), scale)
+    mid = (lo + hi) >> 1
+    return mid, hi - mid
+
+
+def _fixed(z: ComplexBox, scale: int):
+    a, ra = _fixed_part(z.re._mpi_, scale)
+    b, rb = _fixed_part(z.im._mpi_, scale)
+    return a, b, ra, rb
+
+
+def _fixed_mul(x, y, scale: int, low: int):
+    """The product at scale 2^-scale; low = 2^scale - 1 masks the bits the
+    midpoints' floors discard."""
+    a, b, ra, rb = x
+    c, d, rc, rd = y
+    re, im = a * c - b * d, a * d + b * c
+    ea, eb = abs(a) + ra, abs(b) + rb
+    ac, ad = abs(c), abs(d)
+    return (re >> scale, im >> scale,
+            ((ea * rc + ac * ra + eb * rd + ad * rb + low) >> scale) + ((re & low) != 0),
+            ((ea * rd + ad * ra + eb * rc + ac * rb + low) >> scale) + ((im & low) != 0))
+
+
+def _abs_hi(z: ComplexBox):
+    """Upper bound on |z| as a raw mpf."""
+    sq = fzero
+    for lo, hi in (z.re._mpi_, z.im._mpi_):
+        m = mpf_abs(hi) if mpf_lt(mpf_abs(lo), mpf_abs(hi)) else mpf_abs(lo)
+        sq = mpf_add(sq, mpf_mul(m, m, _BOUND_PREC, round_ceiling),
+                     _BOUND_PREC, round_ceiling)
+    return mpf_sqrt(sq, _BOUND_PREC, round_ceiling)
+
+
+def _log2(x) -> float:
+    """log2 of a positive finite raw mpf, in floating point."""
+    _, man, exp, _ = x
+    return math.log2(man) + exp
+
+
+def _nstr(x) -> str:
+    return mp.nstr(mp.make_mpf(x), 5)
+
+
+def _pick_terms(b: float, c: float, prec: int) -> int:
+    """Least N with N^2 b - 2 N c >= prec + 48, with b = -log2|q| and
     c = log2 max(|w|, 1/|w|): the terms q^(n^2) w^(+-2n) with n >= N are
-    below 2^-(prec+48), so the series stop before k = 2N."""
-    b = -4 * mp.log(q4_hi, 2)
-    if not b > 0:
-        raise PrecisionExhausted("|q| too close to 1")
-    c = mp.log(w_max, 2)
-    n = max(1, int(mp.ceil((c + mp.sqrt(c * c + b * (iv.prec + 48))) / b)))
+    below 2^-(prec+48), so the series stop before k = 2N.  N only sizes the
+    sums; the tail bound past them is certified whatever N is."""
+    n = SERIES_CAP + 1 if b <= 0 else max(
+        1, math.ceil((c + math.sqrt(c * c + b * (prec + 48))) / b))
     if n > SERIES_CAP:
         raise PrecisionExhausted(f"series length {n} exceeds cap {SERIES_CAP}")
     return n
 
 
+def _tail_bound(q4_hi, w_max, n: int):
+    """Upper bound past k = 2n: each parity is dominated by a geometric
+    series from its first term, of ratio |q|^(2n+1) max(|w|, 1/|w|)^2."""
+    bp, up = _BOUND_PREC, round_ceiling
+    first = mpf_add(
+        mpf_mul(mpf_pow_int(q4_hi, 4 * n * n, bp, up),
+                mpf_pow_int(w_max, 2 * n, bp, up), bp, up),
+        mpf_mul(mpf_pow_int(q4_hi, (2 * n + 1) ** 2, bp, up),
+                mpf_pow_int(w_max, 2 * n + 1, bp, up), bp, up), bp, up)
+    ratio = mpf_mul(mpf_pow_int(q4_hi, 4 * (2 * n + 1), bp, up),
+                    mpf_pow_int(w_max, 2, bp, up), bp, up)
+    if not mpf_lt(ratio, fone):
+        raise PrecisionExhausted(
+            f"series tail ratio not certified below 1: ratio bound "
+            f"{_nstr(ratio)}, needed below 1")
+    return mpf_div(mpf_shift(first, 1), mpf_sub(fone, ratio, bp, round_floor),
+                   bp, up)
+
+
 def _theta_sums(q4: ComplexBox, w: ComplexBox):
     """(theta1, theta2, theta3, theta4) at v, for w = e^(iv) and the nome
     q4^4, with the tail past the last term folded into each radius."""
+    prec = iv.prec
     wi = w.inv()
-    w_max = max(w.abs_hi(), wi.abs_hi())
-    q4_hi = q4.abs_hi()
-    n = _pick_terms(q4_hi, w_max)
+    q4_hi = _abs_hi(q4)
+    if not mpf_lt(q4_hi, fone):
+        raise PrecisionExhausted(
+            f"|q| too close to 1: |q| bound "
+            f"{_nstr(mpf_pow_int(q4_hi, 4, _BOUND_PREC, round_ceiling))}, "
+            f"needed below 1")
+    w_hi, wi_hi = _abs_hi(w), _abs_hi(wi)
+    w_max = wi_hi if mpf_lt(w_hi, wi_hi) else w_hi
+    if not w_max[1]:  # the mantissa of inf and nan
+        raise PrecisionExhausted("theta series argument is not finite")
+    b, c = -4 * _log2(q4_hi), max(0.0, _log2(w_max))
+    n = _pick_terms(b, c, prec)
+    tail = _tail_bound(q4_hi, w_max, n)
+    scale = prec + _FIXED_GUARD + math.ceil(b / 4 + c) + (2 * n).bit_length()
 
-    q4sq = q4 * q4
-    up, dn = q4 * w, q4 * wi        # q4^(2k+1) w^(+-1), advanced by q4^2
-    tp, tm = up, dn                 # T(k, +), T(k, -) at k = 1
-    th1 = th2 = ComplexBox(0)
-    th3 = th4 = ComplexBox(1)
+    q4f = _fixed(q4, scale)
+    low = (1 << scale) - 1
+    q4sq = _fixed_mul(q4f, q4f, scale, low)
+    up = tp = _fixed_mul(q4f, _fixed(w, scale), scale, low)   # q4^(2k+1) w, T(k,+)
+    dn = tm = _fixed_mul(q4f, _fixed(wi, scale), scale, low)  # q4^(2k+1)/w, T(k,-)
+    # midpoints of S1 = sum_{k odd} (-1)^((k-1)/2) (T(k,+) - T(k,-)) (so
+    # theta1 = -i S1), theta2, theta3, theta4; S1 and theta2 share the radii
+    # (ra_odd, rb_odd), theta3 and theta4 share (ra_even, rb_even)
+    s1a = s1b = s2a = s2b = s3b = s4b = 0
+    s3a = s4a = 1 << scale
+    ra_odd = rb_odd = ra_even = rb_even = 0
     for k in range(1, 2 * n):
         if k > 1:
-            up, dn = up * q4sq, dn * q4sq
-            tp, tm = tp * up, tm * dn
-        s = tp + tm
+            up = _fixed_mul(up, q4sq, scale, low)
+            dn = _fixed_mul(dn, q4sq, scale, low)
+            tp, tm = _fixed_mul(tp, up, scale, low), _fixed_mul(tm, dn, scale, low)
+        pa, pb, pra, prb = tp
+        ma, mb, mra, mrb = tm
         if k & 1:
-            th2 = th2 + s
-            th1 = th1 - (tp - tm) if k & 2 else th1 + (tp - tm)
+            s2a += pa + ma
+            s2b += pb + mb
+            if k & 2:
+                s1a -= pa - ma
+                s1b -= pb - mb
+            else:
+                s1a += pa - ma
+                s1b += pb - mb
+            ra_odd += pra + mra
+            rb_odd += prb + mrb
         else:
-            th3 = th3 + s
-            th4 = th4 - s if k & 2 else th4 + s
+            s3a += pa + ma
+            s3b += pb + mb
+            if k & 2:
+                s4a -= pa + ma
+                s4b -= pb + mb
+            else:
+                s4a += pa + ma
+                s4b += pb + mb
+            ra_even += pra + mra
+            rb_even += prb + mrb
 
-    # the tail from k = 2n on: each parity is dominated by a geometric series
-    # from its first term, of ratio |q|^(2n+1) max(|w|, 1/|w|)^2
-    qh, wm = iv.mpf(q4_hi), iv.mpf(w_max)
-    first = (qh ** (4 * n * n) * wm ** (2 * n)
-             + qh ** ((2 * n + 1) ** 2) * wm ** (2 * n + 1))
-    ratio = qh ** (4 * (2 * n + 1)) * wm * wm
-    if not ri_hi(ratio) < 1:
-        raise PrecisionExhausted("series tail ratio not certified below 1")
-    tail = ri_hi(2 * first / (1 - ratio))
-    th1 = ComplexBox(0, -1) * th1
-    return tuple(t.widened(tail) for t in (th1, th2, th3, th4))
+    # the endpoints at a scale 2^-fine that holds the tail exactly
+    _, t, t_exp, _ = tail
+    fine = max(scale, -t_exp)
+    t <<= t_exp + fine
+    shift = fine - scale
+
+    def part(mid, rad):
+        return (from_man_exp(((mid - rad) << shift) - t, -fine, prec, round_floor),
+                from_man_exp(((mid + rad) << shift) + t, -fine, prec, round_ceiling))
+
+    return (_box(part(s1b, rb_odd), part(-s1a, ra_odd)),
+            _box(part(s2a, ra_odd), part(s2b, rb_odd)),
+            _box(part(s3a, ra_even), part(s3b, rb_even)),
+            _box(part(s4a, ra_even), part(s4b, rb_even)))
 
 
 def invariants(lattice: Lattice, precision: int = 128) -> EllipticModel:
@@ -174,9 +330,8 @@ def invariants(lattice: Lattice, precision: int = 128) -> EllipticModel:
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
     with working_precision(precision):
-        m = model_with(lattice, None, None, precision)
-        (t2, t3, t4), s = m._theta, m._pi_w1
-        p2, p3, p4 = (t.pow_int(4) for t in (t2, t3, t4))
+        m, (p2, p3, p4) = _theta_model(lattice, None, None, precision)
+        s = m._pi_w1
         s2 = s * s
         s4 = s2 * s2
         g2 = s4 * (p2 * p2 + p3 * p3 + p4 * p4) * Fraction(2, 3)
@@ -188,23 +343,37 @@ def invariants(lattice: Lattice, precision: int = 128) -> EllipticModel:
                 raise PrecisionExhausted(
                     f"invariant radius exceeds target: {name} radius "
                     f"{mp.nstr(rad, 5)}, needed {mp.nstr(tol, 5)}")
-        disc = 16 * (s4 * s2).pow_int(2) * (t2 * t3 * t4).pow_int(8)
+        disc = 16 * (s4 * s2).pow_int(2) * m._t234_sq.pow_int(4)
         if disc.contains_zero():
-            raise PrecisionExhausted("discriminant not certified nonzero")
+            raise PrecisionExhausted(
+                f"discriminant not certified nonzero: radius "
+                f"{mp.nstr(disc.rad(), 5)}, needed below |midpoint| "
+                f"{mp.nstr(abs(disc.mid()), 5)}")
         return replace(m, g2=g2, g3=g3)
 
 
 def model_with(lattice: Lattice, g2: ComplexBox, g3: ComplexBox,
                precision: int) -> EllipticModel:
     """Model with caller-supplied invariants (negative-control harnesses),
-    holding the theta constants that invariants() derives g2, g3 from."""
+    holding the theta-constant factors that wp, wp' and exp_E use."""
+    return _theta_model(lattice, g2, g3, precision)[0]
+
+
+def _theta_model(lattice, g2, g3, precision):
+    """The model and the fourth powers t2^4, t3^4, t4^4 of the theta
+    constants, which invariants() builds g2 and g3 from."""
     with working_precision(precision):
         tau = lattice.tau_box()
         w1 = lattice.omega1_box()
         q4 = exp_2pi_i(tau * Fraction(1, 8))
         _, t2, t3, t4 = _theta_sums(q4, ComplexBox(1))
-        return EllipticModel(lattice, g2, g3, precision, tau, w1, q4,
-                             (t2, t3, t4), ComplexBox(iv.pi) / w1)
+        p2, p3, p4 = (t.pow_int(4) for t in (t2, t3, t4))
+        t23 = t2 * t3
+        t234 = t23 * t4
+        m = EllipticModel(lattice, g2, g3, precision, tau, w1, q4,
+                          ComplexBox(iv.pi) / w1, t23, t234 * t234,
+                          (p2 + p3) * Fraction(1, 3))
+        return m, (p2, p3, p4)
 
 
 # -- argument reduction ------------------------------------------------------
@@ -271,18 +440,15 @@ def _wp_theta(m: EllipticModel, t_red: ComplexBox, want_prime: bool):
     with s = pi/omega1, v = pi*t_red and t2, t3, t4 the theta constants."""
     w = exp_2pi_i(t_red * Fraction(1, 2))
     th1, th2, th3, th4 = _theta_sums(m._q4, w)
-    t2, t3, t4 = m._theta
     s = m._pi_w1
     r = th1.inv()
     g = th4 * r
-    a = t2 * t3
-    f = a * g
+    f = m._t23 * g
     s2 = s * s
-    wp_val = s2 * (f * f - (t2.pow_int(4) + t3.pow_int(4)) * Fraction(1, 3))
+    wp_val = s2 * (f * f - m._wp_shift)
     if not want_prime:
         return wp_val, None
-    c = a * t4
-    wp_prime_val = -2 * s2 * s * c * c * g * th2 * th3 * r * r
+    wp_prime_val = -2 * s2 * s * m._t234_sq * g * th2 * th3 * r * r
     return wp_val, wp_prime_val
 
 

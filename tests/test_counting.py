@@ -75,6 +75,14 @@ def test_enumeration_respects_domain():
     assert F(1, 2) not in got  # open endpoints
 
 
+@pytest.mark.parametrize("height", [0, -1, -7])
+def test_enumeration_below_height_one_is_empty(height):
+    """No positive rational has height below 1: the enumeration is empty
+    there, as count_report's zeros say."""
+    assert enumerate_rationals(height, Domain(F(0), None)) == []
+    assert count_report(Identity(Domain(F(0), None)), (height,)).counts == (0,)
+
+
 def test_rationalq_invariants():
     assert RationalQ(3, 2).height == 3
     with pytest.raises(InvalidConfiguration):

@@ -233,6 +233,24 @@ def test_certificate_withheld_when_hypotheses_fail():
     assert "withheld" in cert.note
 
 
+def test_certificate_checks_the_base_once_per_slot_subset(monkeypatch):
+    """F0 = (), F1 = (0,), F2 = (1,), F3 = (0, 1): four strongness checks of
+    C, not one per dimension (seven: d0..d3, two hypotheses, conclusion)."""
+    from wplab import acceptance, predim_engine
+
+    calls = []
+    real = predim_engine.is_strong
+
+    def counted(cfg, a_subset, slots_subset=None):
+        calls.append(tuple(slots_subset))
+        return real(cfg, a_subset, slots_subset)
+
+    monkeypatch.setattr(predim_engine, "is_strong", counted)
+    _, cert = acceptance.worked_certificate()
+    assert cert.certified
+    assert sorted(calls) == [(), (0,), (0, 1), (1,)]
+
+
 # -- oracles: the absorption hull and the coordinate-pair compatibility scan ---
 
 def absorption_hull(cfg, a_subset):

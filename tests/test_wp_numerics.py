@@ -10,7 +10,9 @@ theta series with certified tails.  Three oracles check it:
   that every theta enclosure can be checked to overlap its enclosure.
 The anchored group-law route exp_E used to take near the lattice is kept
 verbatim as well: wherever it answers, the theta quotient must answer with a
-box inside the same neighbourhood and no wider.
+box inside the same neighbourhood and no wider.  So are the interval theta
+sums the fixed-point kernel replaced: every kernel box must overlap theirs,
+be no wider and hold mpmath's jtheta value.
 """
 
 import cmath
@@ -22,6 +24,15 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv, mp, mpf
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    from_man_exp,
+    fzero,
+    round_ceiling,
+    round_floor,
+)
 
 from wplab.cintervals import (
     ComplexBox,
@@ -41,12 +52,14 @@ from wplab.errors import (
 )
 from wplab.lattice_core import make_lattice
 from wplab.quadfield import QuadNum
+from wplab import wp_numerics
 from wplab.wp_numerics import (
     SERIES_CAP,
     _exact_pole,
     _exp_direct,
     _lattice_coords,
     _reduce_argument,
+    _theta_sums,
     addition_residual,
     curve_add,
     curve_neg,
@@ -447,6 +460,201 @@ def test_discriminant_certified_at_large_im_tau(tau_text):
     m = invariants(lat, 128)
     g2_ref, g3_ref = _reference_invariants(lat, 256)
     assert _near_box(m.g2, g2_ref, 128) and _near_box(m.g3, g3_ref, 128)
+
+
+# -- the interval theta sums the fixed-point kernel replaced, kept as an oracle
+
+def _theta_pick_terms(q4_hi: mpf, w_max: mpf) -> int:
+    """Least N with N^2 b - 2 N c >= iv.prec + 48, where b = -log2|q| and
+    c = log2 max(|w|, 1/|w|): the terms q^(n^2) w^(+-2n) with n >= N are
+    below 2^-(prec+48), so the series stop before k = 2N."""
+    b = -4 * mp.log(q4_hi, 2)
+    if not b > 0:
+        raise PrecisionExhausted("|q| too close to 1")
+    c = mp.log(w_max, 2)
+    n = max(1, int(mp.ceil((c + mp.sqrt(c * c + b * (iv.prec + 48))) / b)))
+    if n > SERIES_CAP:
+        raise PrecisionExhausted(f"series length {n} exceeds cap {SERIES_CAP}")
+    return n
+
+
+def _interval_theta_sums(q4: ComplexBox, w: ComplexBox):
+    """(theta1, theta2, theta3, theta4) at v, for w = e^(iv) and the nome
+    q4^4, with the tail past the last term folded into each radius."""
+    wi = w.inv()
+    w_max = max(w.abs_hi(), wi.abs_hi())
+    q4_hi = q4.abs_hi()
+    n = _theta_pick_terms(q4_hi, w_max)
+
+    q4sq = q4 * q4
+    up, dn = q4 * w, q4 * wi        # q4^(2k+1) w^(+-1), advanced by q4^2
+    tp, tm = up, dn                 # T(k, +), T(k, -) at k = 1
+    th1 = th2 = ComplexBox(0)
+    th3 = th4 = ComplexBox(1)
+    for k in range(1, 2 * n):
+        if k > 1:
+            up, dn = up * q4sq, dn * q4sq
+            tp, tm = tp * up, tm * dn
+        s = tp + tm
+        if k & 1:
+            th2 = th2 + s
+            th1 = th1 - (tp - tm) if k & 2 else th1 + (tp - tm)
+        else:
+            th3 = th3 + s
+            th4 = th4 - s if k & 2 else th4 + s
+
+    # the tail from k = 2n on: each parity is dominated by a geometric series
+    # from its first term, of ratio |q|^(2n+1) max(|w|, 1/|w|)^2
+    qh, wm = iv.mpf(q4_hi), iv.mpf(w_max)
+    first = (qh ** (4 * n * n) * wm ** (2 * n)
+             + qh ** ((2 * n + 1) ** 2) * wm ** (2 * n + 1))
+    ratio = qh ** (4 * (2 * n + 1)) * wm * wm
+    if not ri_hi(ratio) < 1:
+        raise PrecisionExhausted("series tail ratio not certified below 1")
+    tail = ri_hi(2 * first / (1 - ratio))
+    th1 = ComplexBox(0, -1) * th1
+    return tuple(t.widened(tail) for t in (th1, th2, th3, th4))
+
+
+# -- the fixed-point theta kernel against the interval sums and jtheta --------
+
+def _corner(z: ComplexBox):
+    """The lower-left corner of z as an mpc, exact at the working precision
+    of z's bits."""
+    return mp.mpc(mp.make_mpf(z.re._mpi_[0]), mp.make_mpf(z.im._mpi_[0]))
+
+
+def _jtheta_all(q, v, bits: int):
+    """jtheta 1..4 at twice the bits plus 4 bits per bit of
+    c = log2 max(|w|, 1/|w|), w = e^(iv): jtheta loses bits to a large |w|
+    (88 of them at Im tau = 22.7 and c = 49)."""
+    c = int(abs(mp.im(v)) / mp.ln2) + 1
+    with mp.workprec(2 * bits + 4 * c):
+        return [mpmath.jtheta(n, v, q) for n in (1, 2, 3, 4)]
+
+
+def _check_kernel(q4: ComplexBox, w: ComplexBox, refs, bits: int):
+    """Each kernel box overlaps the interval sums' box, holds the jtheta
+    value and is no wider.  The one exception to the last is theta1 at
+    w = 1 exactly: theta1(0) = 0 identically, so its box is rounding error
+    alone, which the interval sums make relative to the tiny later terms
+    (their first term cancels exactly) and the kernel makes in absolute
+    2^-P ulps.  theta1(0) is never used: model_with drops it."""
+    theta1_at_0 = w.is_exact() and w.overlaps(ComplexBox(1))
+    with working_precision(bits):
+        new, old = _theta_sums(q4, w), _interval_theta_sums(q4, w)
+        for i, (box, old_box) in enumerate(zip(new, old)):
+            assert box.overlaps(old_box)
+            assert (i == 0 and theta1_at_0) or box.rad() <= old_box.rad()
+    for box, ref in zip(new, refs):
+        assert _near_box(box, ref, bits)
+
+
+_CELL = st.tuples(st.just("cell"), st.integers(-512, 512), st.integers(-512, 512))
+_NEAR = st.tuples(st.just("near"), st.integers(-3, 3), st.integers(-3, 3),
+                  st.integers(1, 60)).filter(lambda t: t[1:3] != (0, 0))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@settings(max_examples=30, deadline=None)
+@given(re_tau=st.integers(-32, 32), im_tau=st.integers(64, 1920),
+       arg=st.one_of(_CELL, _NEAR))
+@example(re_tau=0, im_tau=1920, arg=("cell", 0, 512))
+@example(re_tau=5, im_tau=64, arg=("near", 2, -1, 30))
+def test_theta_kernel_against_interval_sums(bits, re_tau, im_tau, arg):
+    """Im tau from 1 to 30; v = pi t with t = x + y tau in the cell (x, y in
+    steps of 1/1024, so |w| up to |q|^(-1/2)) or t = (a + b i) 10^-e next
+    to the lattice.  The kernel runs on the boxed q^(1/4) and w, and on
+    exact points inside them, whose sums the interval layer rounds at every
+    step while the kernel's error is its 2^-P ulps alone."""
+    tau = (Fraction(re_tau, 64), Fraction(im_tau, 64))
+    if arg[0] == "cell":
+        x, y = Fraction(arg[1], 1024), Fraction(arg[2], 1024)
+        t = (x + y * tau[0], y * tau[1])
+    else:
+        _, a, b, e = arg
+        t = (Fraction(a, 10 ** e), Fraction(b, 10 ** e))
+    with working_precision(bits):
+        q4 = exp_2pi_i(ComplexBox.from_fractions(*tau) * Fraction(1, 8))
+        w = exp_2pi_i(ComplexBox.from_fractions(*t) * Fraction(1, 2))
+    with mp.workprec(2 * bits):
+        tau_c, t_c = (mp.mpc(mp.mpf(u.numerator) / u.denominator,
+                             mp.mpf(v.numerator) / v.denominator)
+                      for u, v in (tau, t))
+        refs = _jtheta_all(mp.exp(1j * mp.pi * tau_c), mp.pi * t_c, bits)
+    _check_kernel(q4, w, refs, bits)
+
+    with working_precision(bits):
+        q4c, wc = _corner(q4), _corner(w)
+        q4p, wp_ = (ComplexBox(iv.mpf(z.real), iv.mpf(z.imag)) for z in (q4c, wc))
+    with mp.workprec(2 * bits):
+        refs = _jtheta_all(q4c ** 4, -1j * mp.log(wc), bits)
+    _check_kernel(q4p, wp_, refs, bits)
+
+
+def test_libmp_internals_the_theta_kernel_relies_on():
+    """The kernel reads raw mpf tuples and builds its endpoints with
+    from_man_exp; an mpmath release that changes either fails here first."""
+    # the tuple layout (sign, man, exp, bc): value (-1)^sign man 2^exp
+    assert mpf(-3)._mpf_ == (1, 3, 0, 2)
+    assert mpf("0.75")._mpf_ == (0, 3, -2, 2)
+    assert mp.make_mpf((1, 5, -3, 3)) == mpf("-0.625")
+    # directed rounding of from_man_exp to the given bits
+    m = (1 << 60) + 1
+    assert from_man_exp(m, -60, 53, round_floor) == mpf(1)._mpf_
+    assert from_man_exp(m, -60, 53, round_ceiling) == (0, (1 << 52) + 1, -52, 53)
+    assert from_man_exp(-m, -60, 53, round_floor) == (1, (1 << 52) + 1, -52, 53)
+    assert from_man_exp(-m, -60, 53, round_ceiling) == mpf(-1)._mpf_
+    assert from_man_exp(0, -60, 53, round_floor) == fzero
+    # zero is (0, 0, 0, 0); the infinities and nan have man 0 and exp != 0
+    assert fzero == mpf(0)._mpf_ == (0, 0, 0, 0)
+    for special in (finf, fninf, fnan):
+        assert special[1] == 0 and special[2] != 0
+    assert mpf("inf")._mpf_ == finf and mpf("-inf")._mpf_ == fninf
+
+
+def _radii(pattern: str, message: str):
+    found = re.fullmatch(pattern, message)
+    assert found, message
+    return [mp.mpf(v) for v in found.groups()]
+
+
+def test_nome_failure_states_bound():
+    with working_precision(128):
+        with pytest.raises(PrecisionExhausted) as info:
+            _theta_sums(ComplexBox(Fraction(1)), ComplexBox(1))
+    reached, needed = _radii(r"\|q\| too close to 1: \|q\| bound (\S+), "
+                             r"needed below (\S+)", str(info.value))
+    assert reached >= needed == 1
+
+
+def test_tail_ratio_failure_states_bound(monkeypatch):
+    # one term is too few for |w| = 2^40: the ratio |q|^3 |w|^2 exceeds 1
+    monkeypatch.setattr(wp_numerics, "_pick_terms", lambda b, c, prec: 1)
+    with working_precision(128):
+        with pytest.raises(PrecisionExhausted) as info:
+            _theta_sums(ComplexBox(Fraction(1, 2)), ComplexBox(2 ** 40))
+    reached, needed = _radii(r"series tail ratio not certified below 1: ratio "
+                             r"bound (\S+), needed below (\S+)", str(info.value))
+    assert reached >= needed == 1
+
+
+def test_discriminant_failure_states_radii(monkeypatch):
+    # a theta4 constant known only to lie within 2^-400 of 0 keeps g2 and
+    # g3 tight but leaves the discriminant's sign of zero undecided
+    real = wp_numerics._theta_sums
+
+    def theta4_at_zero(q4, w):
+        th1, th2, th3, _ = real(q4, w)
+        return th1, th2, th3, ComplexBox(0).widened(mp.ldexp(1, -400))
+
+    monkeypatch.setattr(wp_numerics, "_theta_sums", theta4_at_zero)
+    with pytest.raises(PrecisionExhausted) as info:
+        invariants(SQUARE, 128)
+    reached, needed = _radii(r"discriminant not certified nonzero: radius "
+                             r"(\S+), needed below \|midpoint\| (\S+)",
+                             str(info.value))
+    assert reached >= needed
 
 
 def test_invariant_precision_failure_states_radii():
