@@ -553,11 +553,18 @@ def cmd_selftest(args) -> int:
 
 # -- entry point -------------------------------------------------------------
 
-def _common(sp):
-    sp.add_argument("--precision", type=int, default=128)
-    sp.add_argument("--bound", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=20260824)
-    sp.add_argument("--format", choices=("text", "record"), default="text")
+_COMMON = {
+    "precision": dict(type=int, default=128),
+    "bound": dict(type=int, default=10),
+    "seed": dict(type=int, default=20260824),
+    "format": dict(choices=("text", "record"), default="text"),
+}
+
+
+def _common(sp, *names):
+    """Add the common options the subcommand reads, and no others."""
+    for name in names:
+        sp.add_argument(f"--{name}", **_COMMON[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,28 +580,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = lat_sub.add_parser("normalize")
     p.add_argument("--w1", required=True)
     p.add_argument("--w2", required=True)
-    _common(p)
+    _common(p, "precision", "format")
     p = lat_sub.add_parser("reduce")
     p.add_argument("--tau", required=True)
-    _common(p)
+    _common(p, "precision", "format")
     p = lat_sub.add_parser("cm")
     p.add_argument("--tau", required=True)
-    _common(p)
+    _common(p, "precision", "bound", "format")
     for name in ("isogenous", "isr"):
         p = lat_sub.add_parser(name)
         p.add_argument("--tau1", required=True)
         p.add_argument("--tau2", required=True)
-        _common(p)
+        _common(p, "precision", "bound", "format")
 
     wp_p = sub.add_parser("wp")
     wp_sub = wp_p.add_subparsers(dest="action", required=True)
     p = wp_sub.add_parser("invariants")
     p.add_argument("--tau", required=True)
-    _common(p)
+    _common(p, "precision", "format")
     p = wp_sub.add_parser("eval")
     p.add_argument("--tau", required=True)
     p.add_argument("--z", required=True)
-    _common(p)
+    _common(p, "precision", "format")
     p = wp_sub.add_parser("verify")
     p.add_argument("--tau", required=True)
     p.add_argument("--tau2")
@@ -603,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("ode", "homogeneity", "schwarz", "addition", "isogeny"),
     )
     p.add_argument("--samples", type=int, default=100)
-    _common(p)
+    _common(p, "precision", "bound", "seed", "format")
 
     pd = sub.add_parser("predim")
     pd_sub = pd.add_subparsers(dest="action", required=True)
@@ -622,19 +629,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--f1", required=True)
             p.add_argument("--f2", required=True)
             p.add_argument("--fa", required=True)
-        _common(p)
+        _common(p, "format")
 
     dv = sub.add_parser("deriv")
     dv_sub = dv.add_subparsers(dest="action", required=True)
     for name in ("rank", "extend", "hcl"):
-        p = dv_sub.add_parser(name)
+        # no abbreviations: --bound would be read as --boundary
+        p = dv_sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--presentation", required=True)
         if name == "extend":
             p.add_argument("--boundary", default="")
             p.add_argument("--target", default="")
         if name == "hcl":
             p.add_argument("--b", required=True)
-        _common(p)
+        _common(p, "format")
 
     p = sub.add_parser("count")
     p.add_argument("--h", choices=("identity", "expwplog"), default="identity")
@@ -642,11 +650,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="0:")
     p.add_argument("--heights", default="2,10")
     p.add_argument("--eps", default="")
-    _common(p)
+    _common(p, "precision", "format")
 
     p = sub.add_parser("selftest")
     p.add_argument("--criteria", default="")
-    _common(p)
+    _common(p, "seed")
     return ap
 
 

@@ -103,14 +103,12 @@ def _reduce_numeric(tau: ComplexBox, strict: bool):
         if ri_hi(n) < 1:
             tau = -(ComplexBox(1) / tau)
             m = mat_mul(INVERT, m)
-        elif ri_lo(n) >= 1:
-            return tau, m, True
+        elif ri_lo(n) >= 1 or not strict:
+            return tau, m
         else:
-            if strict:
-                raise PrecisionExhausted(
-                    "tau enclosure straddles the |tau| = 1 boundary"
-                )
-            return tau, m, False
+            raise PrecisionExhausted(
+                "tau enclosure straddles the |tau| = 1 boundary"
+            )
     raise PrecisionExhausted("Gauss reduction did not terminate")
 
 
@@ -203,7 +201,7 @@ def make_lattice(w1: ExactComplex, w2: ExactComplex) -> Lattice:
             raise DegenerateLattice(
                 "cannot certify R-linear independence at this radius"
             )
-        tau, red, _ = _reduce_numeric(tau0, strict=False)
+        tau, red = _reduce_numeric(tau0, strict=False)
         m = mat_mul(red, m)
     (a, b), (c, d) = m
     new_w1 = w2 * c + w1 * d
@@ -211,20 +209,16 @@ def make_lattice(w1: ExactComplex, w2: ExactComplex) -> Lattice:
     return Lattice(new_w1, new_w2, tau, m)
 
 
-def reduce_tau(lattice_or_tau, strict: bool = True):
+def reduce_tau(tau: ExactComplex, strict: bool = True):
     """Gauss-reduce a period ratio.  Returns (tau_reduced, unimodular) with
-    the matrix acting by fractional-linear maps.  Accepts a Lattice (whose
-    tau is reduced at construction, so the matrix is then the identity for
-    exact lattices) or a raw tau."""
-    tau = lattice_or_tau.tau if isinstance(lattice_or_tau, Lattice) else lattice_or_tau
+    the matrix acting by fractional-linear maps."""
     if isinstance(tau, QuadNum):
         if tau.q <= 0:
             raise DegenerateLattice("tau must have positive imaginary part")
         return _reduce_exact(tau)
     if not ri_lo(tau.im) > 0:
         raise DegenerateLattice("cannot certify Im(tau) > 0")
-    red, m, certified = _reduce_numeric(tau, strict=strict)
-    return red, m
+    return _reduce_numeric(tau, strict=strict)
 
 
 def conjugate(lattice: Lattice) -> Lattice:
@@ -325,7 +319,7 @@ def _alpha_for(l1: Lattice, l2: Lattice, m):
     """Scalar with alpha * Lambda(l2) subset Lambda(l1) for tau2 = m.tau1:
     alpha = omega1(l1) * (c*tau1 + d) / omega1(l2)."""
     (_, _), (c, d) = m
-    if l1.exact and l2.exact and isinstance(l1.tau, QuadNum):
+    if l1.exact and l2.exact:
         return l1.omega1 * (l1.tau * c + d) / l2.omega1
     return l1.omega1_box() * (l1.tau_box() * c + d) / l2.omega1_box()
 

@@ -13,10 +13,16 @@ per-component radius in ulps that every product bounds by the rectangle rule
 plus its own rounding, so the running error bound is exact integer
 arithmetic.  The geometric tail bound is folded into the radius and the sums
 leave the kernel as outward-rounded rectangles; everything after them is
-rectangle interval arithmetic.  The quotients stay certified close to the
-lattice, wherever the enclosure of theta1(v) excludes zero, so exp_E uses
-them at every point off the lattice; nearer than that the working precision
-is too low, and raising it recovers the point.
+rectangle interval arithmetic.
+
+Every evaluation first translates its argument into the centered cell.  An
+exact argument of an exact lattice is reduced exactly, so a lattice point is
+recognized as one and any other point is boxed only once it is reduced; near
+the lattice its theta sums run with the bits it lies below 2^-16 added, so the
+quotients stay certified however near it lies.  A boxed argument is reduced
+in interval arithmetic at the working precision; close to the lattice the
+enclosure of theta1(v) may fail to exclude zero, and raising the precision
+recovers the point.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
 
 from mpmath import iv, mp, mpf
 from mpmath.libmp import (
@@ -324,14 +329,22 @@ def _theta_sums(q4: ComplexBox, w: ComplexBox):
 
 
 def invariants(lattice: Lattice, precision: int = 128) -> EllipticModel:
-    """Certified g2, g3 of the lattice from the theta constants.  The
+    """Certified g2, g3 of the lattice from the theta constants t2, t3, t4,
+    and the factors of the wp quotient that wp, wp' and exp_E use.  The
     relative error radius meets 2^(-precision+8); the discriminant
-    16 (pi/omega1)^12 (theta2 theta3 theta4)^8 is certified nonzero."""
+    16 (pi/omega1)^12 (t2 t3 t4)^8 is certified nonzero."""
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
     with working_precision(precision):
-        m, (p2, p3, p4) = _theta_model(lattice, None, None, precision)
-        s = m._pi_w1
+        tau = lattice.tau_box()
+        w1 = lattice.omega1_box()
+        q4 = exp_2pi_i(tau * Fraction(1, 8))
+        _, t2, t3, t4 = _theta_sums(q4, ComplexBox(1))
+        p2, p3, p4 = (t.pow_int(4) for t in (t2, t3, t4))
+        t23 = t2 * t3
+        t234 = t23 * t4
+        t234_sq = t234 * t234
+        s = ComplexBox(iv.pi) / w1
         s2 = s * s
         s4 = s2 * s2
         g2 = s4 * (p2 * p2 + p3 * p3 + p4 * p4) * Fraction(2, 3)
@@ -343,103 +356,84 @@ def invariants(lattice: Lattice, precision: int = 128) -> EllipticModel:
                 raise PrecisionExhausted(
                     f"invariant radius exceeds target: {name} radius "
                     f"{mp.nstr(rad, 5)}, needed {mp.nstr(tol, 5)}")
-        disc = 16 * (s4 * s2).pow_int(2) * m._t234_sq.pow_int(4)
+        disc = 16 * (s4 * s2).pow_int(2) * t234_sq.pow_int(4)
         if disc.contains_zero():
             raise PrecisionExhausted(
                 f"discriminant not certified nonzero: radius "
                 f"{mp.nstr(disc.rad(), 5)}, needed below |midpoint| "
                 f"{mp.nstr(abs(disc.mid()), 5)}")
-        return replace(m, g2=g2, g3=g3)
+        return EllipticModel(lattice, g2, g3, precision, tau, w1, q4, s, t23,
+                             t234_sq, (p2 + p3) * Fraction(1, 3))
 
 
 def model_with(lattice: Lattice, g2: ComplexBox, g3: ComplexBox,
                precision: int) -> EllipticModel:
-    """Model with caller-supplied invariants (negative-control harnesses),
-    holding the theta-constant factors that wp, wp' and exp_E use."""
-    return _theta_model(lattice, g2, g3, precision)[0]
-
-
-def _theta_model(lattice, g2, g3, precision):
-    """The model and the fourth powers t2^4, t3^4, t4^4 of the theta
-    constants, which invariants() builds g2 and g3 from."""
-    with working_precision(precision):
-        tau = lattice.tau_box()
-        w1 = lattice.omega1_box()
-        q4 = exp_2pi_i(tau * Fraction(1, 8))
-        _, t2, t3, t4 = _theta_sums(q4, ComplexBox(1))
-        p2, p3, p4 = (t.pow_int(4) for t in (t2, t3, t4))
-        t23 = t2 * t3
-        t234 = t23 * t4
-        m = EllipticModel(lattice, g2, g3, precision, tau, w1, q4,
-                          ComplexBox(iv.pi) / w1, t23, t234 * t234,
-                          (p2 + p3) * Fraction(1, 3))
-        return m, (p2, p3, p4)
+    """Model with caller-supplied invariants (negative-control harnesses)."""
+    return replace(invariants(lattice, precision), g2=g2, g3=g3)
 
 
 # -- argument reduction ------------------------------------------------------
 
-def _lattice_coords(m: EllipticModel, z: ComplexBox):
-    """Coordinates (x, y) with z = (x + y*tau) * omega1, as intervals."""
-    t = z / m._omega1
+def _bits_below(t: ComplexBox) -> int:
+    """The bits by which both components of t fall below 2^-16 (0 unless
+    both do), read off the exponents of the raw endpoints: a nonzero
+    man 2^exp of bc bits is below 2^(exp+bc)."""
+    top = max(x[2] + x[3] for v in (t.re._mpi_, t.im._mpi_) for x in v if x[1])
+    return max(0, -16 - top)
+
+
+def _reduce_argument(m: EllipticModel, z):
+    """z/omega1 translated by a lattice vector into the centered cell, as a
+    box t_red, and the precision of the theta sums at it.  An exact argument
+    of an exact lattice is reduced exactly (a lattice point raises
+    PoleAtLatticePoint) and boxed only then, its sums gaining the bits it
+    lies below 2^-16, which keep theta1(v) ~ v tight; a boxed one is reduced
+    in interval arithmetic and raises UndecidablePoleProximity when it
+    overlaps a lattice point."""
+    lat = m.lattice
+    if lat.exact and (isinstance(z, (int, Fraction)) or isinstance(z, QuadNum)
+                      and (z.q == 0 or z.d == lat.tau.d)):
+        tau = lat.tau
+        t = z / lat.omega1
+        y = t.q / tau.q
+        x = t.p - y * tau.p
+        x, y = x - round(x), y - round(y)
+        if not x and not y:
+            raise PoleAtLatticePoint("argument lies on the lattice")
+        t = tau * y + x
+        t_red = quadnum_box(t)
+        prec = m.precision + _bits_below(t_red)
+        if prec > m.precision:
+            with working_precision(prec):
+                t_red = quadnum_box(t)
+        return t_red, prec
+    t = _as_box(z) / m._omega1
     y = t.im / m._tau.im
     x = t.re - y * m._tau.re
-    return x, y
-
-
-def _exact_pole(lattice: Lattice, z) -> Optional[bool]:
-    """True if an exact argument is exactly a lattice point, False if the
-    exactness test applies and rules it out, None when not applicable."""
-    if not lattice.exact:
-        return None
-    if isinstance(z, (int, Fraction)):
-        z = QuadNum.rational(z, lattice.tau.d)
-    if not isinstance(z, QuadNum):
-        return None
-    try:
-        t = z / lattice.omega1
-    except ValueError:
-        return None
-    tau = lattice.tau
-    y = t.q / tau.q
-    x = t.p - y * tau.p
-    return x.denominator == 1 and y.denominator == 1
-
-
-def _reduce_argument(m: EllipticModel, z_raw):
-    """Translate z by a lattice vector into the centered cell; returns the
-    reduced lattice coordinates (intervals) and the reduced z/omega1."""
-    z = _as_box(z_raw)
-    x, y = _lattice_coords(m, z)
-    nx = int(mp.nint(mp.mpf(x.mid)))
-    ny = int(mp.nint(mp.mpf(y.mid)))
-    xr = x - nx
-    yr = y - ny
-    t_red = ComplexBox(xr) + ComplexBox(yr) * m._tau
-    on_pole = ri_lo(xr) <= 0 <= ri_hi(xr) and ri_lo(yr) <= 0 <= ri_hi(yr)
-    if on_pole:
-        exact = _exact_pole(m.lattice, z_raw)
-        if exact:
-            raise PoleAtLatticePoint("argument lies on the lattice")
-        if exact is None or not _as_box(z_raw).is_exact():
-            raise UndecidablePoleProximity(
-                "argument enclosure overlaps a lattice point"
-            )
-        # exact argument certified off the lattice but enclosure touches it
+    x = x - int(mp.nint(mp.mpf(x.mid)))
+    y = y - int(mp.nint(mp.mpf(y.mid)))
+    if ri_lo(x) <= 0 <= ri_hi(x) and ri_lo(y) <= 0 <= ri_hi(y):
         raise UndecidablePoleProximity(
-            "exact argument too close to a lattice point at this precision"
-        )
-    return xr, yr, t_red
+            "argument enclosure overlaps a lattice point")
+    return ComplexBox(x) + ComplexBox(y) * m._tau, m.precision
 
 
 # -- wp and wp' --------------------------------------------------------------
 
-def _wp_theta(m: EllipticModel, t_red: ComplexBox, want_prime: bool):
-    """wp (and optionally wp') at reduced argument t_red = z/omega1:
+def _wp_theta(m: EllipticModel, t_red: ComplexBox, prec: int,
+              want_prime: bool):
+    """wp (and optionally wp') at reduced argument t_red = z/omega1, with
+    the theta sums at precision prec:
     wp  = s^2 ((t2 t3 theta4(v) / theta1(v))^2 - (t2^4 + t3^4)/3),
     wp' = -2 s^3 (t2 t3 t4)^2 theta2(v) theta3(v) theta4(v) / theta1(v)^3,
     with s = pi/omega1, v = pi*t_red and t2, t3, t4 the theta constants."""
-    w = exp_2pi_i(t_red * Fraction(1, 2))
-    th1, th2, th3, th4 = _theta_sums(m._q4, w)
+    if prec == m.precision:
+        th1, th2, th3, th4 = _theta_sums(m._q4, exp_2pi_i(t_red * Fraction(1, 2)))
+    else:
+        with working_precision(prec):
+            th1, th2, th3, th4 = _theta_sums(
+                exp_2pi_i(m.lattice.tau_box() * Fraction(1, 8)),
+                exp_2pi_i(t_red * Fraction(1, 2)))
     s = m._pi_w1
     r = th1.inv()
     g = th4 * r
@@ -456,37 +450,34 @@ def wp(m: EllipticModel, z) -> ComplexBox:
     """Certified enclosure of the wp-function at z (reduced modulo the
     lattice first)."""
     with working_precision(m.precision):
-        _, _, t_red = _reduce_argument(m, z)
-        val, _ = _wp_theta(m, t_red, want_prime=False)
-        return val
+        t_red, prec = _reduce_argument(m, z)
+        return _wp_theta(m, t_red, prec, want_prime=False)[0]
 
 
 def wp_prime(m: EllipticModel, z) -> ComplexBox:
     with working_precision(m.precision):
-        _, _, t_red = _reduce_argument(m, z)
-        _, val = _wp_theta(m, t_red, want_prime=True)
-        return val
+        t_red, prec = _reduce_argument(m, z)
+        return _wp_theta(m, t_red, prec, want_prime=True)[1]
 
 
 # -- exp_E -------------------------------------------------------------------
 
-def _exp_direct(m: EllipticModel, t_red: ComplexBox) -> CurvePoint:
-    p, pp = _wp_theta(m, t_red, want_prime=True)
-    return CurvePoint(p, pp, ComplexBox(1))
-
-
 def exp_E(m: EllipticModel, z) -> CurvePoint:
-    """Covering map z -> [wp(z) : wp'(z) : 1], with [0:1:0] at certified
-    lattice points.  Near a pole the theta quotient holds as long as
-    theta1(v) is certified nonzero; otherwise PrecisionExhausted (or
-    UndecidablePoleProximity when z overlaps the lattice) asks for more
-    precision."""
+    """Covering map z -> [wp(z) : wp'(z) : 1], with [0:1:0] at lattice
+    points.  An exact argument is reduced exactly: a lattice point maps to
+    [0:1:0] and any other point to the theta quotient, whose sums gain the
+    bits that keep theta1(v) certified nonzero however near the lattice the
+    point lies.  A boxed argument keeps the model's precision: near a pole
+    theta1(v) may fail to exclude zero (PrecisionExhausted), or the box may
+    overlap the lattice (UndecidablePoleProximity); raising the precision
+    recovers the point."""
     with working_precision(m.precision):
         try:
-            _, _, t_red = _reduce_argument(m, z)
+            t_red, prec = _reduce_argument(m, z)
         except PoleAtLatticePoint:
             return identity_point()
-        return _exp_direct(m, t_red)
+        p, pp = _wp_theta(m, t_red, prec, want_prime=True)
+        return CurvePoint(p, pp, ComplexBox(1))
 
 
 # -- group law ---------------------------------------------------------------
@@ -581,8 +572,8 @@ def point_defect(m: EllipticModel, p: CurvePoint, q: CurvePoint) -> mpf:
 def ode_residual(m: EllipticModel, z) -> Residual:
     """|wp'(z)^2 - 4 wp(z)^3 + g2 wp(z) + g3|, certified."""
     with working_precision(m.precision):
-        _, _, t_red = _reduce_argument(m, z)
-        p, pp = _wp_theta(m, t_red, want_prime=True)
+        t_red, prec = _reduce_argument(m, z)
+        p, pp = _wp_theta(m, t_red, prec, want_prime=True)
         defect = pp * pp - (4 * p.pow_int(3) - m.g2 * p - m.g3)
         return Residual(defect.abs_hi(), "ode")
 
@@ -628,26 +619,16 @@ def addition_residual(m: EllipticModel, z1, z2) -> Residual:
 
 
 def isogeny_residual(m: EllipticModel, l2: Lattice, alpha, z) -> Residual:
-    """Well-definedness of the isogeny induced by a scalar alpha with
-    alpha*Lambda(l2) inside the model's lattice: the map w -> exp_E(c*w) must
-    be Lambda(l2)-periodic for c = alpha; the inverse convention c = 1/alpha
-    is tried as well and the certified direction is reported in the tag."""
+    """Well-definedness of the isogeny induced by the scalar alpha with
+    alpha*Lambda(l2) inside the model's lattice, the direction is_isogenous
+    certifies: w -> exp_E(alpha*w) must be Lambda(l2)-periodic.  A sample
+    the model cannot evaluate raises its PrecisionError."""
     with working_precision(m.precision):
         a = _as_box(alpha)
         zb = _as_box(z)
         w1, w2 = l2.omega1_box(), l2.omega2_box()
-        results = []
-        for tag, c in (("isogeny:alpha", a), ("isogeny:alpha_inverse",
-                                              ComplexBox(1) / a)):
-            try:
-                base = exp_E(m, c * zb)
-                worst = mpf(0)
-                for lam in (w1, w2, w1 + w2):
-                    shifted = exp_E(m, c * (zb + lam))
-                    worst = max(worst, point_defect(m, base, shifted))
-                results.append(Residual(worst, tag))
-            except (PrecisionExhausted, UndecidablePoleProximity):
-                continue
-        if not results:
-            raise PrecisionExhausted("neither alpha direction certified")
-        return min(results, key=lambda r: r.value)
+        base = exp_E(m, a * zb)
+        worst = mpf(0)
+        for lam in (w1, w2, w1 + w2):
+            worst = max(worst, point_defect(m, base, exp_E(m, a * (zb + lam))))
+        return Residual(worst, "isogeny:alpha")

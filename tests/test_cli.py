@@ -1,5 +1,6 @@
 """CLI surface: parsing, exit-code conventions, record output, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from wplab import serialize
 from wplab.cintervals import ComplexBox
-from wplab.cli import CliError, parse_value, run
+from wplab.cli import CliError, build_parser, parse_value, run
 from wplab.differentials import GENERIC, FieldPresentation
 from wplab.predim_engine import Configuration, FunctionSlot, GroupPoint
 from wplab.quadfield import QuadNum
@@ -196,3 +197,52 @@ def test_rational_tau_is_certified_degenerate():
     assert (code, out, err) == (
         2, "", "error: tau must have positive imaginary part\n")
 
+
+COMMON = {"--precision", "--bound", "--seed", "--format"}
+PF = {"--precision", "--format"}
+PBF = {"--precision", "--bound", "--format"}
+READ = {
+    ("lattice", "normalize"): PF, ("lattice", "reduce"): PF,
+    ("lattice", "cm"): PBF, ("lattice", "isogenous"): PBF,
+    ("lattice", "isr"): PBF,
+    ("wp", "invariants"): PF, ("wp", "eval"): PF, ("wp", "verify"): COMMON,
+    **{("predim", a): {"--format"} for a in (
+        "report", "strong", "hull", "dim", "chain", "lemma7", "certificate")},
+    **{("deriv", a): {"--format"} for a in ("rank", "extend", "hcl")},
+    ("count",): PF,
+    ("selftest",): {"--seed"},
+}
+
+
+def _leaves(parser, path=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaves(child, path + (name,))
+
+
+def test_each_subcommand_takes_only_the_common_options_it_reads():
+    leaves = dict(_leaves(build_parser()))
+    assert set(leaves) == set(READ)
+    for path, parser in leaves.items():
+        options = {s for a in parser._actions for s in a.option_strings}
+        assert options & COMMON == READ[path], path
+    assert sum(len(v) for v in READ.values()) == 34
+
+
+@pytest.mark.parametrize("argv", [
+    ["predim", "hull", "--config", "cfg.json", "--precision", "128"],
+    ["deriv", "rank", "--presentation", "pres.json", "--seed", "1"],
+    # not an abbreviation of --boundary
+    ["deriv", "extend", "--presentation", "pres.json", "--bound", "5"],
+    ["selftest", "--format", "record"],
+    ["count", "--bound", "5"],
+    ["wp", "eval", "--tau", "i", "--z", "1/3", "--seed", "1"],
+    ["lattice", "cm", "--tau", "i", "--seed", "1"],
+])
+def test_unread_common_options_exit_2(argv, capsys):
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -9,8 +9,9 @@ theta series with certified tails.  Three oracles check it:
   g2, g3 and the Lambert-type series for wp, wp'), kept here verbatim so
   that every theta enclosure can be checked to overlap its enclosure.
 The anchored group-law route exp_E used to take near the lattice is kept
-verbatim as well: wherever it answers, the theta quotient must answer with a
-box inside the same neighbourhood and no wider.  So are the interval theta
+verbatim as well, with the boxed argument reduction it ran on: wherever it
+answers, the theta quotient must answer with a box inside the same
+neighbourhood and no wider.  So are the interval theta
 sums the fixed-point kernel replaced: every kernel box must overlap theirs,
 be no wider and hold mpmath's jtheta value.
 """
@@ -39,6 +40,7 @@ from wplab.cintervals import (
     exp_2pi_i,
     ri,
     ri_hi,
+    ri_lo,
     working_precision,
 )
 from wplab.cli import lattice_from_tau, parse_value, run
@@ -50,16 +52,15 @@ from wplab.errors import (
     UndecidablePoleProximity,
     WplabError,
 )
-from wplab.lattice_core import make_lattice
+from wplab.lattice_core import is_isogenous, make_lattice
 from wplab.quadfield import QuadNum
 from wplab import wp_numerics
 from wplab.wp_numerics import (
     SERIES_CAP,
-    _exact_pole,
-    _exp_direct,
-    _lattice_coords,
+    CurvePoint,
     _reduce_argument,
     _theta_sums,
+    _wp_theta,
     addition_residual,
     curve_add,
     curve_neg,
@@ -67,6 +68,7 @@ from wplab.wp_numerics import (
     exp_E,
     identity_point,
     invariants,
+    isogeny_residual,
     model_with,
     ode_residual,
     on_curve_defect,
@@ -196,6 +198,46 @@ def test_exp_E_auto_near_pole(model):
         z = ComplexBox.from_fractions(Fraction(1, 2 ** 40), Fraction(1, 2 ** 40))
         p = exp_E(model, z)
         assert on_curve_defect(model, p) <= mp.ldexp(1, -80)
+
+
+def _same_endpoints(a: ComplexBox, b: ComplexBox) -> bool:
+    return a.re._mpi_ == b.re._mpi_ and a.im._mpi_ == b.im._mpi_
+
+
+def test_exact_argument_is_reduced_exactly():
+    """A lattice vector added to an exact argument changes no endpoint of
+    wp, wp' or exp_E: only the exactly reduced value is boxed."""
+    w1 = QuadNum.rational(Fraction(3, 2), -1)
+    tau = QuadNum(Fraction(1, 4), Fraction(3, 2), -1)
+    m = invariants(make_lattice(w1, w1 * tau), 128)
+    z = (Fraction(3, 7) + Fraction(2, 5) * tau) * w1
+    for n1, n2 in ((5, -3), (-40, 17), (1000, 1)):
+        shifted = z + (n1 + n2 * tau) * w1
+        assert _same_endpoints(wp(m, shifted), wp(m, z))
+        assert _same_endpoints(wp_prime(m, shifted), wp_prime(m, z))
+        p, q = exp_E(m, shifted), exp_E(m, z)
+        assert _same_endpoints(p.X, q.X) and _same_endpoints(p.Y, q.Y)
+    assert exp_E(m, (7 - 3 * tau) * w1).is_identity()
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_exact_points_next_to_the_lattice_answer(bits):
+    """z = (1 - 2i) 10^-158 + omega1 + 2 omega2: the theta sums run with the
+    bits t_red lies below 2^-16 added, so exp_E holds wp = z^-2 + O(z^2) and
+    wp' = -2 z^-3 + O(z) to nearly the working precision."""
+    w1 = QuadNum.rational(Fraction(3, 2), -1)
+    tau = QuadNum(Fraction(1, 4), Fraction(3, 2), -1)
+    m = invariants(make_lattice(w1, w1 * tau), bits)
+    offset = QuadNum(Fraction(1, 10 ** 158), Fraction(-2, 10 ** 158), -1)
+    p = exp_E(m, offset + (1 + 2 * tau) * w1)
+    assert _is_affine(p)
+    with mp.workprec(4 * bits):
+        v = _mpc(offset)
+        refs = (v ** -2, -2 * v ** -3)
+        slack = mp.mpf(10) ** -300  # bounds the O(z^2) and O(z) terms
+        for box, ref in zip((p.X, p.Y), refs):
+            assert _box_holds(box.widened(slack), ref)
+            assert box.rad() <= mp.ldexp(abs(ref), -(bits - 8))
 
 
 def test_two_torsion_doubling(model):
@@ -442,7 +484,7 @@ def test_theta_layer_inside_q_series_and_jtheta(bits, re_tau, im_tau, x, y):
     z = QuadNum.rational(Fraction(x, 1024), -1) \
         + QuadNum.rational(Fraction(y, 1024), -1) * tau
     with working_precision(bits):
-        _, _, t_red = _reduce_argument(m, z)
+        t_red, _ = _reduce_argument(m, z)
         old = _wp_series(oracle, t_red, want_prime=True)
     with mp.workprec(2 * bits):
         ref = theta_wp(_mpc(tau), _mpc(z), 2 * bits)
@@ -672,9 +714,57 @@ def test_invariant_precision_failure_states_radii():
 
 
 # -- the anchored near-pole path exp_E used to take, kept as an oracle -------
+# with the argument reduction it ran on: boxed lattice coordinates, and an
+# exactness test only to settle a pole the boxes could not decide
 
 class _NoSafeAnchor(WplabError):
     """No anchor/n pair placed both points in the safe region."""
+
+
+def _lattice_coords(m, z: ComplexBox):
+    """Coordinates (x, y) with z = (x + y*tau) * omega1, as intervals."""
+    t = z / m._omega1
+    y = t.im / m._tau.im
+    x = t.re - y * m._tau.re
+    return x, y
+
+
+def _exact_pole(lattice, z):
+    """True if an exact argument is exactly a lattice point, False if the
+    exactness test applies and rules it out, None when not applicable."""
+    if not lattice.exact:
+        return None
+    if isinstance(z, (int, Fraction)):
+        z = QuadNum.rational(z, lattice.tau.d)
+    if not isinstance(z, QuadNum):
+        return None
+    try:
+        t = z / lattice.omega1
+    except ValueError:
+        return None
+    tau = lattice.tau
+    y = t.q / tau.q
+    x = t.p - y * tau.p
+    return x.denominator == 1 and y.denominator == 1
+
+
+def _boxed_reduction(m, z_raw):
+    """The reduced box t_red = z/omega1, reduced in interval arithmetic."""
+    z = wp_numerics._as_box(z_raw)
+    x, y = _lattice_coords(m, z)
+    xr = x - int(mp.nint(mp.mpf(x.mid)))
+    yr = y - int(mp.nint(mp.mpf(y.mid)))
+    if ri_lo(xr) <= 0 <= ri_hi(xr) and ri_lo(yr) <= 0 <= ri_hi(yr):
+        if _exact_pole(m.lattice, z_raw):
+            raise PoleAtLatticePoint("argument lies on the lattice")
+        raise UndecidablePoleProximity("argument enclosure overlaps a lattice point")
+    return ComplexBox(xr) + ComplexBox(yr) * m._tau
+
+
+def _exp_direct(m, t_red: ComplexBox):
+    """The theta quotient at a reduced box, at the model's precision."""
+    p, pp = _wp_theta(m, t_red, m.precision, want_prime=True)
+    return CurvePoint(p, pp, ComplexBox(1))
 
 
 def _cell_diameter_hi(m) -> mpf:
@@ -717,7 +807,7 @@ def anchored_exp_E(m, z):
         if _exact_pole(m.lattice, z):
             return identity_point()
         try:
-            xr, yr, t_red = _reduce_argument(m, z)
+            t_red = _boxed_reduction(m, z)
         except PoleAtLatticePoint:
             return identity_point()
         margin = _cell_diameter_hi(m) / 4
@@ -792,6 +882,8 @@ def _check_near_pole(m, z: QuadNum, offset: QuadNum, old, bits: int):
        a=st.integers(-3, 3), b=st.integers(-3, 3), e=st.integers(1, 60),
        shift=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
 @example(re_tau=0, im_tau=64, scale=Fraction(1), a=0, b=-1, e=48, shift=(0, 0))
+@example(re_tau=0, im_tau=64, scale=Fraction(1), a=0, b=-1, e=48, shift=(0, 1))
+@example(re_tau=0, im_tau=64, scale=Fraction(1), a=0, b=-1, e=49, shift=(0, 0))
 def test_exp_E_near_pole_against_anchored_path(bits, re_tau, im_tau, scale,
                                                a, b, e, shift):
     """Im tau from 1 to 30 and z = ((a + b i) 10^-e + n1 + n2 tau) omega1:
@@ -825,3 +917,32 @@ def test_exp_E_answers_where_the_anchored_path_gave_up():
     with working_precision(128):
         for box in (p.X, p.Y):
             assert box.rad() <= mp.ldexp(box.abs_hi(), -50)
+
+
+# -- isogeny residual ---------------------------------------------------------
+
+def test_isogeny_residual_checks_the_certified_direction_only(monkeypatch):
+    """alpha = 2 maps Lambda(1/2, i/2) into Lambda(1, i).  The residual is
+    tagged isogeny:alpha and costs 4 exp_E per sample; at z = 1/2, where
+    alpha*z is a lattice point the box cannot decide, it raises rather than
+    trying 1/alpha."""
+    l1 = make_lattice(QuadNum(1, 0, -1), QuadNum(0, 1, -1))
+    l2 = make_lattice(QuadNum(Fraction(1, 2), 0, -1),
+                      QuadNum(0, Fraction(1, 2), -1))
+    m = invariants(l1, 128)
+    v = is_isogenous(l1, l2)
+    assert v.alpha == 2
+    calls = []
+    real_exp_E = wp_numerics.exp_E
+
+    def counted(m, z):
+        calls.append(z)
+        return real_exp_E(m, z)
+
+    monkeypatch.setattr(wp_numerics, "exp_E", counted)
+    r = isogeny_residual(m, l2, v.alpha, 0.31 + 0.17j)
+    assert r.identity_tag == "isogeny:alpha"
+    assert r.value <= mp.ldexp(1, -100)
+    assert len(calls) == 4
+    with pytest.raises(UndecidablePoleProximity):
+        isogeny_residual(m, l2, v.alpha, 0.5 + 0j)
