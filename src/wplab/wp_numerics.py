@@ -17,12 +17,12 @@ rectangle interval arithmetic.
 
 Every evaluation first translates its argument into the centered cell.  An
 exact argument of an exact lattice is reduced exactly, so a lattice point is
-recognized as one and any other point is boxed only once it is reduced; near
-the lattice its theta sums run with the bits it lies below 2^-16 added, so the
-quotients stay certified however near it lies.  A boxed argument is reduced
-in interval arithmetic at the working precision; close to the lattice the
-enclosure of theta1(v) may fail to exclude zero, and raising the precision
-recovers the point.
+recognized as one and any other point is boxed only once it is reduced; a
+boxed argument is reduced in interval arithmetic.  Near the lattice the theta
+sums of either run with the bits the reduced argument lies below 2^-16 added,
+so the quotients stay certified however near it lies.  The group law works
+on the points exp_E builds, the identity [0 : 1 : 0] and affine points with
+Z exactly 1, and divides by no Z.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from mpmath.libmp import (
 
 from .cintervals import (
     ComplexBox,
+    _EXACT_ZERO,
     _box,
     exp_2pi_i,
     quadnum_box,
@@ -103,20 +104,20 @@ class EllipticModel:
     _wp_shift: ComplexBox = field(repr=False, default=None)
 
 
+_EXACT_ONE = (fone, fone)
+
+
 @dataclass(frozen=True)
 class CurvePoint:
-    """Projective point [X : Y : Z] with boxed coordinates."""
+    """Point [X : Y : Z] with boxed coordinates: the identity [0 : 1 : 0]
+    has Z exactly 0, every other point Z exactly 1."""
 
     X: ComplexBox
     Y: ComplexBox
     Z: ComplexBox
 
     def is_identity(self) -> bool:
-        z = self.Z
-        return z.is_exact() and ri_lo(z.re) == 0 and ri_lo(z.im) == 0
-
-    def affine(self):
-        return self.X / self.Z, self.Y / self.Z
+        return self.Z.re._mpi_ == _EXACT_ZERO and self.Z.im._mpi_ == _EXACT_ZERO
 
 
 def identity_point() -> CurvePoint:
@@ -132,12 +133,7 @@ class Residual:
 
 
 def _box_eq(a: ComplexBox, b: ComplexBox) -> bool:
-    return (
-        ri_lo(a.re) == ri_lo(b.re)
-        and ri_hi(a.re) == ri_hi(b.re)
-        and ri_lo(a.im) == ri_lo(b.im)
-        and ri_hi(a.im) == ri_hi(b.im)
-    )
+    return a.re._mpi_ == b.re._mpi_ and a.im._mpi_ == b.im._mpi_
 
 
 # -- Jacobi theta series ------------------------------------------------------
@@ -382,14 +378,12 @@ def _bits_below(t: ComplexBox) -> int:
     return max(0, -16 - top)
 
 
-def _reduce_argument(m: EllipticModel, z):
+def _reduce_argument(m: EllipticModel, z) -> ComplexBox:
     """z/omega1 translated by a lattice vector into the centered cell, as a
-    box t_red, and the precision of the theta sums at it.  An exact argument
-    of an exact lattice is reduced exactly (a lattice point raises
-    PoleAtLatticePoint) and boxed only then, its sums gaining the bits it
-    lies below 2^-16, which keep theta1(v) ~ v tight; a boxed one is reduced
-    in interval arithmetic and raises UndecidablePoleProximity when it
-    overlaps a lattice point."""
+    box t_red.  An exact argument of an exact lattice is reduced exactly (a
+    lattice point raises PoleAtLatticePoint) and boxed only then; a boxed one
+    is reduced in interval arithmetic and raises UndecidablePoleProximity
+    when it overlaps a lattice point."""
     lat = m.lattice
     if lat.exact and (isinstance(z, (int, Fraction)) or isinstance(z, QuadNum)
                       and (z.q == 0 or z.d == lat.tau.d)):
@@ -400,13 +394,7 @@ def _reduce_argument(m: EllipticModel, z):
         x, y = x - round(x), y - round(y)
         if not x and not y:
             raise PoleAtLatticePoint("argument lies on the lattice")
-        t = tau * y + x
-        t_red = quadnum_box(t)
-        prec = m.precision + _bits_below(t_red)
-        if prec > m.precision:
-            with working_precision(prec):
-                t_red = quadnum_box(t)
-        return t_red, prec
+        return quadnum_box(tau * y + x)
     t = _as_box(z) / m._omega1
     y = t.im / m._tau.im
     x = t.re - y * m._tau.re
@@ -415,18 +403,19 @@ def _reduce_argument(m: EllipticModel, z):
     if ri_lo(x) <= 0 <= ri_hi(x) and ri_lo(y) <= 0 <= ri_hi(y):
         raise UndecidablePoleProximity(
             "argument enclosure overlaps a lattice point")
-    return ComplexBox(x) + ComplexBox(y) * m._tau, m.precision
+    return ComplexBox(x) + ComplexBox(y) * m._tau
 
 
 # -- wp and wp' --------------------------------------------------------------
 
-def _wp_theta(m: EllipticModel, t_red: ComplexBox, prec: int,
-              want_prime: bool):
-    """wp (and optionally wp') at reduced argument t_red = z/omega1, with
-    the theta sums at precision prec:
+def _wp_theta(m: EllipticModel, t_red: ComplexBox, want_prime: bool):
+    """wp (and optionally wp') at reduced argument t_red = z/omega1:
     wp  = s^2 ((t2 t3 theta4(v) / theta1(v))^2 - (t2^4 + t3^4)/3),
     wp' = -2 s^3 (t2 t3 t4)^2 theta2(v) theta3(v) theta4(v) / theta1(v)^3,
-    with s = pi/omega1, v = pi*t_red and t2, t3, t4 the theta constants."""
+    with s = pi/omega1, v = pi*t_red and t2, t3, t4 the theta constants.
+    The theta sums gain the bits t_red lies below 2^-16, which keep
+    theta1(v) ~ v tight however near the lattice the argument lies."""
+    prec = m.precision + _bits_below(t_red)
     if prec == m.precision:
         th1, th2, th3, th4 = _theta_sums(m._q4, exp_2pi_i(t_red * Fraction(1, 2)))
     else:
@@ -450,33 +439,30 @@ def wp(m: EllipticModel, z) -> ComplexBox:
     """Certified enclosure of the wp-function at z (reduced modulo the
     lattice first)."""
     with working_precision(m.precision):
-        t_red, prec = _reduce_argument(m, z)
-        return _wp_theta(m, t_red, prec, want_prime=False)[0]
+        return _wp_theta(m, _reduce_argument(m, z), want_prime=False)[0]
 
 
 def wp_prime(m: EllipticModel, z) -> ComplexBox:
     with working_precision(m.precision):
-        t_red, prec = _reduce_argument(m, z)
-        return _wp_theta(m, t_red, prec, want_prime=True)[1]
+        return _wp_theta(m, _reduce_argument(m, z), want_prime=True)[1]
 
 
 # -- exp_E -------------------------------------------------------------------
 
 def exp_E(m: EllipticModel, z) -> CurvePoint:
     """Covering map z -> [wp(z) : wp'(z) : 1], with [0:1:0] at lattice
-    points.  An exact argument is reduced exactly: a lattice point maps to
-    [0:1:0] and any other point to the theta quotient, whose sums gain the
-    bits that keep theta1(v) certified nonzero however near the lattice the
-    point lies.  A boxed argument keeps the model's precision: near a pole
-    theta1(v) may fail to exclude zero (PrecisionExhausted), or the box may
-    overlap the lattice (UndecidablePoleProximity); raising the precision
-    recovers the point."""
+    points.  An exact argument is reduced exactly, so a lattice point maps
+    to [0:1:0]; any other point maps to the theta quotient, whose sums gain
+    the bits that keep theta1(v) certified nonzero however near the lattice
+    the point lies, exact or boxed.  A box that overlaps the lattice raises
+    UndecidablePoleProximity, and one whose theta1(v) enclosure still meets
+    zero PrecisionExhausted; raising the precision recovers the point."""
     with working_precision(m.precision):
         try:
-            t_red, prec = _reduce_argument(m, z)
+            t_red = _reduce_argument(m, z)
         except PoleAtLatticePoint:
             return identity_point()
-        p, pp = _wp_theta(m, t_red, prec, want_prime=True)
+        p, pp = _wp_theta(m, t_red, want_prime=True)
         return CurvePoint(p, pp, ComplexBox(1))
 
 
@@ -486,24 +472,37 @@ def curve_neg(p: CurvePoint) -> CurvePoint:
     return CurvePoint(p.X, -p.Y, p.Z)
 
 
-def _chord_result(m, x1, y1, x2, y2, slope) -> CurvePoint:
+def _chord_result(x1, y1, x2, slope) -> CurvePoint:
     x3 = slope * slope * Fraction(1, 4) - x1 - x2
     y3 = -(slope * (x3 - x1) + y1)
     return CurvePoint(x3, y3, ComplexBox(1))
 
 
+def _is_affine(p: CurvePoint) -> bool:
+    """Whether Z is exactly 1 (False when it is exactly 0); any other Z
+    raises ValueError."""
+    re, im = p.Z.re._mpi_, p.Z.im._mpi_
+    if im == _EXACT_ZERO:
+        if re == _EXACT_ONE:
+            return True
+        if re == _EXACT_ZERO:
+            return False
+    raise ValueError("curve point with Z neither exactly 0 nor exactly 1")
+
+
 def curve_add(m: EllipticModel, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    """Group law on Y^2 Z = 4X^3 - g2 X Z^2 - g3 Z^3.  Equal/opposite operand
+    """Group law on Y^2 Z = 4X^3 - g2 X Z^2 - g3 Z^3, on the identity and
+    affine points (ValueError for any other Z).  Equal/opposite operand
     pairs are recognized structurally (identical or exactly negated boxes);
     an overlap that is neither structural nor certifiably distinct raises
     IndistinguishableBranch rather than guessing the branch."""
+    p_affine, q_affine = _is_affine(p), _is_affine(q)
+    if not p_affine:
+        return q
+    if not q_affine:
+        return p
     with working_precision(m.precision):
-        if p.is_identity():
-            return q
-        if q.is_identity():
-            return p
-        x1, y1 = p.affine()
-        x2, y2 = q.affine()
+        x1, y1, x2, y2 = p.X, p.Y, q.X, q.Y
         same = _box_eq(x1, x2) and _box_eq(y1, y2)
         opposite = _box_eq(x1, x2) and _box_eq(y1, -y2)
         if same:
@@ -514,7 +513,7 @@ def curve_add(m: EllipticModel, p: CurvePoint, q: CurvePoint) -> CurvePoint:
                     "doubling a point whose Y encloses zero"
                 )
             slope = (12 * x1 * x1 - m.g2) / (2 * y1)
-            return _chord_result(m, x1, y1, x1, y1, slope)
+            return _chord_result(x1, y1, x1, slope)
         if opposite:
             return identity_point()
         dx = x2 - x1
@@ -523,7 +522,7 @@ def curve_add(m: EllipticModel, p: CurvePoint, q: CurvePoint) -> CurvePoint:
                 "operands not certifiably distinct in X at this radius"
             )
         slope = (y2 - y1) / dx
-        return _chord_result(m, x1, y1, x2, y2, slope)
+        return _chord_result(x1, y1, x2, slope)
 
 
 def curve_smul(m: EllipticModel, n: int, p: CurvePoint) -> CurvePoint:
@@ -572,8 +571,7 @@ def point_defect(m: EllipticModel, p: CurvePoint, q: CurvePoint) -> mpf:
 def ode_residual(m: EllipticModel, z) -> Residual:
     """|wp'(z)^2 - 4 wp(z)^3 + g2 wp(z) + g3|, certified."""
     with working_precision(m.precision):
-        t_red, prec = _reduce_argument(m, z)
-        p, pp = _wp_theta(m, t_red, prec, want_prime=True)
+        p, pp = _wp_theta(m, _reduce_argument(m, z), want_prime=True)
         defect = pp * pp - (4 * p.pow_int(3) - m.g2 * p - m.g3)
         return Residual(defect.abs_hi(), "ode")
 

@@ -55,6 +55,18 @@ def test_parse_value_numeric_forms():
     with pytest.raises(CliError):
         parse_value("i+1", 64)
 
+    def decimal(text):
+        box = parse_value(text, 64)
+        assert isinstance(box, ComplexBox)
+        return box
+
+    # an exponent reads as in a plain real value
+    for text, value in (("1e-20+0i", 1e-20), ("2.5e3-1e-2i", 2500 - 0.01j),
+                        ("1e-2i", 0.01j), ("3E-4-2E2i", 0.0003 - 200j)):
+        assert complex(decimal(text).mid()) == pytest.approx(value, rel=1e-15)
+    a, b = decimal("1e-20+0i"), decimal("0.00000000000000000001+0i")
+    assert a.re._mpi_ == b.re._mpi_ and a.im._mpi_ == b.im._mpi_
+
 
 def test_exit_codes():
     code, _, _ = invoke("lattice", "isogenous", "--tau1", "0+1i:-1",

@@ -13,7 +13,9 @@ verbatim as well, with the boxed argument reduction it ran on: wherever it
 answers, the theta quotient must answer with a box inside the same
 neighbourhood and no wider.  So are the interval theta
 sums the fixed-point kernel replaced: every kernel box must overlap theirs,
-be no wider and hold mpmath's jtheta value.
+be no wider and hold mpmath's jtheta value.  And so is the group law that
+divided X and Y by Z: on exp_E points the affine one must give its boxes
+endpoint for endpoint.
 """
 
 import cmath
@@ -238,6 +240,133 @@ def test_exact_points_next_to_the_lattice_answer(bits):
         for box, ref in zip((p.X, p.Y), refs):
             assert _box_holds(box.widened(slack), ref)
             assert box.rad() <= mp.ldexp(abs(ref), -(bits - 8))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_boxed_points_next_to_the_lattice_answer(bits):
+    """At tau = i, the boxed decimal z = (1 + i) 10^-37 gains the theta bits
+    an exact argument gains: wp(z) has a relative radius below 2^-bits and
+    overlaps wp at the exact (1 + i)/10^37."""
+    m = invariants(SQUARE, bits)
+    digits = "0." + "0" * 36 + "1"
+    val = wp(m, parse_value(f"{digits}+{digits}i", bits))
+    exact = wp(m, QuadNum(Fraction(1, 10 ** 37), Fraction(1, 10 ** 37), -1))
+    with working_precision(bits):
+        assert val.rad() <= mp.ldexp(val.abs_lo(), -bits)
+        assert val.overlaps(exact)
+
+
+# -- the group law against the one that divided by Z --------------------------
+
+def _box_eq_oracle(a: ComplexBox, b: ComplexBox) -> bool:
+    return (
+        ri_lo(a.re) == ri_lo(b.re)
+        and ri_hi(a.re) == ri_hi(b.re)
+        and ri_lo(a.im) == ri_lo(b.im)
+        and ri_hi(a.im) == ri_hi(b.im)
+    )
+
+
+def _is_identity_oracle(p) -> bool:
+    z = p.Z
+    return z.is_exact() and ri_lo(z.re) == 0 and ri_lo(z.im) == 0
+
+
+def _chord_oracle(x1, y1, x2, slope):
+    x3 = slope * slope * Fraction(1, 4) - x1 - x2
+    y3 = -(slope * (x3 - x1) + y1)
+    return CurvePoint(x3, y3, ComplexBox(1))
+
+
+def curve_add_oracle(m, p, q):
+    """The group law as it was on projective points: X and Y divided by Z
+    before the chord."""
+    with working_precision(m.precision):
+        if _is_identity_oracle(p):
+            return q
+        if _is_identity_oracle(q):
+            return p
+        x1, y1 = p.X / p.Z, p.Y / p.Z
+        x2, y2 = q.X / q.Z, q.Y / q.Z
+        same = _box_eq_oracle(x1, x2) and _box_eq_oracle(y1, y2)
+        opposite = _box_eq_oracle(x1, x2) and _box_eq_oracle(y1, -y2)
+        if same:
+            if y1.contains_zero():
+                if y1.is_exact():
+                    return identity_point()
+                raise IndistinguishableBranch(
+                    "doubling a point whose Y encloses zero")
+            slope = (12 * x1 * x1 - m.g2) / (2 * y1)
+            return _chord_oracle(x1, y1, x1, slope)
+        if opposite:
+            return identity_point()
+        dx = x2 - x1
+        if dx.contains_zero():
+            raise IndistinguishableBranch(
+                "operands not certifiably distinct in X at this radius")
+        return _chord_oracle(x1, y1, x2, (y2 - y1) / dx)
+
+
+def curve_smul_oracle(m, n, p):
+    if n < 0:
+        return curve_smul_oracle(m, -n, curve_neg(p))
+    acc, addend = identity_point(), p
+    while n:
+        if n & 1:
+            acc = curve_add_oracle(m, acc, addend)
+        n >>= 1
+        if n:
+            addend = curve_add_oracle(m, addend, addend)
+    return acc
+
+
+def _outcome(fn, *args):
+    """The point's endpoint pairs, or the exception's type and message."""
+    try:
+        p = fn(*args)
+    except WplabError as exc:
+        return type(exc), str(exc)
+    return tuple((c.re._mpi_, c.im._mpi_) for c in (p.X, p.Y, p.Z))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_affine_group_law_matches_the_projective_oracle(bits):
+    """On exp_E points (identity, interior, near-pole, 2-torsion, exact and
+    boxed, and their negatives) curve_add and curve_smul give the oracle's
+    boxes endpoint for endpoint, in every pairing: sums, doublings and
+    opposites."""
+    w1 = QuadNum.rational(Fraction(3, 2), -1)
+    tau = QuadNum(Fraction(1, 4), Fraction(3, 2), -1)
+    m = invariants(make_lattice(w1, w1 * tau), bits)
+    digits = "0." + "0" * 29 + "3"
+    args = [
+        0,
+        (Fraction(3, 10) + Fraction(1, 5) * tau) * w1,
+        parse_value("0.31+0.42i", bits),
+        QuadNum(Fraction(1, 10 ** 30), Fraction(-2, 10 ** 30), -1) * w1,
+        parse_value(f"{digits}+{digits}i", bits),
+        w1 * Fraction(1, 2),
+    ]
+    points = [exp_E(m, z) for z in args]
+    points += [curve_neg(p) for p in points]
+    for p in points:
+        for q in points:
+            assert _outcome(curve_add, m, p, q) == _outcome(curve_add_oracle, m, p, q)
+        for n in (-3, 0, 1, 2, 5):
+            assert _outcome(curve_smul, m, n, p) == _outcome(curve_smul_oracle, m, n, p)
+
+
+def test_curve_add_refuses_points_off_the_affine_chart(model):
+    """A point whose Z is neither exactly 0 nor exactly 1 raises ValueError,
+    in either operand and next to the identity too."""
+    p = exp_E(model, Fraction(3, 10))
+    with working_precision(128):
+        scaled = CurvePoint(p.X * 2, p.Y * 2, ComplexBox(2))
+        blurred = CurvePoint(p.X, p.Y, ComplexBox(1).widened(mp.ldexp(1, -100)))
+    for bad in (scaled, blurred):
+        for a, b in ((bad, p), (p, bad), (identity_point(), bad), (bad, identity_point())):
+            with pytest.raises(ValueError):
+                curve_add(model, a, b)
 
 
 def test_two_torsion_doubling(model):
@@ -484,7 +613,7 @@ def test_theta_layer_inside_q_series_and_jtheta(bits, re_tau, im_tau, x, y):
     z = QuadNum.rational(Fraction(x, 1024), -1) \
         + QuadNum.rational(Fraction(y, 1024), -1) * tau
     with working_precision(bits):
-        t_red, _ = _reduce_argument(m, z)
+        t_red = _reduce_argument(m, z)
         old = _wp_series(oracle, t_red, want_prime=True)
     with mp.workprec(2 * bits):
         ref = theta_wp(_mpc(tau), _mpc(z), 2 * bits)
@@ -762,8 +891,10 @@ def _boxed_reduction(m, z_raw):
 
 
 def _exp_direct(m, t_red: ComplexBox):
-    """The theta quotient at a reduced box, at the model's precision."""
-    p, pp = _wp_theta(m, t_red, m.precision, want_prime=True)
+    """The theta quotient at a reduced box; the anchored path only takes it
+    a quarter cell diameter or more from the lattice, above 2^-16, so its
+    sums run at the model's precision."""
+    p, pp = _wp_theta(m, t_red, want_prime=True)
     return CurvePoint(p, pp, ComplexBox(1))
 
 
