@@ -44,7 +44,8 @@ class CliError(WplabError):
 QUAD_RE = re.compile(
     r"^\s*(?:(?P<p>[+-]?\d+(?:/\d+)?)\s*(?=[+-]))?(?P<q>[+-]?(?:\d+(?:/\d+)?)?)i\s*:\s*(?P<d>-\d+)\s*$"
 )
-_NUMBER = r"(?:(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)(?:/\d+)?"
+# a fraction has an integer numerator: '1/2', not '1.5/2' or '1e-2/3'
+_NUMBER = r"(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
 # 'a+bi', 'a-i', 'bi', '-i': a real part is followed by a sign or the end,
 # so '1.5i' is purely imaginary.
 COMPLEX_RE = re.compile(

@@ -13,6 +13,10 @@ delta over extensions, greedy chain decomposition, the semimodularity
 inequalities, and the independence certificate replaying the main
 inequality chain d3 <= min(d1, d2), delta0(A/C) <= d1 + d2 - d3.
 
+Every rank is one fraction-free `_rank` of a column subset of integer rows
+built once per configuration; a CM slot is ranked over Q on the basis
+(1, sqrt(d)), two columns per point, and the rank halved.
+
 Subsets are bitmasks over the coordinate list.  td ranks are memoized per
 coordinate mask and group ranks per set of slot points, so every superset
 query is one scan: `_min_delta` (strong hull = its first minimizer,
@@ -26,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -35,7 +40,7 @@ from .errors import (
     InvalidConfiguration,
     NotStrong,
 )
-from .quadfield import QuadNum, is_squarefree
+from .quadfield import is_squarefree
 
 GROUND_SET_CAP = 20
 
@@ -93,38 +98,35 @@ class Chain:
     steps: tuple
 
 
-# -- exact rank over Q and Q(sqrt(d)) ----------------------------------------
+# -- exact rank over Z -------------------------------------------------------
 
 def _rank(rows) -> int:
-    """Row rank by Gaussian elimination over any exact field whose elements
-    support != 0, 1 / x, * and - (Fraction, QuadNum); rows are copied."""
-    rows = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < cols:
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
+    """Row rank of an integer matrix by fraction-free elimination (Bareiss,
+    Math. Comp. 22, 1968): every division is exact; rows are copied."""
+    rows = [list(r) for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    rank, prev = 0, 1
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pr = rows[rank]
-        inv = 1 / pr[col]
-        for i in range(rank + 1, len(rows)):
-            ri = rows[i]
-            if ri[col] != 0:
-                f = ri[col] * inv
-                for j in range(col, cols):
-                    ri[j] -= f * pr[j]
+        p = pr[col]
+        for ri in rows[rank + 1:]:
+            f = ri[col]
+            for j in range(col + 1, ncols):
+                ri[j] = (p * ri[j] - f * pr[j]) // prev
+        prev = p
         rank += 1
-        col += 1
     return rank
+
+
+def _integer_row(row) -> list:
+    """A rational row times the lcm of its denominators (same row space)."""
+    row = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in row))
+    return [int(x * scale) for x in row]
 
 
 # -- Configuration -----------------------------------------------------------
@@ -152,6 +154,7 @@ class Configuration:
         for row in self.matroid:
             if len(row) != len(self.coordinates):
                 raise InvalidConfiguration("matroid row width != #coordinates")
+        self._matroid_rows = tuple(_integer_row(row) for row in self.matroid)
         self.slots = tuple(slots)
         if [s.index for s in self.slots] != list(range(len(self.slots))):
             raise InvalidConfiguration("slot indices must be 0..n-1 in order")
@@ -189,35 +192,35 @@ class Configuration:
         for c in self.base:
             if c not in self.index:
                 raise InvalidConfiguration(f"base names unknown {c!r}")
+        self._relation_rows = []
         for i, rel in enumerate(self.relations):
-            npts = len(self.points_by_slot[i])
+            d, rows = self.slots[i].d, []
             for row in rel:
-                if len(row) != npts:
+                if len(row) != len(self.points_by_slot[i]):
                     raise InvalidConfiguration(
                         f"slot {i} relation row width != #points"
                     )
-                if sum(1 for x in row if not self._entry_zero(i, x)) < 2:
+                if d is not None and not all(
+                        isinstance(e, (tuple, list)) and len(e) == 2 for e in row):
+                    raise InvalidConfiguration(
+                        f"slot {i} CM relation entry is not an (x, y) pair"
+                    )
+                # x + y sqrt(d) on the columns (1, sqrt(d)): rows (x, d y), (y, x)
+                block = [row] if d is None else [
+                    [v for x, y in row for v in (x, d * Fraction(y))],
+                    [v for x, y in row for v in (y, x)]]
+                block = [_integer_row(r) for r in block]
+                w = len(block)  # columns per point
+                if sum(1 for j in range(len(row)) if any(block[0][j * w:j * w + w])) < 2:
                     raise InvalidConfiguration(
                         f"slot {i} relation row has < 2 nonzero entries"
                     )
-            if rel and self._slot_rank(i, list(rel)) != len(rel):
+                rows += block
+            if _rank(rows) != len(rows):
                 raise InvalidConfiguration(
                     f"slot {i} relation matrix is not of full row rank"
                 )
-
-    def _entry_zero(self, slot_i: int, entry) -> bool:
-        if self.slots[slot_i].kind == "wp_cm":
-            x, y = entry
-            return Fraction(x) == 0 and Fraction(y) == 0
-        return Fraction(entry) == 0
-
-    def _slot_rank(self, slot_i: int, rows) -> int:
-        """Rank over k_i; wp_cm entries (x, y) mean x + y*sqrt(d)."""
-        d = self.slots[slot_i].d
-        if self.slots[slot_i].kind == "wp_cm":
-            return _rank([[QuadNum(Fraction(x), Fraction(y), d) for x, y in row]
-                          for row in rows])
-        return _rank([[Fraction(x) for x in row] for row in rows])
+            self._relation_rows.append(tuple(rows))
 
     # -- subsets as bitmasks --------------------------------------------------
 
@@ -243,11 +246,7 @@ class Configuration:
         if hit is not None:
             return hit
         cols = [i for i in range(len(self.coordinates)) if mask >> i & 1]
-        rows = [[row[i] for i in cols] for row in self.matroid]
-        # rank of the column subset = rank of the transposed row system
-        rank = _rank(
-            [[rows[r][c] for r in range(len(rows))] for c in range(len(cols))]
-        )
+        rank = _rank([[row[i] for i in cols] for row in self._matroid_rows])
         self._td_cache[mask] = rank
         return rank
 
@@ -266,21 +265,20 @@ class Configuration:
         return included
 
     def _points_rank(self, slot_i: int, included: int) -> int:
-        """Rank of relations + unit rows for the points in the `included`
-        bitmask, over the slot's coefficient ring."""
+        """Rank over k_i of the relations plus the unit rows of the points in
+        the `included` bitmask.  The unit rows span their points' columns, so
+        it is |P| + rank(relations on the other points' columns)."""
+        rows = self._relation_rows[slot_i]
+        size = included.bit_count()
+        if not rows:
+            return size
         key = (slot_i, included)
         hit = self._grk_cache.get(key)
         if hit is not None:
             return hit
-        if self.slots[slot_i].kind == "wp_cm":
-            zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
-        else:
-            zero, one = Fraction(0), Fraction(1)
-        npts = len(self.points_by_slot[slot_i])
-        rows = list(self.relations[slot_i]) + [
-            [one if j == pos else zero for j in range(npts)]
-            for pos in range(npts) if included >> pos & 1]
-        rank = self._slot_rank(slot_i, rows)
+        w = len(rows[0]) // len(self.points_by_slot[slot_i])
+        cols = [k for k in range(len(rows[0])) if not included >> k // w & 1]
+        rank = size + _rank([[row[k] for k in cols] for row in rows]) // w
         self._grk_cache[key] = rank
         return rank
 
@@ -390,9 +388,9 @@ def _slot_compatible(cfg, slot_i) -> bool:
     for pair in cfg._point_pairs[slot_i]:
         unions |= {u | pair for u in unions}
     sets = sorted({cfg._points_in(slot_i, u) for u in unions})
-    rank = {p: cfg._points_rank(slot_i, p) for p in sets}
-    return all(rank[p] + rank[q] - cfg._points_rank(slot_i, p | q)
-               == cfg._points_rank(slot_i, p & q)
+    rank = cfg._points_rank
+    return all(rank(slot_i, p) + rank(slot_i, q) - rank(slot_i, p | q)
+               == rank(slot_i, p & q)
                for p, q in combinations(sets, 2))
 
 

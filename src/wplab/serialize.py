@@ -30,6 +30,41 @@ def parse_frac(s) -> Fraction:
     return Fraction(str(s))
 
 
+_MISSING = object()
+_KINDS = {dict: "a JSON object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind, where):
+    """value, checked to be of the JSON kind a record field needs."""
+    if not isinstance(value, kind):
+        raise InvalidConfiguration(f"{where} is not {_KINDS[kind]}")
+    return value
+
+
+def _field(rec, key, where, kind=None, default=_MISSING):
+    """rec[key] of the record named `where`, of JSON kind `kind` when given;
+    `default` when the key is absent and a default is given."""
+    _typed(rec, dict, where)
+    if key not in rec:
+        if default is _MISSING:
+            raise InvalidConfiguration(f"{where} has no {key!r} field")
+        return default
+    value = rec[key]
+    return value if kind is None else _typed(value, kind, f"{where}.{key}")
+
+
+def _int(value, where) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InvalidConfiguration(f"{where} is not an integer") from None
+
+
+def _names(value, where) -> list:
+    return [_typed(c, str, f"{where}[{k}]")
+            for k, c in enumerate(_typed(value, list, where))]
+
+
 def _decimal(x, precision: int) -> str:
     return mp.nstr(mp.mpf(x), int(precision * 0.302) + 3, strip_zeros=False)
 
@@ -46,11 +81,12 @@ def box_record(z: ComplexBox, precision: int) -> dict:
 
 
 def parse_box(rec: dict) -> ComplexBox:
-    precision = int(rec.get("precision", 128))
+    precision = _int(_field(rec, "precision", "box", default=128), "box.precision")
     with working_precision(precision):
-        err = iv.mpf(rec["err"])
+        err = iv.mpf(_field(rec, "err", "box"))
         pad = iv.mpf([-ri_hi(err), ri_hi(err)])
-        return ComplexBox(iv.mpf(rec["re"]) + pad, iv.mpf(rec["im"]) + pad)
+        return ComplexBox(iv.mpf(_field(rec, "re", "box")) + pad,
+                          iv.mpf(_field(rec, "im", "box")) + pad)
 
 
 def quad_record(z: QuadNum) -> dict:
@@ -121,32 +157,48 @@ def configuration_record(cfg: Configuration) -> dict:
 def parse_configuration(rec: dict) -> Configuration:
     from .predim_engine import Configuration, FunctionSlot, GroupPoint
 
-    slots = [
-        FunctionSlot(i, s["kind"], s.get("d"), s.get("label"))
-        for i, s in enumerate(rec.get("slots", []))
-    ]
-    points = [
-        GroupPoint(int(p["slot"]), p["b"], p["e"])
-        for p in rec.get("points", [])
-    ]
+    where = "configuration"
+    slots = []
+    for i, s in enumerate(_field(rec, "slots", where, list, [])):
+        at = f"slots[{i}]"
+        d = _field(s, "d", at, default=None)
+        slots.append(FunctionSlot(i, _field(s, "kind", at, str),
+                                  None if d is None else _int(d, f"{at}.d"),
+                                  _field(s, "label", at, default=None)))
+    points = []
+    for k, p in enumerate(_field(rec, "points", where, list, [])):
+        at = f"points[{k}]"
+        points.append(GroupPoint(_int(_field(p, "slot", at), f"{at}.slot"),
+                                 _field(p, "b", at, str), _field(p, "e", at, str)))
     relations = {}
-    for entry in rec.get("relations", []):
-        i = int(entry["slot"])
+    for k, entry in enumerate(_field(rec, "relations", where, list, [])):
+        at = f"relations[{k}]"
+        i = _int(_field(entry, "slot", at), f"{at}.slot")
+        if not 0 <= i < len(slots):
+            raise InvalidConfiguration(f"{at}.slot names a missing slot")
+        rows = [_typed(row, list, f"{at}.rows[{r}]")
+                for r, row in enumerate(_field(entry, "rows", at, list))]
         if slots[i].kind == "wp_cm":
-            rows = [
-                [(parse_frac(x), parse_frac(y)) for x, y in row]
-                for row in entry["rows"]
-            ]
+            for r, row in enumerate(rows):
+                for j, x in enumerate(row):
+                    if not (isinstance(x, list) and len(x) == 2):
+                        raise InvalidConfiguration(
+                            f"{at}.rows[{r}][{j}] is not an [x, y] pair")
+            rows = [[(parse_frac(x), parse_frac(y)) for x, y in row]
+                    for row in rows]
         else:
-            rows = [[parse_frac(x) for x in row] for row in entry["rows"]]
+            rows = [[parse_frac(x) for x in row] for row in rows]
         relations[i] = rows
+    matroid = _field(_field(rec, "matroid", where, dict), "rows",
+                     f"{where}.matroid", list)
     return Configuration(
-        rec["coordinates"],
-        [[parse_frac(x) for x in row] for row in rec["matroid"]["rows"]],
+        _names(_field(rec, "coordinates", where), f"{where}.coordinates"),
+        [[parse_frac(x) for x in _typed(row, list, f"{where}.matroid.rows[{r}]")]
+         for r, row in enumerate(matroid)],
         slots,
         points,
         relations,
-        rec.get("base", ()),
+        _names(_field(rec, "base", where, default=[]), f"{where}.base"),
     )
 
 
@@ -181,28 +233,32 @@ def presentation_record(p, forms=()) -> dict:
 def parse_presentation(rec: dict):
     from .differentials import FieldPresentation, GENERIC, f_forms
 
-    mode = rec["mode"]
+    where = "presentation"
+    mode = _field(rec, "mode", where, str)
     point = None
     if mode != GENERIC:
-        point = {k: parse_box(v) for k, v in rec.get("point", {}).items()}
+        point = {k: parse_box(v) for k, v in
+                 _field(rec, "point", where, dict, {}).items()}
     p = FieldPresentation(
         mode,
-        rec["generators"],
-        rec.get("relations", ()),
+        _names(_field(rec, "generators", where), f"{where}.generators"),
+        _field(rec, "relations", where, list, ()),
         point,
-        int(rec.get("precision", 128)),
+        _int(_field(rec, "precision", where, default=128), f"{where}.precision"),
     )
     specs = []
-    for f in rec.get("forms", ()):
-        fprime = f["fprime"]
+    for k, f in enumerate(_field(rec, "forms", where, list, ())):
+        at = f"forms[{k}]"
+        fprime = _field(f, "fprime", at)
         if mode != GENERIC:
             try:
                 fprime = Fraction(fprime)
-            except ValueError:
+            except (TypeError, ValueError):
                 raise InvalidConfiguration(
                     "numeric presentations need rational fprime values in files"
                 )
-        specs.append((f.get("slot"), int(f["b"]), int(f["fb"]), fprime))
+        specs.append((f.get("slot"), _int(_field(f, "b", at), f"{at}.b"),
+                      _int(_field(f, "fb", at), f"{at}.fb"), fprime))
     forms = f_forms(p, specs) if specs else []
     return p, forms
 

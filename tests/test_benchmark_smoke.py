@@ -1,7 +1,9 @@
 """Each workload of BENCHMARK.json runs one round of its warm-up sessions
 through the benchmark's own code (benchmarks/run.py, harness.py and
 workloads.py) and passes its oracle checks, so an API change that would
-make the benchmark command fail shows up here first."""
+make the benchmark command fail shows up here first.  The `predim hull`
+calls of a few cli_calls rounds, whose configurations carry CM and generic
+relation rows, run the same way."""
 
 import importlib.util
 import json
@@ -36,6 +38,22 @@ def test_warm_up_round_is_answered_and_checked(bench, name, tmp_path):
     phase = harness.run_rounds(sessions, 0, api.errors, max_rounds=1,
                                classify_result=getattr(workload, "classify_result", None))
     assert phase.records
+    assert [(r.kind, r.status, r.detail) for r in phase.records
+            if r.status != harness.OK] == []
+    assert workload.check(sessions, phase.records, phase.states)["wrong"] == []
+
+
+@pytest.mark.parametrize("seed", [5, 12, 13])
+def test_cli_calls_predim_hull_commands_are_answered_and_checked(bench, seed, tmp_path):
+    harness = bench.harness
+    api = bench.load_program()
+    workload = bench.make_workload("cli_calls", api, tmp_path)
+    inputs = workload.generate(random.Random(f"cli_calls:{seed}"))
+    hulls = [c for c in inputs["commands"] if c["kind"] == "hull"]
+    assert hulls
+    sessions = workload.build(dict(inputs, commands=hulls))
+    phase = harness.run_rounds(sessions, 0, api.errors, max_rounds=1,
+                               classify_result=workload.classify_result)
     assert [(r.kind, r.status, r.detail) for r in phase.records
             if r.status != harness.OK] == []
     assert workload.check(sessions, phase.records, phase.states)["wrong"] == []

@@ -50,10 +50,15 @@ def test_parse_value_numeric_forms():
     assert parts("-2i") == -2j
     assert parts("-i") == -1j
     assert parts("-1/2+i") == -0.5 + 1j
+    assert parts("1/2+3/4i") == 0.5 + 0.75j
     assert parts("1/4-3/2i") == 0.25 - 1.5j
     assert parts("-.5+1.5i") == -0.5 + 1.5j
     with pytest.raises(CliError):
         parse_value("i+1", 64)
+    # a fraction's numerator is an integer
+    for text in ("1.5/2+i", "1e-2/3i"):
+        with pytest.raises(CliError, match="cannot parse complex value"):
+            parse_value(text, 64)
 
     def decimal(text):
         box = parse_value(text, 64)
@@ -122,6 +127,38 @@ def test_predim_commands(tmp_path):
     code, out, _ = invoke("predim", "dim", "--config", str(path),
                           "--set", "b", "--format", "record")
     assert json.loads(out)["dim"] == 1
+
+
+CM_CONFIG = {
+    "coordinates": ["b1", "e1", "b2", "e2"],
+    "matroid": {"rows": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                         ["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
+    "slots": [{"kind": "wp_cm", "d": -1}],
+    "points": [{"slot": 0, "b": "b1", "e": "e1"}, {"slot": 0, "b": "b2", "e": "e2"}],
+    "relations": [{"slot": 0, "rows": [[["0", "1"], ["-1", "0"]]]}],
+    "base": [],
+}
+
+
+@pytest.mark.parametrize("argv, record, message", [
+    (["predim", "hull", "--config"],
+     dict(CM_CONFIG, relations=[{"slot": 0, "rows": [[1, ["-1", "0"]]]}]),
+     "relations[0].rows[0][0] is not an [x, y] pair"),
+    (["predim", "hull", "--config"],
+     {k: v for k, v in CM_CONFIG.items() if k != "matroid"},
+     "configuration has no 'matroid' field"),
+    (["predim", "hull", "--config"], [CM_CONFIG],
+     "configuration is not a JSON object"),
+    (["deriv", "rank", "--presentation"],
+     {"mode": "generic", "generators": ["a", "e"], "forms": [{"b": 0, "fb": 1}]},
+     "forms[0] has no 'fprime' field"),
+], ids=["cm-entry-not-a-pair", "no-matroid", "top-level-list", "form-without-fprime"])
+def test_malformed_record_files_exit_2(argv, record, message, tmp_path):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    code, out, err = invoke(*argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_count_command():

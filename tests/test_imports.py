@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in src/wplab is used, every
 private helper is referenced, exact linear systems have one elimination
-routine, and the CLI loads only the layers a subcommand runs (sympy only for
+routine (the predimension ranks one over the integers, without QuadNum), and
+the CLI loads only the layers a subcommand runs (sympy only for
 `deriv`)."""
 
 import ast
@@ -95,6 +96,12 @@ def test_one_symbolic_elimination_routine():
     # every exact system goes through the one rref in differentials._reduce
     found = {path.name: second_eliminations(path) for path in SRC.glob("*.py")}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_predimension_ranks_do_not_use_quadnum():
+    # a CM slot is ranked over Q on two columns per point, so the integer
+    # elimination is the engine's only arithmetic
+    assert "QuadNum" not in (SRC / "predim_engine.py").read_text(encoding="utf-8")
 
 
 RUN_IN_FRESH_INTERPRETER = """

@@ -1,4 +1,6 @@
-"""Predimension calculus: micro-examples, invariants, and a brute oracle."""
+"""Predimension calculus: micro-examples, invariants, and brute oracles,
+among them the field-generic rank over Fraction and QuadNum that checks the
+engine's integer elimination."""
 
 import json
 import random
@@ -6,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wplab.cli import run
 from wplab.errors import (
@@ -18,6 +21,8 @@ from wplab.predim_engine import (
     Configuration,
     FunctionSlot,
     GroupPoint,
+    _integer_row,
+    _rank,
     chain_decompose,
     check_semimodularity,
     delta,
@@ -30,6 +35,7 @@ from wplab.predim_engine import (
     td,
     validate,
 )
+from wplab.quadfield import QuadNum
 from wplab.serialize import parse_configuration
 
 F = Fraction
@@ -88,6 +94,12 @@ def test_validate_and_relation_row_invariants():
         Configuration(
             ("b", "e"), free_matroid(2), [FunctionSlot(0, "exp")],
             [GroupPoint(0, "b", "e")], {0: [[F(1)]]},  # single nonzero entry
+        )
+    with pytest.raises(InvalidConfiguration, match="not an \\(x, y\\) pair"):
+        Configuration(
+            ("b", "e"), free_matroid(2), [FunctionSlot(0, "wp_cm", -1)],
+            [GroupPoint(0, "b", "e"), GroupPoint(0, "b", "e")],
+            {0: [[F(1), (F(-1), F(0))]]},
         )
 
 
@@ -251,7 +263,155 @@ def test_certificate_checks_the_base_once_per_slot_subset(monkeypatch):
     assert sorted(calls) == [(), (0,), (0, 1), (1,)]
 
 
-# -- oracles: the absorption hull and the coordinate-pair compatibility scan ---
+# -- oracles: field-generic ranks, the absorption hull and the coordinate-pair
+#    compatibility scan --------------------------------------------------------
+
+def field_rank(rows) -> int:
+    """Row rank by Gaussian elimination over any exact field whose elements
+    support != 0, 1 / x, * and - (Fraction, QuadNum); rows are copied."""
+    rows = [list(r) for r in rows if any(x != 0 for x in r)]
+    if not rows:
+        return 0
+    cols = len(rows[0])
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < cols:
+        pivot = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr = rows[rank]
+        inv = 1 / pr[col]
+        for i in range(rank + 1, len(rows)):
+            ri = rows[i]
+            if ri[col] != 0:
+                f = ri[col] * inv
+                for j in range(col, cols):
+                    ri[j] -= f * pr[j]
+        rank += 1
+        col += 1
+    return rank
+
+
+def slot_field_rank(cfg, slot_i, rows) -> int:
+    """Rank over k_i; wp_cm entries (x, y) mean x + y*sqrt(d)."""
+    d = cfg.slots[slot_i].d
+    if cfg.slots[slot_i].kind == "wp_cm":
+        return field_rank([[QuadNum(F(x), F(y), d) for x, y in row]
+                           for row in rows])
+    return field_rank([[F(x) for x in row] for row in rows])
+
+
+def oracle_td(cfg, mask) -> int:
+    """Rank of the matroid columns in mask, as the row rank of the
+    transposed column subset over Fraction."""
+    cols = [i for i in range(len(cfg.coordinates)) if mask >> i & 1]
+    return field_rank([[row[c] for row in cfg.matroid] for c in cols])
+
+
+def oracle_gamma_rank(cfg, slot_i, chosen) -> int:
+    """Rank over k_i of the relation rows plus a unit row for each point
+    position in `chosen`."""
+    npts = len(cfg.points_by_slot[slot_i])
+    if cfg.slots[slot_i].kind == "wp_cm":
+        zero, one = (F(0), F(0)), (F(1), F(0))
+    else:
+        zero, one = F(0), F(1)
+    rows = [list(r) for r in cfg.relations[slot_i]] + [
+        [one if k == pos else zero for k in range(npts)] for pos in chosen]
+    return slot_field_rank(cfg, slot_i, rows)
+
+
+def realified(rows, d):
+    """Rows with entries (x, y) = x + y sqrt(d) over Q, two columns per entry
+    for the basis (1, sqrt(d)): each row gives (x, d y) and (y, x)."""
+    out = []
+    for row in rows:
+        out.append([v for x, y in row for v in (x, d * y)])
+        out.append([v for x, y in row for v in (y, x)])
+    return out
+
+
+def _shaped_matrices(entries, zero=0, add=lambda x, y: x + y):
+    """Matrices of up to 7 rows and 6 columns of `entries`, some with a zero
+    row, a zero column, a repeated row or a row adding two others."""
+
+    @st.composite
+    def build(draw):
+        ncols = draw(st.integers(0, 6))
+        rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                             max_size=4))
+        if ncols and draw(st.booleans()):
+            rows.insert(draw(st.integers(0, len(rows))), [zero] * ncols)
+        if rows and ncols and draw(st.booleans()):
+            col = draw(st.integers(0, ncols - 1))
+            for r in rows:
+                r[col] = zero
+        if rows and draw(st.booleans()):
+            rows.append(list(draw(st.sampled_from(rows))))
+        if rows and draw(st.booleans()):
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([add(x, y) for x, y in zip(r1, r2)])
+        return rows
+
+    return build()
+
+
+small_ints = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6))
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+cm_entries = st.tuples(rationals, rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shaped_matrices(small_ints))
+def test_integer_rank_matches_field_rank(rows):
+    assert _rank(rows) == field_rank([[F(x) for x in r] for r in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shaped_matrices(rationals))
+def test_scaled_rational_rows_keep_their_rank(rows):
+    assert _rank([_integer_row(r) for r in rows]) == field_rank(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shaped_matrices(cm_entries, (F(0), F(0)),
+                        lambda x, y: (x[0] + y[0], x[1] + y[1])),
+       st.sampled_from((-1, -2, -3, -7)))
+def test_realified_cm_rows_have_twice_the_quadratic_rank(rows, d):
+    # the engine's reading of a CM relation matrix over Q
+    quad = field_rank([[QuadNum(x, y, d) for x, y in r] for r in rows])
+    assert _rank([_integer_row(r) for r in realified(rows, d)]) == 2 * quad
+
+
+def test_td_and_grk_on_every_mask_match_the_field_formulas():
+    """td is the transposed Fraction rank of the column subset, and grk the
+    k_i rank of relation plus unit rows less that of the relation rows, on
+    every coordinate mask of seeded configurations with exp, generic and CM
+    slots carrying relation rows."""
+    rng = random.Random(31)
+    kinds = set()
+    for trial in range(30):
+        cfg = random_config(rng, 3 + trial % 6, True)
+        for i, slot in enumerate(cfg.slots):
+            kinds.add((slot.kind, bool(cfg.relations[i])))
+        pairs = [[(pos, cfg.mask((cfg.points[j].b, cfg.points[j].e)))
+                  for pos, j in enumerate(pts)] for pts in cfg.points_by_slot]
+        relations_only = [oracle_gamma_rank(cfg, i, ())
+                          for i in range(len(cfg.slots))]
+        for m in range(cfg.full_mask + 1):
+            assert cfg.td_mask(m) == oracle_td(cfg, m)
+            for i in range(len(cfg.slots)):
+                chosen = [pos for pos, pair in pairs[i] if pair & ~m == 0]
+                assert cfg.grk_mask(i, m) == \
+                    oracle_gamma_rank(cfg, i, chosen) - relations_only[i]
+    assert {("exp", True), ("wp_generic", True), ("wp_cm", True)} <= kinds
+
 
 def absorption_hull(cfg, a_subset):
     """Strong hull by absorbing the first delta-violating witness until the
@@ -273,18 +433,11 @@ def pair_scan_compatible(cfg):
         if not rel:
             continue
         pts = [cfg.points[j] for j in cfg.points_by_slot[i]]
-        if cfg.slots[i].kind == "wp_cm":
-            zero, one = (F(0), F(0)), (F(1), F(0))
-        else:
-            zero, one = F(0), F(1)
         cache = {}
 
         def rank(chosen):
             if chosen not in cache:
-                rows = [list(r) for r in rel] + [
-                    [one if k == pos else zero for k in range(len(pts))]
-                    for pos in chosen]
-                cache[chosen] = cfg._slot_rank(i, rows)
+                cache[chosen] = oracle_gamma_rank(cfg, i, chosen)
             return cache[chosen]
 
         def lying_in(mask):
