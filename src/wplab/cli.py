@@ -9,8 +9,13 @@ Exit codes: 0 success, 1 for valid negative mathematical answers
 operate (precision, parsing, search bounds).  Identical invocations produce
 byte-identical output.
 
-Each subcommand imports its own engine when it runs, so a call loads only
-the layers it uses; sympy is loaded only by `deriv` (and `selftest`).
+A call pays little before it computes.  Each subcommand imports its own
+engine when it runs, so a call loads only the layers it uses: sympy only for
+`deriv` (and `selftest`), json only to print or read a record, and no layer
+imports dataclasses (with its inspect, ast and dis).  A call names its
+command first, and argparse builds that command's subtree alone; a first
+argument that names no command gets the whole tree, so help and usage
+errors read as before.
 """
 
 from __future__ import annotations
@@ -52,8 +57,16 @@ COMPLEX_RE = re.compile(
     rf"^(?P<re>[+-]?{_NUMBER}(?=[+-]|$))?(?:(?P<im>[+-]?(?:{_NUMBER})?)i)?$"
 )
 # The options that take a number; argparse reads '-0.25+1.5i' as an option.
-VALUE_OPTIONS = ("--tau", "--tau1", "--tau2", "--z")
+VALUE_OPTIONS = ("--tau", "--tau1", "--tau2", "--z", "--eps")
 SIGNED_VALUE_RE = re.compile(r"^-[\d.i]")
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as a parse error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise CliError(f"zero denominator in {text!r}") from None
 
 
 def parse_value(text: str, precision: int):
@@ -64,11 +77,11 @@ def parse_value(text: str, precision: int):
         return QuadNum(Fraction(0), Fraction(1), -1)
     m = QUAD_RE.match(s)
     if m:
-        p = Fraction(m.group("p")) if m.group("p") else Fraction(0)
+        p = _fraction(m.group("p")) if m.group("p") else Fraction(0)
         qs = m.group("q")
         if qs in ("", "+", "-"):
             qs += "1"
-        return QuadNum(p, Fraction(qs), int(m.group("d")))
+        return QuadNum(p, _fraction(qs), int(m.group("d")))
     with working_precision(precision):
         if "i" in s:
             mm = COMPLEX_RE.match("".join(s.split()))
@@ -80,7 +93,7 @@ def parse_value(text: str, precision: int):
                 im_part += "1"
             return ComplexBox(_real_part(re_part), _real_part(im_part))
         try:
-            return Fraction(s)
+            return _fraction(s)
         except ValueError:
             try:
                 return ComplexBox(iv.mpf(s))
@@ -89,7 +102,7 @@ def parse_value(text: str, precision: int):
 
 
 def _real_part(text: str):
-    return ri(Fraction(text)) if "/" in text else iv.mpf(text)
+    return ri(_fraction(text)) if "/" in text else iv.mpf(text)
 
 
 def lattice_from_tau(tau, precision: int) -> Lattice:
@@ -252,6 +265,8 @@ def cmd_wp(args) -> int:
     )
 
     prec = args.precision
+    if args.action == "verify" and args.samples < 1:
+        raise CliError("--samples must be at least 1")
     tau = parse_value(args.tau, prec)
     lat = lattice_from_tau(tau, prec)
     model = invariants(lat, prec)
@@ -502,8 +517,8 @@ def cmd_count(args) -> int:
     prec = args.precision
     lo, _, hi = args.domain.partition(":")
     domain = Domain(
-        Fraction(lo) if lo else None,
-        Fraction(hi) if hi else None,
+        _fraction(lo) if lo else None,
+        _fraction(hi) if hi else None,
     )
     if args.h == "identity":
         target = Identity(domain)
@@ -512,7 +527,7 @@ def cmd_count(args) -> int:
         lat = lattice_from_tau(tau, prec)
         target = ExpWpLog(lat, domain)
     schedule = [int(x) for x in args.heights.split(",")]
-    eps = Fraction(args.eps) if args.eps else default_eps(prec)
+    eps = _fraction(args.eps) if args.eps else default_eps(prec)
     rep = count_report(target, schedule, eps, prec)
     rec = {
         "h": args.h,
@@ -568,94 +583,110 @@ def _common(sp, *names):
         sp.add_argument(f"--{name}", **_COMMON[name])
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("lattice", "wp", "predim", "deriv", "count", "selftest")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The whole command tree, or only the subtree of `command` when it
+    names a command; a call parses with the subtree of its argv[0]."""
     ap = argparse.ArgumentParser(
         prog="wplab",
         description="lattice, wp-function, predimension, derivation and "
                     "point-counting workbench",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    # with one command the usage line still lists them all, as in the
+    # whole tree (an error past the command prints it)
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
 
-    lat = sub.add_parser("lattice")
-    lat_sub = lat.add_subparsers(dest="action", required=True)
-    p = lat_sub.add_parser("normalize")
-    p.add_argument("--w1", required=True)
-    p.add_argument("--w2", required=True)
-    _common(p, "precision", "format")
-    p = lat_sub.add_parser("reduce")
-    p.add_argument("--tau", required=True)
-    _common(p, "precision", "format")
-    p = lat_sub.add_parser("cm")
-    p.add_argument("--tau", required=True)
-    _common(p, "precision", "bound", "format")
-    for name in ("isogenous", "isr"):
-        p = lat_sub.add_parser(name)
-        p.add_argument("--tau1", required=True)
-        p.add_argument("--tau2", required=True)
+    if command in (None, "lattice"):
+        lat = sub.add_parser("lattice")
+        lat_sub = lat.add_subparsers(dest="action", required=True)
+        p = lat_sub.add_parser("normalize")
+        p.add_argument("--w1", required=True)
+        p.add_argument("--w2", required=True)
+        _common(p, "precision", "format")
+        p = lat_sub.add_parser("reduce")
+        p.add_argument("--tau", required=True)
+        _common(p, "precision", "format")
+        p = lat_sub.add_parser("cm")
+        p.add_argument("--tau", required=True)
         _common(p, "precision", "bound", "format")
+        for name in ("isogenous", "isr"):
+            p = lat_sub.add_parser(name)
+            p.add_argument("--tau1", required=True)
+            p.add_argument("--tau2", required=True)
+            _common(p, "precision", "bound", "format")
 
-    wp_p = sub.add_parser("wp")
-    wp_sub = wp_p.add_subparsers(dest="action", required=True)
-    p = wp_sub.add_parser("invariants")
-    p.add_argument("--tau", required=True)
-    _common(p, "precision", "format")
-    p = wp_sub.add_parser("eval")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--z", required=True)
-    _common(p, "precision", "format")
-    p = wp_sub.add_parser("verify")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--tau2")
-    p.add_argument(
-        "--identity", required=True,
-        choices=("ode", "homogeneity", "schwarz", "addition", "isogeny"),
-    )
-    p.add_argument("--samples", type=int, default=100)
-    _common(p, "precision", "bound", "seed", "format")
+    if command in (None, "wp"):
+        wp_p = sub.add_parser("wp")
+        wp_sub = wp_p.add_subparsers(dest="action", required=True)
+        p = wp_sub.add_parser("invariants")
+        p.add_argument("--tau", required=True)
+        _common(p, "precision", "format")
+        p = wp_sub.add_parser("eval")
+        p.add_argument("--tau", required=True)
+        p.add_argument("--z", required=True)
+        _common(p, "precision", "format")
+        p = wp_sub.add_parser("verify")
+        p.add_argument("--tau", required=True)
+        p.add_argument("--tau2")
+        p.add_argument(
+            "--identity", required=True,
+            choices=("ode", "homogeneity", "schwarz", "addition", "isogeny"),
+        )
+        p.add_argument("--samples", type=int, default=100)
+        _common(p, "precision", "bound", "seed", "format")
 
-    pd = sub.add_parser("predim")
-    pd_sub = pd.add_subparsers(dest="action", required=True)
-    for name in ("report", "strong", "hull", "dim", "chain", "lemma7",
-                 "certificate"):
-        p = pd_sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--set", default="")
-        p.add_argument("--base", default="")
-        p.add_argument("--slots", default="")
-        if name == "chain":
-            p.add_argument("--target", default="")
-        if name == "lemma7":
-            p.add_argument("--b", default="")
-        if name == "certificate":
-            p.add_argument("--f1", required=True)
-            p.add_argument("--f2", required=True)
-            p.add_argument("--fa", required=True)
-        _common(p, "format")
+    if command in (None, "predim"):
+        pd = sub.add_parser("predim")
+        pd_sub = pd.add_subparsers(dest="action", required=True)
+        for name in ("report", "strong", "hull", "dim", "chain", "lemma7",
+                     "certificate"):
+            p = pd_sub.add_parser(name)
+            p.add_argument("--config", required=True)
+            p.add_argument("--set", default="")
+            p.add_argument("--base", default="")
+            p.add_argument("--slots", default="")
+            if name == "chain":
+                p.add_argument("--target", default="")
+            if name == "lemma7":
+                p.add_argument("--b", default="")
+            if name == "certificate":
+                p.add_argument("--f1", required=True)
+                p.add_argument("--f2", required=True)
+                p.add_argument("--fa", required=True)
+            _common(p, "format")
 
-    dv = sub.add_parser("deriv")
-    dv_sub = dv.add_subparsers(dest="action", required=True)
-    for name in ("rank", "extend", "hcl"):
-        # no abbreviations: --bound would be read as --boundary
-        p = dv_sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("--presentation", required=True)
-        if name == "extend":
-            p.add_argument("--boundary", default="")
-            p.add_argument("--target", default="")
-        if name == "hcl":
-            p.add_argument("--b", required=True)
-        _common(p, "format")
+    if command in (None, "deriv"):
+        dv = sub.add_parser("deriv")
+        dv_sub = dv.add_subparsers(dest="action", required=True)
+        for name in ("rank", "extend", "hcl"):
+            # no abbreviations: --bound would be read as --boundary
+            p = dv_sub.add_parser(name, allow_abbrev=False)
+            p.add_argument("--presentation", required=True)
+            if name == "extend":
+                p.add_argument("--boundary", default="")
+                p.add_argument("--target", default="")
+            if name == "hcl":
+                p.add_argument("--b", required=True)
+            _common(p, "format")
 
-    p = sub.add_parser("count")
-    p.add_argument("--h", choices=("identity", "expwplog"), default="identity")
-    p.add_argument("--tau", default="2i:-1")
-    p.add_argument("--domain", default="0:")
-    p.add_argument("--heights", default="2,10")
-    p.add_argument("--eps", default="")
-    _common(p, "precision", "format")
+    if command in (None, "count"):
+        p = sub.add_parser("count")
+        p.add_argument("--h", choices=("identity", "expwplog"),
+                       default="identity")
+        p.add_argument("--tau", default="2i:-1")
+        p.add_argument("--domain", default="0:")
+        p.add_argument("--heights", default="2,10")
+        p.add_argument("--eps", default="")
+        _common(p, "precision", "format")
 
-    p = sub.add_parser("selftest")
-    p.add_argument("--criteria", default="")
-    _common(p, "seed")
+    if command in (None, "selftest"):
+        p = sub.add_parser("selftest")
+        p.add_argument("--criteria", default="")
+        _common(p, "seed")
     return ap
 
 
@@ -672,7 +703,7 @@ def _attach_signed_values(argv):
 
 
 def run(argv) -> int:
-    ap = build_parser()
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = ap.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:

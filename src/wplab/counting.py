@@ -18,11 +18,10 @@ confirmation into an exclusion at the same eps.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, log
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from mpmath import iv, mp
 
@@ -34,7 +33,7 @@ from .cintervals import (
     ri_lo,
     working_precision,
 )
-from .errors import InvalidConfiguration, PrecisionError, PrecisionExhausted
+from .errors import Frozen, InvalidConfiguration, PrecisionError, PrecisionExhausted
 from .lattice_core import Lattice
 from .quadfield import QuadNum
 from .wp_numerics import EllipticModel, invariants, wp
@@ -49,18 +48,18 @@ def mpf_to_fraction(x) -> Fraction:
     return -val if sign else val
 
 
-@dataclass(frozen=True)
-class RationalQ:
+class RationalQ(Frozen):
     """Positive rational in lowest terms with its height."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if self.denominator <= 0 or self.numerator <= 0:
+    def __init__(self, numerator: int, denominator: int):
+        if denominator <= 0 or numerator <= 0:
             raise InvalidConfiguration("RationalQ must be positive")
-        if gcd(self.numerator, self.denominator) != 1:
+        if gcd(numerator, denominator) != 1:
             raise InvalidConfiguration("RationalQ must be in lowest terms")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def height(self) -> int:
@@ -71,8 +70,7 @@ class RationalQ:
         return Fraction(self.numerator, self.denominator)
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """Open interval with rational (or infinite) endpoints."""
 
     lo: Optional[Fraction] = None
@@ -231,8 +229,7 @@ EXCLUDED = "excluded"
 UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class PointVerdict:
+class PointVerdict(NamedTuple):
     p: RationalQ
     q: RationalQ
     klass: str
@@ -276,8 +273,7 @@ def classify_point(h, p: RationalQ, q: RationalQ, eps: Fraction,
 
 # -- counting and the log-log fit --------------------------------------------
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     h_schedule: tuple
     counts: tuple
     undetermined: tuple
@@ -321,16 +317,18 @@ def count_report(h, h_schedule: Sequence[int], eps=None,
     """N(H) over the schedule: confirmed pairs (p, q) with p in the domain
     and both heights <= H.  The qs are the Farey pairs of height <= max H
     and the ps their slice inside the domain.  Each p's enclosure [lo, hi]
-    is computed once; only the qs in [lo - |eps|, hi + |eps|], found by
+    is computed once; only the qs in [lo - eps, hi + eps], found by
     bisection, go through the integer trichotomy, and the rest are excluded
     by construction.  Counts are prefix sums of per-height histograms."""
     schedule = list(h_schedule)
     if schedule != sorted(schedule) or len(set(schedule)) != len(schedule):
         raise InvalidConfiguration("H schedule must be strictly increasing")
     eps = Fraction(eps) if eps is not None else default_eps(precision)
+    if eps <= 0:
+        raise InvalidConfiguration("eps must be positive")
     h_max = max(schedule[-1], 0) if schedule else 0
     qs = _farey_pairs(h_max)
-    pad, ed = abs(eps.numerator), eps.denominator  # |eps| = pad/ed
+    pad, ed = eps.numerator, eps.denominator  # eps = pad/ed
     confirmed = [0] * (h_max + 1)
     undetermined = [0] * (h_max + 1)
     for pa, pb in _in_domain(qs, h.domain):

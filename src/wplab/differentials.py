@@ -28,14 +28,14 @@ tolerance decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import sympy
 
 from .cintervals import ComplexBox, working_precision
 from .errors import (
+    Frozen,
     InvalidConfiguration,
     RankNotCertified,
     SingularSpecialization,
@@ -53,26 +53,24 @@ def _sympify(expr, symbols):
     return sympy.sympify(expr)
 
 
-@dataclass(frozen=True)
-class FieldPresentation:
+class FieldPresentation(Frozen):
     """Generators and relations presenting an extension B over a base C."""
 
-    mode: str
-    generators: tuple
-    relations: tuple = ()
-    point: Optional[dict] = None
-    precision: int = 128
+    __slots__ = ("mode", "generators", "relations", "point", "precision")
 
-    def __post_init__(self):
-        if self.mode not in (GENERIC, NUMERIC_POINT):
-            raise InvalidConfiguration(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, mode: str, generators: tuple, relations: tuple = (),
+                 point: Optional[dict] = None, precision: int = 128):
+        if mode not in (GENERIC, NUMERIC_POINT):
+            raise InvalidConfiguration(f"unknown mode {mode!r}")
+        generators = tuple(generators)
+        if len(set(generators)) != len(generators):
             raise InvalidConfiguration("duplicate generator names")
-        syms = self.symbols
-        rels = tuple(_sympify(r, syms) for r in self.relations)
-        object.__setattr__(self, "relations", rels)
-        if self.mode == GENERIC:
+        syms = tuple(sympy.Symbol(g) for g in generators)
+        rels = tuple(_sympify(r, syms) for r in relations)
+        for name, value in zip(self.__slots__,
+                               (mode, generators, rels, point, precision)):
+            object.__setattr__(self, name, value)
+        if mode == GENERIC:
             if rels:
                 raise InvalidConfiguration(
                     "generic mode presents a purely transcendental extension; "
@@ -122,8 +120,7 @@ def _eval_box(expr, names, point) -> ComplexBox:
     return out
 
 
-@dataclass(frozen=True)
-class FForm:
+class FForm(NamedTuple):
     """The form f'(b) db - d f(b) as a coefficient vector over dg1..dgm."""
 
     slot: Optional[int]
@@ -250,8 +247,7 @@ def der_dimension(p: FieldPresentation, forms) -> int:
 
 # -- derivation extension ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     kind: str  # "unique" | "family" | "inconsistent"
     assignment: Optional[dict] = None
     dimension: int = 0
@@ -336,8 +332,7 @@ def extend_derivation(p: FieldPresentation, forms, boundary: dict,
 
 # -- holomorphic-closure witness ---------------------------------------------
 
-@dataclass(frozen=True)
-class HclVerdict:
+class HclVerdict(NamedTuple):
     in_closure: bool
     witness: Optional[dict] = None
 

@@ -12,10 +12,9 @@ negative it cannot certify.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from mpmath import iv, mp
 
@@ -114,8 +113,7 @@ def _reduce_numeric(tau: ComplexBox, strict: bool):
 
 # -- Lattice -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """Normalized lattice.  basis_change maps the constructor's (omega1,
     omega2) to the stored pair: omega1' = c*w2 + d*w1, omega2' = a*w2 + b*w1
     for basis_change = ((a, b), (c, d)), det = +-1."""
@@ -271,8 +269,7 @@ def cm_field(lattice: Lattice, height_bound: int = 100) -> Optional[int]:
 
 # -- isogeny -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsogenyVerdict:
+class IsogenyVerdict(NamedTuple):
     outcome: str  # "isogenous" | "not_isogenous" | "unknown_up_to_bound"
     witness: Optional[tuple] = None  # 2x2 integer matrix, det != 0
     alpha: Optional[ExactComplex] = None  # alpha * Lambda2 subset Lambda1
@@ -393,10 +390,10 @@ def isr_equivalent(l1: Lattice, l2: Lattice, search_bound: int = 10) -> IsogenyV
     conjugate lattice; used_reflection records the successful branch."""
     direct = is_isogenous(l1, l2, search_bound)
     if direct.is_isogenous:
-        return IsogenyVerdict(**{**direct.__dict__, "used_reflection": False})
+        return direct._replace(used_reflection=False)
     reflected = is_isogenous(l1, conjugate(l2), search_bound)
     if reflected.is_isogenous:
-        return IsogenyVerdict(**{**reflected.__dict__, "used_reflection": True})
+        return reflected._replace(used_reflection=True)
     outcome = (
         "not_isogenous"
         if direct.outcome == "not_isogenous" and reflected.outcome == "not_isogenous"

@@ -27,14 +27,14 @@ is decided at every size up to the cap of 20 coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BaseNotStrong,
+    Frozen,
     GroundSetTooLarge,
     IncompatibleConfiguration,
     InvalidConfiguration,
@@ -45,37 +45,37 @@ from .quadfield import is_squarefree
 GROUND_SET_CAP = 20
 
 
-@dataclass(frozen=True)
-class FunctionSlot:
+class FunctionSlot(Frozen):
     """A coordinate-graph slot: exponential or a wp-map, with its multiplier
     field (Q, or Q(sqrt(d)) for the CM case)."""
 
-    index: int
-    kind: str  # "exp" | "wp_cm" | "wp_generic"
-    d: Optional[int] = None  # CM discriminant kernel for "wp_cm"
-    label: Optional[str] = None
+    __slots__ = ("index",
+                 "kind",  # "exp" | "wp_cm" | "wp_generic"
+                 "d",  # CM discriminant kernel for "wp_cm"
+                 "label")
 
-    def __post_init__(self):
-        if self.kind not in ("exp", "wp_cm", "wp_generic"):
-            raise InvalidConfiguration(f"unknown slot kind {self.kind!r}")
-        if self.kind == "wp_cm":
-            if self.d is None or self.d >= 0 or not is_squarefree(self.d):
+    def __init__(self, index: int, kind: str, d: Optional[int] = None,
+                 label: Optional[str] = None):
+        if kind not in ("exp", "wp_cm", "wp_generic"):
+            raise InvalidConfiguration(f"unknown slot kind {kind!r}")
+        if kind == "wp_cm":
+            if d is None or d >= 0 or not is_squarefree(d):
                 raise InvalidConfiguration(
                     "wp_cm slot needs a negative squarefree d"
                 )
-        elif self.d is not None:
-            raise InvalidConfiguration(f"slot kind {self.kind} takes no d")
+        elif d is not None:
+            raise InvalidConfiguration(f"slot kind {kind} takes no d")
+        for name, value in zip(self.__slots__, (index, kind, d, label)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class GroupPoint:
+class GroupPoint(NamedTuple):
     slot: int
     b: str
     e: str
 
 
-@dataclass(frozen=True)
-class PredimReport:
+class PredimReport(NamedTuple):
     td: int
     grk_per_slot: tuple
     delta: int
@@ -85,15 +85,13 @@ class PredimReport:
         return sum(self.grk_per_slot)
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     subset: frozenset
     tag: str  # "delta_zero" | "generic_singleton"
     delta: int
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     base: frozenset
     steps: tuple
 
@@ -473,8 +471,7 @@ def chain_decompose(cfg: Configuration, a_subset, b_subset,
     return Chain(cfg.names(a_mask), tuple(steps))
 
 
-@dataclass(frozen=True)
-class SemimodularityReport:
+class SemimodularityReport(NamedTuple):
     grk_upper_semimodular: bool
     td_lower_semimodular: bool
     delta_submodular: bool
@@ -519,8 +516,7 @@ def check_semimodularity(cfg: Configuration, a_subset, b_subset, c_subset=(),
     return SemimodularityReport(grk_ok, td_ok, dl_ok, mono_ok)
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(NamedTuple):
     d0: int
     d1: int
     d2: int

@@ -8,9 +8,10 @@ field tag and is coerced freely).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .errors import Frozen
 
 
 def squarefree_kernel(n: int) -> int:
@@ -48,19 +49,18 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not a rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class QuadNum:
+class QuadNum(Frozen):
     """p + q*sqrt(d) with d < 0 squarefree."""
 
-    p: Fraction
-    q: Fraction
-    d: int
+    __slots__ = ("p", "q", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _frac(self.p))
-        object.__setattr__(self, "q", _frac(self.q))
-        if self.d >= 0 or not is_squarefree(self.d):
-            raise ValueError(f"d must be negative and squarefree, got {self.d}")
+    def __init__(self, p: Fraction, q: Fraction, d: int):
+        _set = object.__setattr__
+        _set(self, "p", _frac(p))
+        _set(self, "q", _frac(q))
+        _set(self, "d", d)
+        if d >= 0 or not is_squarefree(d):
+            raise ValueError(f"d must be negative and squarefree, got {d}")
 
     # -- constructors ------------------------------------------------------
 

@@ -8,7 +8,6 @@ enclosure-shrinking for boxed data).
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from mpmath import iv, mp
@@ -264,8 +263,12 @@ def parse_presentation(rec: dict):
 
 
 def dumps(rec: dict) -> str:
+    import json  # here, so that a CLI call that prints text never loads it
+
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
 def loads(text: str) -> dict:
+    import json
+
     return json.loads(text)

@@ -28,8 +28,8 @@ Z exactly 1, and divides by no Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import iv, mp, mpf
 from mpmath.libmp import (
@@ -62,10 +62,12 @@ from .cintervals import (
     working_precision,
 )
 from .errors import (
+    Frozen,
     IndistinguishableBranch,
     PoleAtLatticePoint,
     PrecisionExhausted,
     UndecidablePoleProximity,
+    WplabError,
 )
 from .lattice_core import Lattice, conjugate, make_lattice
 from .quadfield import QuadNum
@@ -85,30 +87,31 @@ def _as_box(z) -> ComplexBox:
     raise TypeError(f"cannot interpret {z!r} as a complex argument")
 
 
-@dataclass(frozen=True)
-class EllipticModel:
+class EllipticModel(Frozen):
     """Lattice plus its certified curve invariants at a working precision."""
 
-    lattice: Lattice
-    g2: ComplexBox
-    g3: ComplexBox
-    precision: int
-    _tau: ComplexBox = field(repr=False, default=None)
-    _omega1: ComplexBox = field(repr=False, default=None)
-    _q4: ComplexBox = field(repr=False, default=None)  # q^(1/4), q = e^(i pi tau)
-    _pi_w1: ComplexBox = field(repr=False, default=None)
-    # from the theta constants t2, t3, t4 at 0: t2 t3, (t2 t3 t4)^2 and
-    # (t2^4 + t3^4)/3, the factors of the wp quotient
-    _t23: ComplexBox = field(repr=False, default=None)
-    _t234_sq: ComplexBox = field(repr=False, default=None)
-    _wp_shift: ComplexBox = field(repr=False, default=None)
+    __slots__ = ("lattice", "g2", "g3", "precision",
+                 "_tau", "_omega1",
+                 "_q4",  # q^(1/4), q = e^(i pi tau)
+                 "_pi_w1",
+                 # from the theta constants t2, t3, t4 at 0: t2 t3,
+                 # (t2 t3 t4)^2 and (t2^4 + t3^4)/3, the factors of the wp
+                 # quotient
+                 "_t23", "_t234_sq", "_wp_shift")
+
+    def __init__(self, lattice: Lattice, g2: ComplexBox, g3: ComplexBox,
+                 precision: int, _tau=None, _omega1=None, _q4=None,
+                 _pi_w1=None, _t23=None, _t234_sq=None, _wp_shift=None):
+        for name, value in zip(self.__slots__, (
+                lattice, g2, g3, precision, _tau, _omega1, _q4, _pi_w1,
+                _t23, _t234_sq, _wp_shift)):
+            object.__setattr__(self, name, value)
 
 
 _EXACT_ONE = (fone, fone)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """Point [X : Y : Z] with boxed coordinates: the identity [0 : 1 : 0]
     has Z exactly 0, every other point Z exactly 1."""
 
@@ -124,8 +127,7 @@ def identity_point() -> CurvePoint:
     return CurvePoint(ComplexBox(0), ComplexBox(1), ComplexBox(0))
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(NamedTuple):
     """Certified upper bound on an identity's defect."""
 
     value: mpf
@@ -262,7 +264,13 @@ def _theta_sums(q4: ComplexBox, w: ComplexBox):
     w_max = wi_hi if mpf_lt(w_hi, wi_hi) else w_hi
     if not w_max[1]:  # the mantissa of inf and nan
         raise PrecisionExhausted("theta series argument is not finite")
-    b, c = -4 * _log2(q4_hi), max(0.0, _log2(w_max))
+    try:
+        b, c = -4 * _log2(q4_hi), max(0.0, _log2(w_max))
+    except OverflowError:  # an exponent beyond the float range
+        reached = max(abs(q4_hi[2]), abs(w_max[2]))
+        raise WplabError(
+            f"theta series out of range: binary exponent of magnitude "
+            f"{mp.nstr(mpf(reached), 5)} reached, the limit is 2^1024") from None
     n = _pick_terms(b, c, prec)
     tail = _tail_bound(q4_hi, w_max, n)
     scale = prec + _FIXED_GUARD + math.ceil(b / 4 + c) + (2 * n).bit_length()
@@ -365,7 +373,9 @@ def invariants(lattice: Lattice, precision: int = 128) -> EllipticModel:
 def model_with(lattice: Lattice, g2: ComplexBox, g3: ComplexBox,
                precision: int) -> EllipticModel:
     """Model with caller-supplied invariants (negative-control harnesses)."""
-    return replace(invariants(lattice, precision), g2=g2, g3=g3)
+    m = invariants(lattice, precision)
+    return EllipticModel(lattice, g2, g3, precision, m._tau, m._omega1, m._q4,
+                         m._pi_w1, m._t23, m._t234_sq, m._wp_shift)
 
 
 # -- argument reduction ------------------------------------------------------

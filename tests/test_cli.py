@@ -1,6 +1,8 @@
 """CLI surface: parsing, exit-code conventions, record output, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -295,3 +297,54 @@ def test_each_subcommand_takes_only_the_common_options_it_reads():
 def test_unread_common_options_exit_2(argv, capsys):
     assert run(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _help(parser, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted({path[0] for path in READ}))
+def test_a_command_parser_prints_the_full_trees_help(command):
+    # a call parses with the subtree of its command; every help text it can
+    # print, and the top-level usage an error prints, match the whole tree
+    full, own = build_parser(), build_parser(command)
+    assert own.format_help() == full.format_help()
+    paths = [(command,)] + [p for p in READ if p[0] == command and len(p) > 1]
+    for path in paths:
+        argv = [*path, "--help"]
+        assert _help(own, argv) == _help(full, argv), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["wp", "eval", "--tau", "i", "--z", "1/0"], "zero denominator in '1/0'"),
+    (["wp", "eval", "--tau", "i", "--z", "1/0+i"], "zero denominator in '1/0'"),
+    (["wp", "eval", "--tau", "1/0i:-1", "--z", "1"], "zero denominator in '1/0'"),
+    (["lattice", "normalize", "--w1", "1/0", "--w2", "i"],
+     "zero denominator in '1/0'"),
+    (["count", "--domain", "1/0:"], "zero denominator in '1/0'"),
+    (["count", "--eps", "1/0"], "zero denominator in '1/0'"),
+    (["wp", "invariants", "--tau", "1e400i"],
+     "theta series out of range: binary exponent of magnitude 1.1331e+400 "
+     "reached, the limit is 2^1024"),
+    (["wp", "eval", "--tau", "1e400i", "--z", "1/3"],
+     "theta series out of range: binary exponent of magnitude 1.1331e+400 "
+     "reached, the limit is 2^1024"),
+    (["wp", "verify", "--tau", "i", "--identity", "ode", "--samples", "0"],
+     "--samples must be at least 1"),
+    (["wp", "verify", "--tau", "i", "--identity", "ode", "--samples", "-3"],
+     "--samples must be at least 1"),
+    (["count", "--eps", "0"], "eps must be positive"),
+    (["count", "--eps=-1/2"], "eps must be positive"),
+    (["count", "--eps", "-1/2"], "eps must be positive"),
+], ids=["zero-denominator-z", "zero-denominator-complex-z",
+        "zero-denominator-tau", "zero-denominator-w1",
+        "zero-denominator-domain", "zero-denominator-eps", "invariants-1e400i",
+        "eval-1e400i", "samples-0", "samples-minus-3", "eps-0",
+        "eps-joined-minus-half", "eps-minus-half"])
+def test_inputs_that_answer_nothing_exit_2_with_one_error_line(argv, message,
+                                                              capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

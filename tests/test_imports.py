@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import in src/wplab is used, every
 private helper is referenced, exact linear systems have one elimination
-routine (the predimension ranks one over the integers, without QuadNum), and
-the CLI loads only the layers a subcommand runs (sympy only for
-`deriv`)."""
+routine (the predimension ranks one over the integers, without QuadNum), no
+module imports dataclasses, and the CLI loads only the layers a subcommand
+runs (sympy only for `deriv`, json only for records)."""
 
 import ast
 import json
@@ -74,6 +74,25 @@ def test_only_differentials_imports_sympy_at_module_level():
     assert importers == ["differentials.py"]
 
 
+def imports_module(path: Path, name: str) -> bool:
+    """Whether the file imports the module anywhere, at any depth."""
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == name for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == name:
+            return True
+    return False
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and runs an exec
+    # per decorated class: start-up work every CLI call paid for nothing
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if imports_module(p, "dataclasses")] == []
+
+
 def second_eliminations(path: Path):
     """The sympy solvers a module names besides Matrix.rref: linsolve,
     linear_eq_to_matrix, or a .rank() call."""
@@ -104,12 +123,15 @@ def test_predimension_ranks_do_not_use_quadnum():
     assert "QuadNum" not in (SRC / "predim_engine.py").read_text(encoding="utf-8")
 
 
+# the module list is taken before the runner itself imports json
 RUN_IN_FRESH_INTERPRETER = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from wplab import cli
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.run(sys.argv[1:])
-print(json.dumps({"code": code, "out": out.getvalue(), "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "out": out.getvalue(), "modules": modules}))
 """
 
 
@@ -143,20 +165,28 @@ PRESENTATION = {
     "forms": [{"slot": 0, "b": 0, "fb": 1, "fprime": "e"}],
 }
 SYMPY_LAYERS = {"sympy", "wplab.differentials"}
+# what every call but `deriv` (whose sympy needs inspect) leaves unloaded
+LIGHT = SYMPY_LAYERS | {"dataclasses", "inspect"}
+# a text-format call that reads no file does not load json
+TEXT = LIGHT | {"json"}
 
 
 @pytest.mark.parametrize("argv, absent", [
     (("wp", "invariants", "--tau", "i"),
-     SYMPY_LAYERS | {"wplab.predim_engine", "wplab.counting"}),
+     TEXT | {"wplab.predim_engine", "wplab.counting"}),
     (("wp", "eval", "--tau", "i", "--z", "0.3+0.2i"),
-     SYMPY_LAYERS | {"wplab.predim_engine", "wplab.counting"}),
+     TEXT | {"wplab.predim_engine", "wplab.counting"}),
+    (("wp", "invariants", "--tau", "i", "--format", "record"),
+     LIGHT | {"wplab.predim_engine", "wplab.counting"}),
     (("lattice", "isogenous", "--tau1", "0+1i:-1", "--tau2", "0+2i:-1"),
-     SYMPY_LAYERS),
-    (("lattice", "cm", "--tau", "0+1i:-3"), SYMPY_LAYERS),
-    (("count", "--h", "identity", "--heights", "2,5"), SYMPY_LAYERS),
-    (("predim", "hull", "--config", "{config}", "--set", "b"), SYMPY_LAYERS),
-], ids=["wp invariants", "wp eval", "lattice isogenous", "lattice cm", "count",
-        "predim hull"])
+     TEXT),
+    (("lattice", "cm", "--tau", "0+1i:-3"), TEXT),
+    (("count", "--h", "identity", "--heights", "2,5"), TEXT),
+    (("count", "--h", "identity", "--heights", "2,5", "--format", "record"),
+     LIGHT),
+    (("predim", "hull", "--config", "{config}", "--set", "b"), LIGHT),
+], ids=["wp invariants", "wp eval", "wp invariants record", "lattice isogenous",
+        "lattice cm", "count", "count record", "predim hull"])
 def test_subcommand_loads_only_its_layers(argv, absent, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(CONFIG), encoding="utf-8")

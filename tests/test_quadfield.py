@@ -1,6 +1,7 @@
 """Exact quadratic field arithmetic: field axioms and numeric agreement."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,14 @@ def test_squarefree_kernel():
 def test_is_squarefree():
     assert is_squarefree(-1) and is_squarefree(-2) and is_squarefree(-105)
     assert not is_squarefree(-4) and not is_squarefree(-12)
+
+
+def test_quadnum_is_immutable_and_pickles():
+    a = QuadNum(Fraction(1, 2), 3, -7)
+    with pytest.raises(AttributeError):
+        a.p = Fraction(0)
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and hash(b) == hash(a) and type(b.q) is Fraction
 
 
 def test_constructor_rejects_bad_d():
