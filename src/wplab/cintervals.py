@@ -177,7 +177,11 @@ class ComplexBox:
         """|z|^2 as an endpoint pair, certified nonzero."""
         n = self._norm(p)
         if _straddles_zero(n):
-            raise PrecisionExhausted("division by an interval containing zero")
+            raise PrecisionExhausted(
+                "division by an interval containing zero: the divisor's "
+                f"radius is {mp.nstr(self.rad(), 5)} and its midpoint modulus "
+                f"{mp.nstr(abs(self.mid()), 5)}; a radius below the modulus "
+                "is needed")
         return n
 
     def abs_sq(self):

@@ -10,9 +10,9 @@ operate (precision, parsing, search bounds).  Identical invocations produce
 byte-identical output.
 
 A call pays little before it computes.  Each subcommand imports its own
-engine when it runs, so a call loads only the layers it uses: sympy only for
-`deriv` (and `selftest`), json only to print or read a record, and no layer
-imports dataclasses (with its inspect, ast and dis).  A call names its
+engine when it runs, so a call loads only the layers it uses: json only to
+print or read a record, no sympy, and no layer imports dataclasses (with its
+inspect, ast and dis).  A call names its
 command first, and argparse builds that command's subtree alone; a first
 argument that names no command gets the whole tree, so help and usage
 errors read as before.

@@ -23,10 +23,15 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def parse_frac(s) -> Fraction:
+def parse_frac(s, where: str = "value") -> Fraction:
+    """The rational s of the record field named `where`."""
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise InvalidConfiguration(
+            f"{where} has a zero denominator: {s!r}") from None
 
 
 _MISSING = object()
@@ -93,7 +98,8 @@ def quad_record(z: QuadNum) -> dict:
 
 
 def parse_quad(rec: dict) -> QuadNum:
-    return QuadNum(parse_frac(rec["p"]), parse_frac(rec["q"]), int(rec["d"]))
+    return QuadNum(parse_frac(rec["p"], "quad.p"), parse_frac(rec["q"], "quad.q"),
+                   int(rec["d"]))
 
 
 def lattice_record(l: Lattice, precision: int = 128) -> dict:
@@ -183,16 +189,20 @@ def parse_configuration(rec: dict) -> Configuration:
                     if not (isinstance(x, list) and len(x) == 2):
                         raise InvalidConfiguration(
                             f"{at}.rows[{r}][{j}] is not an [x, y] pair")
-            rows = [[(parse_frac(x), parse_frac(y)) for x, y in row]
-                    for row in rows]
+            rows = [[(parse_frac(x, f"{at}.rows[{r}][{j}][0]"),
+                      parse_frac(y, f"{at}.rows[{r}][{j}][1]"))
+                     for j, (x, y) in enumerate(row)]
+                    for r, row in enumerate(rows)]
         else:
-            rows = [[parse_frac(x) for x in row] for row in rows]
+            rows = [[parse_frac(x, f"{at}.rows[{r}][{j}]")
+                     for j, x in enumerate(row)] for r, row in enumerate(rows)]
         relations[i] = rows
     matroid = _field(_field(rec, "matroid", where, dict), "rows",
                      f"{where}.matroid", list)
     return Configuration(
         _names(_field(rec, "coordinates", where), f"{where}.coordinates"),
-        [[parse_frac(x) for x in _typed(row, list, f"{where}.matroid.rows[{r}]")]
+        [[parse_frac(x, f"{where}.matroid.rows[{r}][{j}]")
+          for j, x in enumerate(_typed(row, list, f"{where}.matroid.rows[{r}]"))]
          for r, row in enumerate(matroid)],
         slots,
         points,
@@ -209,7 +219,7 @@ def presentation_record(p, forms=()) -> dict:
     rec = {
         "mode": p.mode,
         "generators": list(p.generators),
-        "relations": [str(r) for r in p.relations],
+        "relations": list(p.relations),
         "precision": p.precision,
     }
     if p.mode != GENERIC:
@@ -252,7 +262,7 @@ def parse_presentation(rec: dict):
         if mode != GENERIC:
             try:
                 fprime = Fraction(fprime)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, ZeroDivisionError):
                 raise InvalidConfiguration(
                     "numeric presentations need rational fprime values in files"
                 )

@@ -160,6 +160,9 @@ def _box_eq(a: ComplexBox, b: ComplexBox) -> bool:
 # The tail and the magnitudes it needs are libmpf bounds rounded upward.
 
 _FIXED_GUARD = 16
+# the largest fixed-point scale in bits, Im tau up to about 1.18e8 (at
+# Im tau = 1e8 a call took 180 MB and 1.8 s on a 2-CPU Xeon VM)
+_SCALE_MAX = 1 << 27
 _BOUND_PREC = 53  # precision of the directed-rounding magnitude and tail bounds
 
 
@@ -274,6 +277,10 @@ def _theta_sums(q4: ComplexBox, w: ComplexBox):
     n = _pick_terms(b, c, prec)
     tail = _tail_bound(q4_hi, w_max, n)
     scale = prec + _FIXED_GUARD + math.ceil(b / 4 + c) + (2 * n).bit_length()
+    if scale > _SCALE_MAX:
+        raise WplabError(
+            f"theta series out of range: a fixed-point scale of {scale} bits "
+            f"is needed, the limit is {_SCALE_MAX} bits")
 
     q4f = _fixed(q4, scale)
     low = (1 << scale) - 1

@@ -115,6 +115,19 @@ def test_quadnum_box_contains_embedding():
         assert _contains(quadnum_box(q), complex(q), 1e-12)
 
 
+def test_division_by_zero_states_radius_and_modulus():
+    with working_precision(64):
+        # the box [-1, 3] + [0, 0]i: midpoint modulus 1, radius 2
+        divisor = ComplexBox(ri_from_endpoints(-1, 3))
+        for divide in (lambda: ComplexBox(1) / divisor, divisor.inv):
+            with pytest.raises(PrecisionExhausted) as err:
+                divide()
+            assert str(err.value) == (
+                "division by an interval containing zero: the divisor's "
+                "radius is 2.0 and its midpoint modulus 1.0; a radius below "
+                "the modulus is needed")
+
+
 def test_is_exact_flags():
     with working_precision(64):
         assert ComplexBox(1, 2).is_exact()

@@ -154,7 +154,29 @@ CM_CONFIG = {
     (["deriv", "rank", "--presentation"],
      {"mode": "generic", "generators": ["a", "e"], "forms": [{"b": 0, "fb": 1}]},
      "forms[0] has no 'fprime' field"),
-], ids=["cm-entry-not-a-pair", "no-matroid", "top-level-list", "form-without-fprime"])
+    (["predim", "hull", "--config"],
+     dict(CM_CONFIG, matroid={"rows": [["1", "0", "0", "0"], ["0", "1/0", "0", "0"],
+                                       ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}),
+     "configuration.matroid.rows[1][1] has a zero denominator: '1/0'"),
+    (["predim", "hull", "--config"],
+     dict(CM_CONFIG, relations=[{"slot": 0, "rows": [[["0", "1/0"], ["-1", "0"]]]}]),
+     "relations[0].rows[0][0][1] has a zero denominator: '1/0'"),
+    (["deriv", "rank", "--presentation"],
+     {"mode": "generic", "generators": ["a", "e"],
+      "forms": [{"b": 0, "fb": 1, "fprime": "e + 1"}]},
+     "forms[0].fprime: 'e + 1' is a sum; generic values are monomials"),
+    (["deriv", "rank", "--presentation"],
+     {"mode": "generic", "generators": ["a", "e"],
+      "forms": [{"b": 0, "fb": 1, "fprime": "exp(e)"}]},
+     "forms[0].fprime: cannot read 'exp(e)': 'exp' is not a generator"),
+    (["deriv", "rank", "--presentation"],
+     {"mode": "numeric_point", "generators": ["x"], "relations": [],
+      "point": {"x": {"re": "2", "im": "0", "err": "0", "precision": 128}},
+      "forms": [{"b": 0, "fb": 0, "fprime": "1/0"}]},
+     "numeric presentations need rational fprime values in files"),
+], ids=["cm-entry-not-a-pair", "no-matroid", "top-level-list", "form-without-fprime",
+        "matroid-zero-denominator", "relation-zero-denominator", "fprime-sum",
+        "fprime-function", "numeric-fprime-zero-denominator"])
 def test_malformed_record_files_exit_2(argv, record, message, tmp_path):
     path = tmp_path / "record.json"
     path.write_text(json.dumps(record))
@@ -191,6 +213,27 @@ def test_deriv_extend_on_the_empty_system_is_a_family(tmp_path):
     assert code == 0
     assert out == ("kind = family\ndimension = 2\n"
                    "assignment = {'a': '0', 'b': '0'}\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("e+a", "boundary a: 'e+a' is a sum; generic values are monomials"),
+    ("sin(e)", "boundary a: cannot read 'sin(e)': 'sin' is not a generator"),
+    ("b", "boundary a: cannot read 'b': 'b' is not a generator"),
+    ("1/(e-e)", "boundary a: cannot read '1/(e-e)': division by zero"),
+], ids=["sum", "function", "unknown-name", "division-by-zero"])
+def test_deriv_values_outside_the_grammar_exit_2(value, message, tmp_path, capsys):
+    path = tmp_path / "pres.json"
+    path.write_text(serialize.dumps(serialize.presentation_record(
+        FieldPresentation(GENERIC, ("a", "e")), [(0, 0, 1, "e")])))
+    argv = ["deriv", "extend", "--presentation", str(path), "--boundary"]
+    assert run(argv + [f"a={value}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # decimals are exact, and what is printed reads back as itself
+    assert run(argv + ["a=-1.5/e**2", "--format", "record"]) == 0
+    shown = json.loads(capsys.readouterr().out)["assignment"]
+    assert shown == {"a": "-3/(2*e**2)", "e": "-3/(2*e)"}
+    assert run(argv + [f"a={shown['a']}", "--format", "record"]) == 0
+    assert json.loads(capsys.readouterr().out)["assignment"] == shown
 
 
 def test_determinism_same_bytes():
@@ -339,12 +382,25 @@ def test_a_command_parser_prints_the_full_trees_help(command):
     (["count", "--eps", "0"], "eps must be positive"),
     (["count", "--eps=-1/2"], "eps must be positive"),
     (["count", "--eps", "-1/2"], "eps must be positive"),
+    (["wp", "invariants", "--tau", "1e12i"],
+     "theta series out of range: a fixed-point scale of 1133090035635 bits "
+     "is needed, the limit is 134217728 bits"),
+    (["wp", "invariants", "--tau", "1e20i"],
+     "theta series out of range: a fixed-point scale of "
+     "113309003545679839410 bits is needed, the limit is 134217728 bits"),
 ], ids=["zero-denominator-z", "zero-denominator-complex-z",
         "zero-denominator-tau", "zero-denominator-w1",
         "zero-denominator-domain", "zero-denominator-eps", "invariants-1e400i",
         "eval-1e400i", "samples-0", "samples-minus-3", "eps-0",
-        "eps-joined-minus-half", "eps-minus-half"])
+        "eps-joined-minus-half", "eps-minus-half", "invariants-1e12i",
+        "invariants-1e20i"])
 def test_inputs_that_answer_nothing_exit_2_with_one_error_line(argv, message,
                                                               capsys):
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_large_but_sized_tau_still_answers(capsys):
+    # the scale cap leaves Im tau = 1e7 (11 million bits) computing
+    assert run(["wp", "invariants", "--tau", "1e7i"]) == 0
+    assert capsys.readouterr().out.startswith("g2 = 129.878788045336582981")

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wplab.cintervals import ComplexBox, working_precision
 from wplab.differentials import (
@@ -13,19 +15,18 @@ from wplab.differentials import (
     ExtensionResult,
     FieldPresentation,
     _numeric_rref,
-    _sympify,
     der_dimension,
     extend_derivation,
     f_forms,
     hcl_witness,
     omega_presentation,
-    rows_rank,
 )
 from wplab.errors import (
     InvalidConfiguration,
     RankNotCertified,
     SingularSpecialization,
 )
+from wplab.laurent import Laurent, parse
 
 F = Fraction
 
@@ -140,7 +141,7 @@ def test_hcl_witness_numeric_closure():
 def test_symbolic_annihilation_matches_rank():
     p = FieldPresentation(GENERIC, ("a", "e", "t"))
     forms = f_forms(p, [(0, 0, 1, "e")])
-    assert rows_rank(p, [list(f.vector) for f in forms]) == 1
+    assert _oracle_rank(p, [list(f.vector) for f in forms]) == 1
     assert der_dimension(p, forms) == 2
 
 
@@ -197,7 +198,7 @@ def test_hcl_witness_against_the_rank_comparison(make_case):
             unit = [sympy.Integer(int(j == b)) for j in range(p.m)]
         else:
             unit = [one if j == b else zero for j in range(p.m)]
-        in_closure = rows_rank(p, rows + [unit]) == rows_rank(p, rows)
+        in_closure = _oracle_rank(p, rows + [unit]) == _oracle_rank(p, rows)
         v = hcl_witness(p, forms, b)
         assert v.in_closure == in_closure
         verdicts.add(in_closure)
@@ -225,10 +226,23 @@ def test_hcl_witness_against_the_rank_comparison(make_case):
 # linsolve (generic) or a second interval elimination (numeric).
 
 
+def _sympify(expr, symbols):
+    if isinstance(expr, (int, Fraction)):
+        return sympy.Rational(expr)
+    if isinstance(expr, str):
+        return sympy.sympify(expr, locals={s.name: s for s in symbols})
+    return sympy.sympify(expr)
+
+
+def _symbols(p):
+    return tuple(sympy.Symbol(g) for g in p.generators)
+
+
 def _generic_rank(rows, m) -> int:
     if not rows:
         return 0
-    mat = sympy.Matrix([[sympy.simplify(e) for e in r] for r in rows])
+    mat = sympy.Matrix([[sympy.simplify(sympy.sympify(e)) for e in r]
+                        for r in rows])
     return mat.rank()
 
 
@@ -238,11 +252,11 @@ def _numeric_rank(rows, m) -> int:
 
 
 def _solve_generic(p, rows, fixed, target):
-    syms = list(p.symbols)
+    syms = list(_symbols(p))
     unknowns = [sympy.Symbol(f"_d_{g}") for g in p.generators]
     eqs = []
     for row in rows:
-        eqs.append(sum(c * u for c, u in zip(row, unknowns)))
+        eqs.append(sum(sympy.sympify(c) * u for c, u in zip(row, unknowns)))
     for name, value in fixed.items():
         eqs.append(unknowns[p.generators.index(name)] - _sympify(value, syms))
     a_mat, b_vec = sympy.linear_eq_to_matrix(eqs, unknowns)
@@ -407,3 +421,157 @@ def test_empty_generic_system_is_a_family():
     res = extend_derivation(p, [], {})
     assert res.kind == "family" and res.dimension == 2
     assert {g: str(v) for g, v in res.assignment.items()} == {"a": "0", "b": "0"}
+
+
+# -- oracle: the sympy elimination the gain graph replaced --------------------
+# Generic systems were one sympy rref of [A | -b], read with the free
+# unknowns at 0, each value printed through simplify.
+
+
+def _sympy_extension(p, forms, fixed, target=None):
+    m, syms = p.m, _symbols(p)
+    zero, one = sympy.Integer(0), sympy.Integer(1)
+
+    def units(fixed):
+        out = []
+        for name, value in fixed.items():
+            row = [zero] * (m + 1)
+            row[p.generators.index(name)] = one
+            row[m] = -_sympify(value, syms)
+            out.append(row)
+        return out
+
+    def rref(rows):
+        red, pivots = sympy.Matrix(
+            len(rows), m + 1, [e for r in rows for e in r]).rref()
+        return list(pivots), [list(red.row(i)) for i in range(len(pivots))]
+
+    system = [[sympy.sympify(e) for e in f.vector] + [zero] for f in forms]
+    system += units(fixed)
+    pivots, red = rref(system)
+    dim = m - len(pivots)
+    if target is not None and m not in pivots:
+        pivots, red = rref(system + units(dict([target])))
+    if m in pivots:
+        return ExtensionResult("inconsistent", certificate_row=tuple(red[-1]))
+    values = [zero] * m
+    for col, row in reversed(list(zip(pivots, red))):
+        acc = -row[m]
+        for j in range(col + 1, m):
+            acc = acc - row[j] * values[j]
+        values[col] = acc / row[col]
+    assignment = dict(zip(p.generators, (sympy.simplify(v) for v in values)))
+    if dim == 0:
+        return ExtensionResult("unique", assignment)
+    return ExtensionResult("family", assignment, dim)
+
+
+def _monomial_text(rng, gens):
+    """A monomial as a presentation would write it, negative powers too."""
+    factors = [rng.choice(("1", "-1", "2", "1/2", "-3/2", "3"))]
+    for g in rng.sample(gens, rng.randint(0, min(2, len(gens)))):
+        k = rng.choice((-2, -1, 1, 2))
+        factors.append(g if k == 1 else f"{g}**{k}" if k > 0 else f"{g}**({k})")
+    return "*".join(factors)
+
+
+def _random_gain_system(rng):
+    """A generic presentation whose forms may be self-forms, zero forms,
+    parallel forms or close cycles, with monomial boundary and target
+    values."""
+    gens = tuple(rng.sample(("g0", "g1", "g2", "g10", "B", "x_1"),
+                            rng.randint(1, 4)))
+    p = FieldPresentation(GENERIC, gens)
+    specs = []
+    for _ in range(rng.randint(0, 4)):
+        b, fb = rng.randrange(p.m), rng.randrange(p.m)
+        specs.append((0, b, fb, rng.choice(
+            (_monomial_text(rng, gens), "0", "1", gens[fb]))))
+    boundary = {g: _monomial_text(rng, gens) for g in gens
+                if rng.random() < 0.3}
+    target = None
+    if rng.random() < 0.5:
+        target = (rng.choice(gens), _monomial_text(rng, gens))
+    return p, f_forms(p, specs), boundary, target, rng.randrange(p.m)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: _random_system(rng, _random_generic_case),
+    _random_gain_system,
+], ids=["tests-corpus", "gain-graph-shapes"])
+def test_gain_graph_against_the_sympy_elimination(make):
+    # 100 systems each, and the hcl system of each: kind, dimension and the
+    # printed values and certificate equal the sympy path's
+    rng = random.Random(21)
+    for _ in range(100):
+        p, forms, boundary, target, b = make(rng)
+        got = extend_derivation(p, forms, boundary, target)
+        assert _shown(got) == _shown(_sympy_extension(p, forms, boundary, target))
+        want = _sympy_extension(p, forms, {p.generators[b]: 1})
+        v = hcl_witness(p, forms, b)
+        assert v.in_closure == (want.kind == "inconsistent")
+        if not v.in_closure:
+            assert {g: str(x) for g, x in v.witness.items()} == _shown(want)[2]
+
+
+NAMES = ("g0", "g1", "g2", "g10", "B", "x_1")
+monomials = st.builds(
+    lambda c, exps: Laurent({tuple(sorted((n, k) for n, k in exps.items() if k)): c}),
+    st.fractions(min_value=-40, max_value=40, max_denominator=40),
+    st.dictionaries(st.sampled_from(NAMES), st.integers(-4, 4), max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomials)
+def test_monomials_print_as_sympy_and_parse_back(m):
+    text = str(m)
+    assert text == str(sympy.simplify(sympy.sympify(text)))
+    assert parse(text, NAMES, "value") == m
+    assert sympy.sympify(m) == sympy.sympify(text)
+
+
+def test_gain_graph_zero_components():
+    p = FieldPresentation(GENERIC, ("a", "b", "c", "d"))
+    # a -> b with gain 2 and back with gain 1/3: the cycle's product is 2/3
+    cycle = f_forms(p, [(0, 0, 1, 2), (0, 1, 0, F(1, 3))])
+    # c's self-form with f' = c forces c to 0; f' = 0 forces d, not c
+    self_and_zero = f_forms(p, [(0, 2, 2, "c"), (0, 2, 3, 0)])
+    assert der_dimension(p, cycle) == 2
+    assert der_dimension(p, self_and_zero) == 2
+    assert der_dimension(p, f_forms(p, [(0, 2, 2, 1)])) == 4
+    res = extend_derivation(p, cycle, {"c": 1}, ("a", 0))
+    assert _shown(res) == ("family", 1, {"a": "0", "b": "0", "c": "1", "d": "0"},
+                           None)
+    clash = extend_derivation(p, cycle, {"a": 1})
+    assert _shown(clash) == ("inconsistent", 0, None, ["0"] * 4 + ["1"])
+
+
+def test_generic_values_are_exact_monomials():
+    p = FieldPresentation(GENERIC, ("a", "e"))
+    forms = f_forms(p, [(0, 0, 1, "e**2/(3*a)")])
+    res = extend_derivation(p, forms, {"a": "1.5"})
+    assert {g: str(v) for g, v in res.assignment.items()} == \
+        {"a": "3/2", "e": "e**2/(2*a)"}
+    for bad, why in [("a + 1", "is a sum"), ("sin(a)", "'sin' is not a generator"),
+                     ("x", "'x' is not a generator"), ("a**0.5", "integer")]:
+        with pytest.raises(InvalidConfiguration, match="boundary a") as err:
+            extend_derivation(p, forms, {"a": bad})
+        assert why in str(err.value)
+    with pytest.raises(InvalidConfiguration, match=r"forms\[0\]\.fprime"):
+        f_forms(p, [(0, 0, 1, "e - 1")])
+
+
+def test_numeric_inputs_outside_the_grammar():
+    pt = _boxes(x=2, y=4)
+    p = FieldPresentation(NUMERIC_POINT, ("x", "y"), ("y - x**2",), pt, 128)
+    with pytest.raises(InvalidConfiguration, match="boundary x: cannot read '1/0'"):
+        extend_derivation(p, [], {"x": "1/0"})
+    with pytest.raises(InvalidConfiguration, match="target y: 'x' is not a rational"):
+        extend_derivation(p, [], {}, ("y", "x"))
+    with pytest.raises(InvalidConfiguration, match=r"relations\[0\].*not a polynomial"):
+        FieldPresentation(NUMERIC_POINT, ("x", "y"), ("y - 8/x",), pt, 128)
+    with pytest.raises(InvalidConfiguration, match=r"relations\[0\].*'cos'"):
+        FieldPresentation(NUMERIC_POINT, ("x", "y"), ("y - cos(x)",), pt, 128)
+    # the message quotes the relation as written
+    with pytest.raises(InvalidConfiguration, match=r"relation y-x\*\*3 does not"):
+        FieldPresentation(NUMERIC_POINT, ("x", "y"), ("y-x**3",), pt, 128)

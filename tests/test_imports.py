@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import in src/wplab is used, every
-private helper is referenced, exact linear systems have one elimination
-routine (the predimension ranks one over the integers, without QuadNum), no
-module imports dataclasses, and the CLI loads only the layers a subcommand
-runs (sympy only for `deriv`, json only for records)."""
+private helper is referenced, no module calls a sympy solver (the
+predimension ranks are one elimination over the integers, without
+QuadNum), no module imports dataclasses or sympy, and the CLI loads only
+the layers a subcommand runs (json only for records, sympy never)."""
 
 import ast
 import json
@@ -44,6 +44,10 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
 
 
+# hooks another library calls by name: sympify calls a value's _sympy_
+LIBRARY_HOOKS = {"_sympy_"}
+
+
 def test_every_private_helper_is_referenced():
     # a helper a refactor left behind: defined with a leading underscore,
     # named nowhere in src/wplab (dunder methods are called implicitly)
@@ -52,6 +56,7 @@ def test_every_private_helper_is_referenced():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                     ast.ClassDef))
                and node.name.startswith("_") and not node.name.endswith("__")}
+    defined -= LIBRARY_HOOKS
     referenced = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -64,14 +69,15 @@ def test_every_private_helper_is_referenced():
     assert sorted(defined - referenced) == []
 
 
-def test_only_differentials_imports_sympy_at_module_level():
+def test_no_module_imports_sympy_at_module_level():
+    # sympy is a test dependency: laurent imports it only inside _sympy_
     def imports_sympy(node, alias):
         name = node.module if isinstance(node, ast.ImportFrom) else alias.name
         return name is not None and name.split(".")[0] == "sympy"
 
     importers = sorted(path.name for path in SRC.glob("*.py")
                        if any(imports_sympy(*imp) for imp in module_imports(parse(path))))
-    assert importers == ["differentials.py"]
+    assert importers == []
 
 
 def imports_module(path: Path, name: str) -> bool:
@@ -112,7 +118,8 @@ def second_eliminations(path: Path):
 
 
 def test_one_symbolic_elimination_routine():
-    # every exact system goes through the one rref in differentials._reduce
+    # generic derivation systems are solved as a gain graph, numeric ones by
+    # the one interval elimination: no module reaches for a sympy solver
     found = {path.name: second_eliminations(path) for path in SRC.glob("*.py")}
     assert {name: names for name, names in found.items() if names} == {}
 
@@ -164,9 +171,10 @@ PRESENTATION = {
     "precision": 128,
     "forms": [{"slot": 0, "b": 0, "fb": 1, "fprime": "e"}],
 }
-SYMPY_LAYERS = {"sympy", "wplab.differentials"}
-# what every call but `deriv` (whose sympy needs inspect) leaves unloaded
-LIGHT = SYMPY_LAYERS | {"dataclasses", "inspect"}
+# what no call loads: sympy, and the inspect that sympy and dataclasses need
+HEAVY = {"sympy", "dataclasses", "inspect"}
+# what every call but `deriv` and `selftest` leaves unloaded
+LIGHT = HEAVY | {"wplab.differentials", "wplab.laurent"}
 # a text-format call that reads no file does not load json
 TEXT = LIGHT | {"json"}
 
@@ -185,12 +193,21 @@ TEXT = LIGHT | {"json"}
     (("count", "--h", "identity", "--heights", "2,5", "--format", "record"),
      LIGHT),
     (("predim", "hull", "--config", "{config}", "--set", "b"), LIGHT),
+    (("deriv", "rank", "--presentation", "{pres}"),
+     HEAVY | {"wplab.predim_engine", "wplab.counting"}),
+    (("deriv", "hcl", "--presentation", "{pres}", "--b", "a"),
+     HEAVY | {"wplab.predim_engine", "wplab.counting"}),
+    # criterion 7 is the derivation one; the run imports every layer
+    (("selftest", "--criteria", "7"), HEAVY),
 ], ids=["wp invariants", "wp eval", "wp invariants record", "lattice isogenous",
-        "lattice cm", "count", "count record", "predim hull"])
+        "lattice cm", "count", "count record", "predim hull", "deriv rank",
+        "deriv hcl", "selftest"])
 def test_subcommand_loads_only_its_layers(argv, absent, tmp_path):
-    config = tmp_path / "cfg.json"
+    config, pres = tmp_path / "cfg.json", tmp_path / "pres.json"
     config.write_text(json.dumps(CONFIG), encoding="utf-8")
-    code, out, modules = run_fresh(*(a.format(config=config) for a in argv))
+    pres.write_text(json.dumps(PRESENTATION), encoding="utf-8")
+    code, out, modules = run_fresh(*(a.format(config=config, pres=pres)
+                                     for a in argv))
     assert code == 0 and out
     assert modules.isdisjoint(absent), sorted(modules & absent)
 
@@ -201,4 +218,5 @@ def test_deriv_still_answers_in_a_fresh_interpreter(tmp_path):
     code, out, modules = run_fresh("deriv", "extend", "--presentation",
                                    str(pres), "--boundary", "a=1")
     assert code == 0 and out.startswith("kind = unique\n")
-    assert SYMPY_LAYERS <= modules
+    assert modules.isdisjoint(HEAVY | {"wplab.predim_engine"}), \
+        sorted(modules & HEAVY)
