@@ -303,7 +303,7 @@ def cmd_wp(args) -> int:
         if tag == "isogeny":
             tau2 = parse_value(args.tau2, prec) if args.tau2 else None
             l2 = (lattice_from_tau(tau2, prec) if tau2 is not None
-                  else make_lattice(lat.omega1_box(), lat.omega2_box() * 2))
+                  else make_lattice(lat.omega1, lat.omega2 * 2))
             v = is_isogenous(lat, l2, args.bound)
             if not v.is_isogenous:
                 raise CliError("lattices not certified isogenous")
@@ -463,6 +463,16 @@ def _parse_assignments(text):
     return out
 
 
+def _derivation_value(v, args, precision: int):
+    """A derivation value as printed: a box at a numeric point as its box
+    record or box_str, so the enclosure shows; a generic value as written."""
+    if not isinstance(v, ComplexBox):
+        return str(v)
+    if args.format == "record":
+        return serialize.box_record(v, precision)
+    return box_str(v, precision)
+
+
 def cmd_deriv(args) -> int:
     from .differentials import der_dimension, extend_derivation, hcl_witness
 
@@ -487,11 +497,13 @@ def cmd_deriv(args) -> int:
             rec["dimension"] = res.dimension
             lines.append(f"dimension = {res.dimension}")
         if res.assignment is not None:
-            shown = {k: str(v) for k, v in res.assignment.items()}
+            shown = {k: _derivation_value(v, args, p.precision)
+                     for k, v in res.assignment.items()}
             rec["assignment"] = shown
             lines.append(f"assignment = {shown}")
         if res.certificate_row is not None:
-            rec["certificate_row"] = [str(x) for x in res.certificate_row]
+            rec["certificate_row"] = [_derivation_value(x, args, p.precision)
+                                      for x in res.certificate_row]
             lines.append(f"certificate_row = {rec['certificate_row']}")
         emit(args, lines, rec)
         return 0 if res.kind != "inconsistent" else 1
@@ -502,7 +514,8 @@ def cmd_deriv(args) -> int:
     rec = {"in_closure": verdict.in_closure}
     lines = [f"in_closure = {verdict.in_closure}"]
     if verdict.witness is not None:
-        shown = {k: str(v) for k, v in verdict.witness.items()}
+        shown = {k: _derivation_value(v, args, p.precision)
+                 for k, v in verdict.witness.items()}
         rec["witness"] = shown
         lines.append(f"witness = {shown}")
     emit(args, lines, rec)

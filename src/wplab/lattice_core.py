@@ -7,16 +7,28 @@ quadratic) or certified rectangles (ComplexBox).  Exact lattices admit exact
 isogeny decisions by comparing their quadratic fields; numeric lattices get a
 bounded witness search that returns "unknown up to bound" rather than a
 negative it cannot certify.
+
+Both numeric searches, the CM relation a*tau^2 + b*tau + c = 0 and the
+isogeny witness a*tau1 + b = tau2*(c*tau1 + d), are one integer-relation
+search (_integer_relations): a Kannan embedding of the boxes' exact dyadic
+centers, reduced by an integral LLL (Lenstra-Lenstra-Lovasz, Math. Ann. 261,
+1982; Cohen, Alg. 2.6.7) and enumerated by Fincke-Pohst (Math. Comp. 44,
+1985) inside a norm bound derived from the boxes' radii.  That bound holds
+every coefficient vector whose residual box contains zero, so the searches
+miss no witness below their bound; without a relation their cost grows
+only with log2 of the bound.  A positive verdict still means an interval
+residual that contains zero.
 """
 
 from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd, isqrt
 from typing import NamedTuple, Optional, Union
 
 from mpmath import iv, mp
+from mpmath.libmp import to_rational
 
 from .cintervals import ComplexBox, quadnum_box, ri, ri_hi, ri_lo
 from .errors import DegenerateLattice, PrecisionExhausted, UnknownUpToBound
@@ -57,8 +69,6 @@ def flt(m, tau):
 # -- Gauss reduction ---------------------------------------------------------
 
 def _round_half_up(x: Fraction) -> int:
-    from math import floor
-
     return floor(x + Fraction(1, 2))
 
 
@@ -224,38 +234,173 @@ def conjugate(lattice: Lattice) -> Lattice:
     return make_lattice(lattice.omega1.conj(), lattice.omega2.conj())
 
 
+# -- integer relations -------------------------------------------------------
+
+def _center_radius(box: ComplexBox):
+    """Exact dyadic center (re, im) and the larger half-width of a box."""
+    (rlo, rhi), (ilo, ihi) = (
+        [Fraction(*to_rational(e)) for e in part._mpi_] for part in (box.re, box.im))
+    return (rlo + rhi) / 2, (ilo + ihi) / 2, max(rhi - rlo, ihi - ilo) / 2
+
+
+def _lll(rows):
+    """Integral LLL with delta = 3/4 (Cohen, Alg. 2.6.7) on independent
+    integer rows.  Returns the reduced rows b, the Gram determinants d
+    (d[0] = 1, d[i] of the first i rows) and lam[i][j] = d[j+1] * mu_ij, so
+    |b*_i|^2 = d[i+1]/d[i] exactly."""
+    n = len(rows)
+    b = [None] + [list(r) for r in rows]
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        mu = lam[k][k - 1]
+        new = (d[k - 2] * d[k] + mu * mu) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - mu * t) // d[k - 1]
+            lam[i][k - 1] = (new * t + mu * lam[i][k]) // d[k]
+        d[k - 1] = new
+
+    d[1] = dot(b[1], b[1])
+    k, kmax = 2, 1
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            for j in range(1, k + 1):
+                u = dot(b[k], b[j])
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k] = u
+        red(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                red(k, l)
+            k += 1
+    return b[1:], d, [row[1:] for row in lam[1:]]
+
+
+def _short_vectors(b, d, lam, norm2):
+    """Fincke-Pohst: every nonzero integer combination of the LLL-reduced
+    rows b with squared norm at most norm2.  Level i adds
+    (d[i+1] x_i + N_i)^2 / (d[i+1] d[i]) with N_i = sum_{j>i} lam[j][i] x_j,
+    so each range of x_i is exact integer arithmetic."""
+    n = len(b)
+    x = [0] * n
+
+    def level(i, budget):
+        di = d[i + 1]
+        nn = sum(lam[j][i] * x[j] for j in range(i + 1, n))
+        s = isqrt(floor(budget * di * d[i]))
+        for xi in range(-((s + nn) // di), (s - nn) // di + 1):
+            x[i] = xi
+            if i:
+                yield from level(i - 1, budget - Fraction((di * xi + nn) ** 2, di * d[i]))
+            elif any(x):
+                yield [sum(xj * row[c] for xj, row in zip(x, b)) for c in range(len(b[0]))]
+        x[i] = 0
+
+    return level(n - 1, Fraction(norm2))
+
+
+def _integer_relations(boxes, bound: int):
+    """Every integer vector n with max |n_j| <= bound that could satisfy
+    sum n_j m_j = 0 for the complex boxes m_j, in increasing order of
+    (max |n_j|, n): a superset of the vectors on which the residual filters
+    of cm_field and _numeric_isogeny accept, so a caller after the least
+    accepted vector stops at the first.
+
+    Let mu_j be the exact dyadic center of m_j and rho_j its larger
+    half-width, P = sum rho_j, M = 1 + sum (|mu_j| + rho_j) with
+    |z| = max(|Re z|, |Im z|), and p = iv.prec.  If a filter's residual box
+    contains 0 then |sum n_j mu_j| <= E(B) = B (2 P + P^2 + 2^(6-p) M)
+    for B = max |n_j|:
+    - the cm_field residual, the box sum of n_j m_j, lies within
+      sum n_j mu_j +- B P in each component;
+    - a real interval product X Y lies within x y +- (|x| h_Y + |y| h_X +
+      h_X h_Y) and has half-width at least |x| h_Y + |y| h_X (x, y the
+      centers, h the half-widths).  So the isogeny residual
+      (t1 a + b) - t2 (t1 c + d) on the boxes (t1, 1, -t1 t2, -t2) lies
+      within its value at the centers +- (|a| rho1 + |c| rho3 + |d| rho4 +
+      2 |c| rho1 rho4), and that value is within |c| rho3 of
+      sum n_j mu_j, since the product of the centers lies in m3;
+    - outward rounding at p bits moves an endpoint by at most 2^(1-p) times
+      its magnitude.  The magnitudes in either residual are at most
+      2 B M (|t1| |t2| <= sqrt(2) |m3|, as m3 holds every product), and the
+      moves, with what later products make of them, add up to less than
+      16 times that.
+
+    With the scale 2^s (2^s E(B) about B), the Kannan embedding rows
+    [e_j | round(2^s Re mu_j), round(2^s Im mu_j)] turn such an n into a
+    lattice vector whose two last entries are at most T = ceil(2^s E(B)) +
+    k B (rounding the columns costs at most k B / 2) and whose norm is at
+    most R, R^2 = k B^2 + 2 T^2.  The rows are LLL-reduced once, and for
+    B = 1, 2, 4, ..., bound Fincke-Pohst enumerates every lattice vector of
+    norm at most R; the vectors with B/2 < max |n_j| <= B and both columns
+    within T are that shell's candidates.  No candidate is missed, so a
+    search that accepts none has no solution up to the bound and "unknown
+    up to bound" is an honest verdict.  The cost is set by the number of
+    short lattice vectors, not by the bound: without a relation the
+    shortest vector has length near 2^(2s/k), far above R, so each of the
+    log2(bound) shells costs a few tree nodes."""
+    k = len(boxes)
+    cols = [_center_radius(m) for m in boxes]
+    spread = sum(r for _, _, r in cols)
+    size = 1 + sum(max(abs(x), abs(y)) + r for x, y, r in cols)
+    unit = 2 * spread + spread * spread + size / Fraction(2) ** (iv.prec - 6)
+    s = max(0, unit.denominator.bit_length() - unit.numerator.bit_length())
+    rows = [[int(i == j) for j in range(k)] + [round(x * 2 ** s), round(y * 2 ** s)]
+            for i, (x, y, _) in enumerate(cols)]
+    reduced = _lll(rows)
+    done = 0
+    while done < bound:
+        top = min(bound, 2 * done or 1)
+        t = ceil(top * unit * 2 ** s) + k * top
+        shell = [tuple(v[:k]) for v in _short_vectors(*reduced, k * top * top + 2 * t * t)
+                 if done < max(map(abs, v[:k])) <= top
+                 and abs(v[k]) <= t and abs(v[k + 1]) <= t]
+        yield from sorted(shell, key=lambda n: (max(map(abs, n)), n))
+        done = top
+
+
 # -- complex multiplication --------------------------------------------------
 
-def _integers_in(interval, bound, widen=0):
-    """Integers of the interval, widened by `widen` on each side and clamped
-    to [-bound, bound], in increasing order."""
-    lo = int(mp.ceil(ri_lo(interval))) - widen
-    hi = int(mp.floor(ri_hi(interval))) + widen
-    return range(max(lo, -bound), min(hi, bound) + 1)
-
-
 def cm_field(lattice: Lattice, height_bound: int = 100) -> Optional[int]:
-    """The d of the CM field Q(sqrt(d)), or None when no integer quadratic
-    relation a*tau^2 + b*tau + c = 0 with coefficients up to the bound
-    survives interval certification."""
+    """The d of the CM field Q(sqrt(d)), or None when no primitive integer
+    quadratic relation a*tau^2 + b*tau + c = 0 (a > 0, b^2 - 4ac < 0) with
+    coefficients up to the bound survives interval certification.  The
+    candidates are the relations _integer_relations finds among the boxes
+    (tau^2, tau, 1); several surviving fields raise UnknownUpToBound."""
     tau = lattice.tau
     if isinstance(tau, QuadNum):
         return tau.d
     tau2 = tau * tau
     candidates = set()
-    for a in range(1, height_bound + 1):
-        # Im part: a*Im(tau^2) + b*Im(tau) = 0 pins b to one interval.
-        b_iv = -(tau2.im * a) / tau.im
-        for b in _integers_in(b_iv, height_bound):
-            c_iv = -(tau2.re * a + tau.re * b)
-            for c in _integers_in(c_iv, height_bound):
-                if gcd(gcd(a, abs(b)), abs(c)) != 1:
-                    continue
-                disc = b * b - 4 * a * c
-                if disc >= 0:
-                    continue
-                if (tau2 * a + tau * b + c).contains_zero():
-                    candidates.add(squarefree_kernel(disc))
+    for n in _integer_relations((tau2, tau, ComplexBox(1)), height_bound):
+        a, b, c = n if n[0] > 0 else (-x for x in n)
+        disc = b * b - 4 * a * c
+        if gcd(a, b, c) == 1 and disc < 0 and (tau2 * a + tau * b + c).contains_zero():
+            candidates.add(squarefree_kernel(disc))
     if not candidates:
         return None
     if len(candidates) == 1:
@@ -338,36 +483,16 @@ def _exact_isogeny(l1: Lattice, l2: Lattice) -> IsogenyVerdict:
 
 def _numeric_isogeny(l1: Lattice, l2: Lattice, bound: int) -> IsogenyVerdict:
     """Least witness by (max |entry|, a, b, c, d) with entries up to the
-    bound.  (c, d) is swept by max(|c|, |d|); a*tau1 + b = tau2*(c*tau1 + d)
-    then pins a by its imaginary part and b by its real part, each widened
-    by one integer, and the residual check certifies every candidate."""
+    bound.  a*tau1 + b = tau2*(c*tau1 + d) is the integer relation
+    (a, b, c, d) among the boxes (tau1, 1, -tau1*tau2, -tau2);
+    _integer_relations yields the candidates in key order, and the first
+    that witness_maps certifies is the witness."""
     t1, t2 = l1.tau_box(), l2.tau_box()
-    best = None
-    for k in range(bound + 1):
-        if best is not None and k > best[0]:
-            break
-        for c in range(-k, k + 1):
-            for d in range(-k, k + 1):
-                if max(abs(c), abs(d)) != k:
-                    continue
-                den_box = t1 * c + d
-                if den_box.contains_zero():
-                    continue
-                rhs = t2 * den_box
-                for a in _integers_in(rhs.im / t1.im, bound, widen=1):
-                    t1a = t1 * a
-                    for b in _integers_in(rhs.re - t1a.re, bound, widen=1):
-                        key = (max(abs(a), abs(b), k), a, b, c, d)
-                        if best is not None and key >= best:
-                            continue
-                        if a * d - b * c == 0:
-                            continue
-                        if ((t1a + b) - rhs).contains_zero():
-                            best = key
-    if best is not None:
-        m = (best[1:3], best[3:5])
-        return IsogenyVerdict("isogenous", witness=m,
-                              alpha=_alpha_for(l1, l2, m))
+    for a, b, c, d in _integer_relations((t1, ComplexBox(1), -(t1 * t2), -t2), bound):
+        m = ((a, b), (c, d))
+        if mat_det(m) != 0 and not (t1 * c + d).contains_zero() \
+                and witness_maps(t1, t2, m):
+            return IsogenyVerdict("isogenous", witness=m, alpha=_alpha_for(l1, l2, m))
     return IsogenyVerdict("unknown_up_to_bound", bound=bound,
                           reason=f"no witness with entries up to {bound}")
 

@@ -404,3 +404,33 @@ def test_a_large_but_sized_tau_still_answers(capsys):
     # the scale cap leaves Im tau = 1e7 (11 million bits) computing
     assert run(["wp", "invariants", "--tau", "1e7i"]) == 0
     assert capsys.readouterr().out.startswith("g2 = 129.878788045336582981")
+
+
+def test_numeric_derivation_values_print_their_enclosures(tmp_path, capsys):
+    # y - x**2 at x = 2: the boundary x = 1/3 forces y = 4/3; each printed
+    # box must contain the exact value, in both formats
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(
+        {"mode": "numeric_point", "generators": ["x", "y"], "relations": ["y - x**2"],
+         "precision": 128,
+         "point": {"x": {"re": "2", "im": "0", "err": "0", "precision": 128},
+                   "y": {"re": "4", "im": "0", "err": "0", "precision": 128}}}))
+    argv = ["deriv", "extend", "--presentation", str(path), "--boundary", "x=1/3"]
+    assert run(argv + ["--format", "record"]) == 0
+    shown = json.loads(capsys.readouterr().out)["assignment"]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("kind = unique\nassignment = {")
+    for name, exact in (("x", F(1, 3)), ("y", F(4, 3))):
+        rec = shown[name]
+        assert abs(F(rec["re"]) - exact) <= F(rec["err"]) and F(rec["im"]) == 0
+        assert f"'{name}': '{rec['re']} + {rec['im']}i (err {rec['err']})'" in text
+
+
+def test_wp_verify_isogeny_default_partner_keeps_the_representation():
+    # the default partner 2*omega2 of an exact lattice is exact too: no
+    # mixed-representation warning reaches stderr
+    code, out, err = invoke("wp", "verify", "--tau", "0+1i:-1", "--identity",
+                            "isogeny", "--samples", "3")
+    assert (code, err) == (0, "")
+    assert out.startswith("max residual over 3 samples = ")

@@ -4,14 +4,18 @@ import cmath
 import random
 import warnings
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import iv, mp
 
-from wplab.cintervals import ComplexBox, ri, working_precision
-from wplab.errors import DegenerateLattice, PrecisionExhausted
+from wplab.cintervals import ComplexBox, quadnum_box, ri, ri_hi, ri_lo, working_precision
+from wplab.errors import DegenerateLattice, PrecisionExhausted, UnknownUpToBound
 from wplab.lattice_core import (
     MixedRepresentationWarning,
+    _integer_relations,
     cm_field,
     conjugate,
     flt,
@@ -22,7 +26,7 @@ from wplab.lattice_core import (
     reduce_tau,
     witness_maps,
 )
-from wplab.quadfield import QuadNum
+from wplab.quadfield import QuadNum, squarefree_kernel
 
 I_TAU = QuadNum(0, 1, -1)
 
@@ -272,3 +276,215 @@ def test_numeric_isogeny_matches_cube_scan():
             assert (v.outcome, v.witness) == cube_scan_isogeny(l1, l2, 10)
             assert v.outcome == "unknown_up_to_bound" and v.bound == 10
     assert found >= 20
+
+
+# -- the relation search against the interval sweeps it replaced --------------
+
+def _integers_in(interval, bound, widen=0):
+    lo = int(mp.ceil(ri_lo(interval))) - widen
+    hi = int(mp.floor(ri_hi(interval))) + widen
+    return range(max(lo, -bound), min(hi, bound) + 1)
+
+
+def sweep_isogeny(l1, l2, bound):
+    """Reference search: (c, d) by shells of max(|c|, |d|); the imaginary
+    and real parts of a*tau1 + b = tau2*(c*tau1 + d) pin a and b to
+    intervals widened by one; (outcome, witness) of the least key."""
+    t1, t2 = l1.tau_box(), l2.tau_box()
+    best = None
+    for k in range(bound + 1):
+        if best is not None and k > best[0]:
+            break
+        for c in range(-k, k + 1):
+            for d in range(-k, k + 1):
+                if max(abs(c), abs(d)) != k:
+                    continue
+                den_box = t1 * c + d
+                if den_box.contains_zero():
+                    continue
+                rhs = t2 * den_box
+                for a in _integers_in(rhs.im / t1.im, bound, widen=1):
+                    t1a = t1 * a
+                    for b in _integers_in(rhs.re - t1a.re, bound, widen=1):
+                        key = (max(abs(a), abs(b), k), a, b, c, d)
+                        if best is not None and key >= best:
+                            continue
+                        if a * d - b * c != 0 and ((t1a + b) - rhs).contains_zero():
+                            best = key
+    if best is None:
+        return "unknown_up_to_bound", None
+    return "isogenous", (best[1:3], best[3:5])
+
+
+def sweep_isr(l1, l2, bound):
+    direct = sweep_isogeny(l1, l2, bound)
+    if direct[0] == "isogenous":
+        return direct + (False,)
+    reflected = sweep_isogeny(l1, conjugate(l2), bound)
+    return reflected + (True if reflected[0] == "isogenous" else None,)
+
+
+def sweep_cm_kernels(lattice, bound):
+    """Reference cm_field sweep: a over 1..bound pins b by the imaginary
+    part and c by the real part; the kernels of the surviving relations."""
+    tau = lattice.tau
+    tau2 = tau * tau
+    kernels = set()
+    for a in range(1, bound + 1):
+        for b in _integers_in(-(tau2.im * a) / tau.im, bound):
+            for c in _integers_in(-(tau2.re * a + tau.re * b), bound):
+                disc = b * b - 4 * a * c
+                if gcd(a, b, c) == 1 and disc < 0 and \
+                        (tau2 * a + tau * b + c).contains_zero():
+                    kernels.add(squarefree_kernel(disc))
+    return kernels
+
+
+def _verdict(v):
+    return v.outcome, v.witness
+
+
+def _transcendental_box(rng):
+    """(e^s - 2) + i e^r for rationals s, r: no relation of small height."""
+    s = Fraction(rng.randint(406, 916), 1000)
+    r = Fraction(rng.randint(100, 900), 1000)
+    return ComplexBox(iv.exp(ri(s)) - 2, iv.exp(ri(r)))
+
+
+def _primitive_matrix(rng, height):
+    while True:
+        m = tuple(tuple(rng.randint(-height, height) for _ in range(2)) for _ in range(2))
+        entries = [abs(x) for row in m for x in row]
+        if max(entries) == height and mat_det(m) != 0 and gcd(*entries) == 1:
+            return m
+
+
+SEARCH_BOUNDS = (3, 5, 10, 20, 40)
+
+
+def test_relation_search_matches_the_isogeny_sweep():
+    rng = random.Random(22)
+    bounds = iter(SEARCH_BOUNDS * 6)
+    with working_precision(128):
+        found = 0
+        for height in range(1, 9):
+            for _ in range(2):
+                tau1 = _transcendental_box(rng)
+                m = _primitive_matrix(rng, height)
+                l1 = make_lattice(ComplexBox(1), tau1)
+                l2 = make_lattice(ComplexBox(1), flt(m, tau1))
+                bound = next(bounds)
+                v = is_isogenous(l1, l2, bound)
+                assert _verdict(v) == sweep_isogeny(l1, l2, bound)
+                found += v.is_isogenous
+        assert found >= 8
+        for height in (1, 2, 3, 4, 6):
+            tau1 = _transcendental_box(rng)
+            m = _primitive_matrix(rng, height)
+            l1 = make_lattice(ComplexBox(1), tau1)
+            image = flt(m, tau1)
+            l2 = make_lattice(ComplexBox(1), ComplexBox(-image.re, image.im))
+            bound = next(bounds)
+            v = isr_equivalent(l1, l2, bound)
+            assert (v.outcome, v.witness, v.used_reflection) == sweep_isr(l1, l2, bound)
+        l1 = make_lattice(ComplexBox(1), _transcendental_box(rng))
+        l2 = make_lattice(ComplexBox(1), _transcendental_box(rng))
+        for bound in SEARCH_BOUNDS:
+            v = is_isogenous(l1, l2, bound)
+            assert _verdict(v) == sweep_isogeny(l1, l2, bound)
+            assert v.outcome == "unknown_up_to_bound" and v.bound == bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-400, 400), st.integers(900, 2500),
+       st.tuples(*[st.integers(-3, 3)] * 4), st.integers(3, 5))
+def test_relation_search_matches_the_sweep_on_rational_boxes(x, y, entries, bound):
+    m = (entries[:2], entries[2:])
+    with working_precision(96):
+        tau1 = ComplexBox(ri(Fraction(x, 1000)), ri(Fraction(y, 1000)))
+        l1 = make_lattice(ComplexBox(1), tau1)
+        tau2 = flt(m, tau1) if mat_det(m) else _transcendental_box(random.Random(x))
+        l2 = make_lattice(ComplexBox(1), tau2)
+        assert _verdict(is_isogenous(l1, l2, bound)) == sweep_isogeny(l1, l2, bound)
+
+
+def test_planted_witness_at_the_bound_is_found():
+    rng = random.Random(5)
+    with working_precision(128):
+        for bound in (3, 10, 40, 1000):
+            tau1 = _transcendental_box(rng)
+            l1 = make_lattice(ComplexBox(1), tau1)
+            l2 = make_lattice(ComplexBox(1), flt(((bound, 1), (0, 1)), tau1))
+            v = is_isogenous(l1, l2, bound)
+            assert v.is_isogenous and witness_maps(l1.tau, l2.tau, v.witness)
+            assert max(abs(x) for row in v.witness for x in row) == bound
+            assert is_isogenous(l1, l2, bound - 1).outcome == "unknown_up_to_bound"
+
+
+def test_relation_search_matches_the_cm_sweep():
+    rng = random.Random(3)
+    with working_precision(128):
+        for d in (-1, -2, -3, -7, -11, -15):
+            for _ in range(2):
+                den = rng.randint(1, 5)
+                tau = QuadNum(Fraction(rng.randint(-den, den), 2 * den),
+                              Fraction(rng.randint(den, 3 * den), den), d)
+                lat = make_lattice(ComplexBox(1), quadnum_box(tau))
+                for bound in (100, 200):
+                    kernels = sweep_cm_kernels(lat, bound)
+                    assert len(kernels) <= 1
+                    assert cm_field(lat, bound) == (kernels.pop() if kernels else None)
+        for _ in range(3):
+            lat = make_lattice(ComplexBox(1), _transcendental_box(rng))
+            for bound in (100, 200):
+                assert sweep_cm_kernels(lat, bound) == set()
+                assert cm_field(lat, bound) is None
+
+
+def test_cm_field_names_every_surviving_field():
+    # a box around both i and i*sqrt(2) keeps tau^2 + 1 and tau^2 + 2
+    with working_precision(64):
+        wide = ComplexBox(iv.mpf(["-0.01", "0.01"]), iv.mpf(["0.99", "1.42"]))
+        lat = make_lattice(ComplexBox(1), wide)
+        kernels = sweep_cm_kernels(lat, 3)
+        with pytest.raises(UnknownUpToBound) as caught:
+            cm_field(lat, 3)
+    assert {-1, -2} <= kernels
+    assert caught.value.bound == 3
+    assert str(caught.value) == ("several quadratic relations survive up to "
+                                 f"bound 3: {sorted(kernels)}")
+
+
+def test_integer_relations_cover_the_cube():
+    # half-integer centers give exact relations and wide boxes many near
+    # ones; every vector whose box sum contains zero must be a candidate
+    rng = random.Random(11)
+    with working_precision(64):
+        for _ in range(4):
+            boxes = [ComplexBox(ri(Fraction(rng.randint(-6, 6), 2)),
+                                ri(Fraction(rng.randint(-6, 6), 2)))
+                     .widened(mp.mpf(rng.randint(0, 5)) / 100) for _ in range(3)]
+            boxes.append(ComplexBox(1))
+            found = list(_integer_relations(boxes, 3))
+            cube = {n for n in product(range(-3, 4), repeat=4) if any(n)
+                    and sum((m * c for m, c in zip(boxes, n)), ComplexBox(0)).contains_zero()}
+            assert cube and cube <= set(found)
+            # each vector once, in increasing (max |n_j|, n), within the bound
+            assert found == sorted(set(found), key=lambda n: (max(map(abs, n)), n))
+            assert max(map(abs, found[-1])) <= 3
+
+
+def test_integer_relations_absorb_the_column_rounding():
+    # exact point boxes x1..x7 and 3*(x1 + ... + x7): the relation
+    # (3, ..., 3, -1) has an exact zero sum, but its rounded Kannan columns
+    # can add up to several units; the column bound must still admit it
+    rng = random.Random(8)
+    relation = (3,) * 7 + (-1,)
+    with working_precision(64):
+        bits = iv.prec - 6
+        for _ in range(60):
+            xs = [ComplexBox(*(ri(Fraction(rng.randrange(2 ** (bits - 1), 2 ** bits), 2 ** bits))
+                               for _ in range(2))) for _ in range(7)]
+            boxes = xs + [sum(xs[1:], xs[0]) * 3]
+            assert all(box.is_exact() for box in boxes)
+            assert relation in set(_integer_relations(boxes, 3))
