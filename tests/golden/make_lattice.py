@@ -5,7 +5,8 @@ first stderr line of each call, in tests/golden/lattice.json.
 
 rewrites the corpus from the current source; tests/test_golden.py runs the
 same calls and compares them byte for byte.  The calls cover every lattice
-leaf with exact and decimal taus, the searches at bounds 3, 10 and 40, and
+leaf with exact and decimal taus, the searches at bounds 3, 10 and 40,
+searches on boxes much wider than 1 (huge Im tau, low precision), and
 the lattice calls of the benchmark's cli_calls workload at seeds 1-4, all
 in both output formats.  A call runs in this process (a fresh interpreter
 per call would cost about 0.1 s each); warnings are not part of the corpus,
@@ -47,6 +48,19 @@ OTHER = (["lattice", "cm", "--tau", "0.3+1.7i", "--precision", "64", "--bound", 
           "--bound", "40"],
          ["lattice", "isogenous", "--tau1", "0.3+1.7i", "--tau2", "0.65+0.85i",
           "--precision", "64"],
+         # boxes much wider than 1 (huge Im tau, low precision): the search
+         # must stay near the bound and answer at once
+         ["lattice", "cm", "--tau", "0.1+1e22i", "--bound", "10"],
+         ["lattice", "cm", "--tau", "0.1+1e30i", "--bound", "40"],
+         ["lattice", "cm", "--tau", "0.1+1e12i", "--precision", "64", "--bound", "10"],
+         ["lattice", "cm", "--tau", "0.1+1e16i", "--precision", "64", "--bound", "40"],
+         ["lattice", "isogenous", "--tau1", "0.1+1e22i", "--tau2", "0.2+3e22i", "--bound", "3"],
+         ["lattice", "isogenous", "--tau1", "0.1+1e30i", "--tau2", "0.2+3e30i", "--bound", "40"],
+         ["lattice", "isr", "--tau1", "0.1+1e30i", "--tau2", "0.2+3e30i", "--bound", "10"],
+         ["lattice", "isogenous", "--tau1", "0.1+1e16i", "--tau2", "0.3+2e16i",
+          "--precision", "64", "--bound", "10"],
+         ["lattice", "isr", "--tau1", "0.1+1e22i", "--tau2", "0.2+3e22i",
+          "--precision", "32", "--bound", "40"],
          ["lattice", "isogenous", "--tau1", "0.3+1.7i", "--tau2", "x"],
          ["lattice", "cm", "--tau", "0.3+0i"],
          ["lattice", "cm"])

@@ -13,8 +13,10 @@ from mpmath import iv, mp
 
 from wplab.cintervals import ComplexBox, quadnum_box, ri, ri_hi, ri_lo, working_precision
 from wplab.errors import DegenerateLattice, PrecisionExhausted, UnknownUpToBound
+from wplab import lattice_core
 from wplab.lattice_core import (
     MixedRepresentationWarning,
+    _center_radius,
     _integer_relations,
     cm_field,
     conjugate,
@@ -455,6 +457,44 @@ def test_cm_field_names_every_surviving_field():
                                  f"bound 3: {sorted(kernels)}")
 
 
+# boxes much wider than 1: tau^2 is about 2^39 wide at Im tau = 10^30 and
+# 128 bits, 2^10 at 10^16 and 64 bits, 2^83 at 10^22 and 32 bits; the pairs
+# are related by tau2 = 3 tau1 - 1/10 or 2 tau1 + 1/10 (height 30 or 20)
+WIDE_PAIRS = ((128, (Fraction(1, 10), 10 ** 30), (Fraction(1, 5), 3 * 10 ** 30)),
+              (64, (Fraction(1, 10), 10 ** 16), (Fraction(3, 10), 2 * 10 ** 16)),
+              (32, (Fraction(1, 10), 10 ** 22), (Fraction(1, 5), 3 * 10 ** 22)))
+
+
+def test_wide_boxes_match_the_sweeps_with_few_vectors(monkeypatch):
+    enumerated = []
+    short_vectors = lattice_core._short_vectors
+
+    def counted(*args):
+        for v in short_vectors(*args):
+            enumerated.append(v)
+            yield v
+
+    monkeypatch.setattr(lattice_core, "_short_vectors", counted)
+    for prec, tau1, tau2 in WIDE_PAIRS:
+        with working_precision(prec):
+            l1, l2 = (make_lattice(ComplexBox(1), ComplexBox(ri(x), ri(y))) for x, y in (tau1, tau2))
+            for bound in (3, 10, 40):
+                del enumerated[:]
+                kernels = sweep_cm_kernels(l1, bound)
+                assert cm_field(l1, bound) == (kernels.pop() if kernels else None)
+                assert _verdict(is_isogenous(l1, l2, bound)) == sweep_isogeny(l1, l2, bound)
+                v = isr_equivalent(l1, l2, bound)
+                assert (v.outcome, v.witness, v.used_reflection) == sweep_isr(l1, l2, bound)
+                if prec > 32:  # at 32 bits the residuals themselves pass thousands
+                    assert len(enumerated) <= 100
+        assert v.is_isogenous and max(abs(x) for row in v.witness for x in row) in (20, 30)
+
+
+def _radii(boxes):
+    """The slack of a plain box sum: each box's larger half-width."""
+    return [_center_radius(m)[2] for m in boxes]
+
+
 def test_integer_relations_cover_the_cube():
     # half-integer centers give exact relations and wide boxes many near
     # ones; every vector whose box sum contains zero must be a candidate
@@ -465,13 +505,32 @@ def test_integer_relations_cover_the_cube():
                                 ri(Fraction(rng.randint(-6, 6), 2)))
                      .widened(mp.mpf(rng.randint(0, 5)) / 100) for _ in range(3)]
             boxes.append(ComplexBox(1))
-            found = list(_integer_relations(boxes, 3))
+            found = list(_integer_relations(boxes, _radii(boxes), 3))
             cube = {n for n in product(range(-3, 4), repeat=4) if any(n)
                     and sum((m * c for m, c in zip(boxes, n)), ComplexBox(0)).contains_zero()}
             assert cube and cube <= set(found)
             # each vector once, in increasing (max |n_j|, n), within the bound
             assert found == sorted(set(found), key=lambda n: (max(map(abs, n)), n))
             assert max(map(abs, found[-1])) <= 3
+
+
+def test_integer_relations_reach_the_edge_of_wide_boxes():
+    # square boxes of radius 40-80 around large integer centers, the last
+    # placed so that the box sum for n = (1, 1, 1, 1) has zero on its edge:
+    # a search whose slack fell short of the radii by any factor misses it
+    rng = random.Random(13)
+    with working_precision(64):
+        for _ in range(5):
+            radii = [rng.randint(40, 80) for _ in range(4)]
+            centers = [(rng.randint(-10 ** 4, 10 ** 4), rng.randint(-10 ** 4, 10 ** 4))
+                       for _ in range(3)]
+            centers.append((sum(radii) - sum(x for x, _ in centers), -sum(y for _, y in centers)))
+            boxes = [ComplexBox(ri(x), ri(y)).widened(r) for (x, y), r in zip(centers, radii)]
+            assert sum(boxes[1:], boxes[0]).contains_zero()
+            found = list(_integer_relations(boxes, _radii(boxes), 2))
+            cube = {n for n in product(range(-2, 3), repeat=4) if any(n)
+                    and sum((m * c for m, c in zip(boxes, n)), ComplexBox(0)).contains_zero()}
+            assert (1, 1, 1, 1) in cube and cube <= set(found)
 
 
 def test_integer_relations_absorb_the_column_rounding():
@@ -487,4 +546,4 @@ def test_integer_relations_absorb_the_column_rounding():
                                for _ in range(2))) for _ in range(7)]
             boxes = xs + [sum(xs[1:], xs[0]) * 3]
             assert all(box.is_exact() for box in boxes)
-            assert relation in set(_integer_relations(boxes, 3))
+            assert relation in set(_integer_relations(boxes, _radii(boxes), 3))
