@@ -11,8 +11,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import iv, mp, mpf
-from mpmath.libmp import fzero, from_int, mpf_sign, round_ceiling, round_floor
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_mul, mpi_neg, mpi_sub
+from mpmath.libmp import (
+    fzero,
+    from_int,
+    mpf_pi,
+    mpf_shift,
+    mpf_sign,
+    round_ceiling,
+    round_floor,
+)
+from mpmath.libmp.libmpi import (
+    mpi_add,
+    mpi_cos_sin,
+    mpi_div,
+    mpi_exp,
+    mpi_mul,
+    mpi_neg,
+    mpi_sub,
+)
 
 from .errors import PrecisionExhausted
 
@@ -269,11 +285,14 @@ def _coerce(x) -> ComplexBox:
 
 
 def exp_2pi_i(z: ComplexBox) -> ComplexBox:
-    """Certified e^(2*pi*i*z) via real interval exp/cos/sin."""
-    two_pi = 2 * iv.pi
-    scale = iv.exp(-two_pi * z.im)
-    ang = two_pi * z.re
-    return ComplexBox(scale * iv.cos(ang), scale * iv.sin(ang))
+    """Certified e^(2*pi*i*z) = e^(-2 pi Im z) (cos + i sin)(2 pi Re z) on
+    the endpoint pairs: libmpi's exp and one cos_sin give the endpoints that
+    iv.exp, iv.cos and iv.sin give (each of the last two computes both)."""
+    p = _IV_PREC[0]
+    two_pi = (mpf_shift(mpf_pi(p, round_floor), 1), mpf_shift(mpf_pi(p, round_ceiling), 1))
+    scale = mpi_exp(mpi_mul(mpi_neg(two_pi, p), z.im._mpi_, p), p)
+    cos, sin = mpi_cos_sin(mpi_mul(two_pi, z.re._mpi_, p), p)
+    return _box(mpi_mul(scale, cos, p), mpi_mul(scale, sin, p))
 
 
 def quadnum_box(x) -> ComplexBox:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from mpmath import iv, mp
@@ -715,7 +716,19 @@ def _attach_signed_values(argv):
     return out
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv) -> int:
+    """One CLI call; a warning prints as one `warning: ...` line, without
+    changing how warnings show outside the call."""
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _run(argv)
+
+
+def _run(argv) -> int:
     ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = ap.parse_args(_attach_signed_values(argv))

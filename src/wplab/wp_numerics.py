@@ -11,8 +11,10 @@ quotients).  The series run on a fixed-point kernel: Gaussian integers at a
 scale 2^-P a little finer than the working precision, each carrying a
 per-component radius in ulps that every product bounds by the rectangle rule
 plus its own rounding, so the running error bound is exact integer
-arithmetic.  The geometric tail bound is folded into the radius and the sums
-leave the kernel as outward-rounded rectangles; everything after them is
+arithmetic.  The geometric tail bound is folded into the radius.  The wp and
+wp' quotients run on the same kernel, one integer reciprocal of theta1 among
+them, and leave it as outward-rounded rectangles, scaled by (pi/omega1)^2
+or -2 (pi/omega1)^3; the invariants, argument reduction and group law are
 rectangle interval arithmetic.
 
 Every evaluation first translates its argument into the centered cell.  An
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple
 
 from mpmath import iv, mp, mpf
@@ -93,18 +96,18 @@ class EllipticModel(Frozen):
     __slots__ = ("lattice", "g2", "g3", "precision",
                  "_tau", "_omega1",
                  "_q4",  # q^(1/4), q = e^(i pi tau)
-                 "_pi_w1",
-                 # from the theta constants t2, t3, t4 at 0: t2 t3,
-                 # (t2 t3 t4)^2 and (t2^4 + t3^4)/3, the factors of the wp
-                 # quotient
-                 "_t23", "_t234_sq", "_wp_shift")
+                 # s^2 and -2 s^3 for s = pi/omega1, the scales of wp and wp'
+                 "_s2", "_m2s3",
+                 # from the theta constants t2, t3, t4 at 0: t2 t3, t4^2 and
+                 # (t2^4 + t3^4)/3, the factors of the wp quotient
+                 "_t23", "_t4_sq", "_wp_shift")
 
     def __init__(self, lattice: Lattice, g2: ComplexBox, g3: ComplexBox,
                  precision: int, _tau=None, _omega1=None, _q4=None,
-                 _pi_w1=None, _t23=None, _t234_sq=None, _wp_shift=None):
+                 _s2=None, _m2s3=None, _t23=None, _t4_sq=None, _wp_shift=None):
         for name, value in zip(self.__slots__, (
-                lattice, g2, g3, precision, _tau, _omega1, _q4, _pi_w1,
-                _t23, _t234_sq, _wp_shift)):
+                lattice, g2, g3, precision, _tau, _omega1, _q4, _s2, _m2s3,
+                _t23, _t4_sq, _wp_shift)):
             object.__setattr__(self, name, value)
 
 
@@ -157,7 +160,15 @@ def _box_eq(a: ComplexBox, b: ComplexBox) -> bool:
 #   rad(im) <= (|a| + ra) rd + |d| ra + (|b| + rb) rc + |c| rb,
 # rounded up to whole ulps, plus 1 ulp when the midpoint's floor drops
 # nonzero bits (at most 2 ulps of rounding in all); sums add radii exactly.
-# The tail and the magnitudes it needs are libmpf bounds rounded upward.
+# The tail and the magnitudes it needs are libmpf bounds rounded upward; the
+# tail is folded into the radii in whole ulps.  At v = 0 (the theta
+# constants) T(k,-) = T(k,+) and theta1 = 0, so one chain gives the rest.
+#
+# The wp quotient stays on these values: 1/theta1 is one integer division
+# with a certified radius (_fixed_inv), the products are ordered so that no
+# intermediate falls below the magnitudes P was sized for, and the last
+# product of each value is exact, at 2^-2P.  A value leaves the kernel as
+# a box rounded outward (_leave), once.
 
 _FIXED_GUARD = 16
 # the largest fixed-point scale in bits, Im tau up to about 1.18e8 (at
@@ -190,7 +201,8 @@ def _fixed(z: ComplexBox, scale: int):
 
 def _fixed_mul(x, y, scale: int, low: int):
     """The product at scale 2^-scale; low = 2^scale - 1 masks the bits the
-    midpoints' floors discard."""
+    midpoints' floors discard.  With scale = low = 0 it is the exact
+    product, at the sum of the factors' scales."""
     a, b, ra, rb = x
     c, d, rc, rd = y
     re, im = a * c - b * d, a * d + b * c
@@ -199,6 +211,42 @@ def _fixed_mul(x, y, scale: int, low: int):
     return (re >> scale, im >> scale,
             ((ea * rc + ac * ra + eb * rd + ad * rb + low) >> scale) + ((re & low) != 0),
             ((ea * rd + ad * ra + eb * rc + ac * rb + low) >> scale) + ((im & low) != 0))
+
+
+def _leave(x, scale: int, prec: int) -> ComplexBox:
+    """The kernel value x at scale 2^-scale as a box rounded outward to
+    prec bits."""
+    a, b, ra, rb = x
+    return _box((from_man_exp(a - ra, -scale, prec, round_floor),
+                 from_man_exp(a + ra, -scale, prec, round_ceiling)),
+                (from_man_exp(b - rb, -scale, prec, round_floor),
+                 from_man_exp(b + rb, -scale, prec, round_ceiling)))
+
+
+def _fixed_inv(x, scale: int):
+    """1/x at scale 2^-scale, for x = m + e with midpoint m = a + ib and
+    |Re e| <= ra, |Im e| <= rb: 1/x - 1/m = -e conj(m)^2/|m|^4 + e^2/(x m^2).
+    The midpoint is conj(m) 2^(2 scale) // |m|^2 (1 ulp of rounding per
+    component), the first term is bounded per component by the rectangle
+    rule and the second by d^2 / (|m|^2 (|m| - d)) for d >= |e|, with |m|
+    bounded below by the integer square root.  When d reaches that bound,
+    x may be 0, and PrecisionExhausted states both."""
+    a, b, ra, rb = x
+    n = a * a + b * b
+    d = isqrt(ra * ra + rb * rb) + 1
+    m = isqrt(n)
+    if m <= d:
+        raise PrecisionExhausted(
+            f"theta1(v) not certified nonzero: radius "
+            f"{_nstr(from_man_exp(d, -scale))}, needed below its midpoint "
+            f"modulus {_nstr(from_man_exp(m, -scale))}")
+    one = 1 << 2 * scale
+    u, v = abs(a * a - b * b), abs(2 * a * b)  # |Re conj(m)^2|, |Im conj(m)^2|
+    nn = n * n
+    second = -(-d * d * one // (n * (m - d))) + 1
+    return ((a * one) // n, (-b * one) // n,
+            -(-(ra * u + rb * v) * one // nn) + second,
+            -(-(ra * v + rb * u) * one // nn) + second)
 
 
 def _abs_hi(z: ComplexBox):
@@ -252,19 +300,17 @@ def _tail_bound(q4_hi, w_max, n: int):
                    bp, up)
 
 
-def _theta_sums(q4: ComplexBox, w: ComplexBox):
-    """(theta1, theta2, theta3, theta4) at v, for w = e^(iv) and the nome
-    q4^4, with the tail past the last term folded into each radius."""
+def _series_scale(q4: ComplexBox, w_max):
+    """(n, tail, scale) of the theta series at the nome q4^4 and
+    max(|w|, 1/|w|) <= w_max: the terms with k < 2n, an upper bound on the
+    rest, and the fixed-point scale P in bits."""
     prec = iv.prec
-    wi = w.inv()
     q4_hi = _abs_hi(q4)
     if not mpf_lt(q4_hi, fone):
         raise PrecisionExhausted(
             f"|q| too close to 1: |q| bound "
             f"{_nstr(mpf_pow_int(q4_hi, 4, _BOUND_PREC, round_ceiling))}, "
             f"needed below 1")
-    w_hi, wi_hi = _abs_hi(w), _abs_hi(wi)
-    w_max = wi_hi if mpf_lt(w_hi, wi_hi) else w_hi
     if not w_max[1]:  # the mantissa of inf and nan
         raise PrecisionExhausted("theta series argument is not finite")
     try:
@@ -281,6 +327,16 @@ def _theta_sums(q4: ComplexBox, w: ComplexBox):
         raise WplabError(
             f"theta series out of range: a fixed-point scale of {scale} bits "
             f"is needed, the limit is {_SCALE_MAX} bits")
+    return n, tail, scale
+
+
+def _theta_sums(q4: ComplexBox, w: ComplexBox):
+    """(P, theta1, theta2, theta3, theta4) at v, for w = e^(iv) and the
+    nome q4^4: kernel values at the scale 2^-P, with the tail past the last
+    term folded into each radius."""
+    wi = w.inv()
+    w_hi, wi_hi = _abs_hi(w), _abs_hi(wi)
+    n, tail, scale = _series_scale(q4, wi_hi if mpf_lt(w_hi, wi_hi) else w_hi)
 
     q4f = _fixed(q4, scale)
     low = (1 << scale) - 1
@@ -292,7 +348,7 @@ def _theta_sums(q4: ComplexBox, w: ComplexBox):
     # (ra_odd, rb_odd), theta3 and theta4 share (ra_even, rb_even)
     s1a = s1b = s2a = s2b = s3b = s4b = 0
     s3a = s4a = 1 << scale
-    ra_odd = rb_odd = ra_even = rb_even = 0
+    ra_odd = rb_odd = ra_even = rb_even = -_ulps(mpf_neg(tail), scale)  # the tail
     for k in range(1, 2 * n):
         if k > 1:
             up = _fixed_mul(up, q4sq, scale, low)
@@ -322,21 +378,46 @@ def _theta_sums(q4: ComplexBox, w: ComplexBox):
                 s4b += pb + mb
             ra_even += pra + mra
             rb_even += prb + mrb
+    return (scale, (s1b, -s1a, rb_odd, ra_odd), (s2a, s2b, ra_odd, rb_odd),
+            (s3a, s3b, ra_even, rb_even), (s4a, s4b, ra_even, rb_even))
 
-    # the endpoints at a scale 2^-fine that holds the tail exactly
-    _, t, t_exp, _ = tail
-    fine = max(scale, -t_exp)
-    t <<= t_exp + fine
-    shift = fine - scale
 
-    def part(mid, rad):
-        return (from_man_exp(((mid - rad) << shift) - t, -fine, prec, round_floor),
-                from_man_exp(((mid + rad) << shift) + t, -fine, prec, round_ceiling))
-
-    return (_box(part(s1b, rb_odd), part(-s1a, ra_odd)),
-            _box(part(s2a, ra_odd), part(s2b, rb_odd)),
-            _box(part(s3a, ra_even), part(s3b, rb_even)),
-            _box(part(s4a, ra_even), part(s4b, rb_even)))
+def _theta_constants(q4: ComplexBox):
+    """The theta constants (theta2, theta3, theta4) at v = 0 as boxes: with
+    w = 1, T(k,-) = T(k,+) = q4^(k^2) and theta1 = 0, so one chain gives
+    each constant as twice its sum (plus 1 for theta3 and theta4)."""
+    n, tail, scale = _series_scale(q4, fone)
+    q4f = _fixed(q4, scale)
+    low = (1 << scale) - 1
+    q4sq = _fixed_mul(q4f, q4f, scale, low)
+    up = tp = q4f  # q4^(2k-1) and T(k) = q4^(k^2)
+    s2a = s2b = s3a = s3b = s4a = s4b = r_odd_a = r_odd_b = r_even_a = r_even_b = 0
+    for k in range(1, 2 * n):
+        if k > 1:
+            up = _fixed_mul(up, q4sq, scale, low)
+            tp = _fixed_mul(tp, up, scale, low)
+        pa, pb, pra, prb = tp
+        if k & 1:
+            s2a += pa
+            s2b += pb
+            r_odd_a += pra
+            r_odd_b += prb
+        else:
+            s3a += pa
+            s3b += pb
+            if k & 2:
+                s4a -= pa
+                s4b -= pb
+            else:
+                s4a += pa
+                s4b += pb
+            r_even_a += pra
+            r_even_b += prb
+    one, t = 1 << scale, -_ulps(mpf_neg(tail), scale)
+    odd, even = (2 * r_odd_a + t, 2 * r_odd_b + t), (2 * r_even_a + t, 2 * r_even_b + t)
+    return tuple(_leave(x, scale, iv.prec) for x in (
+        (2 * s2a, 2 * s2b) + odd, (one + 2 * s3a, 2 * s3b) + even,
+        (one + 2 * s4a, 2 * s4b) + even))
 
 
 def invariants(lattice: Lattice, precision: int = 128) -> EllipticModel:
@@ -350,11 +431,9 @@ def invariants(lattice: Lattice, precision: int = 128) -> EllipticModel:
         tau = lattice.tau_box()
         w1 = lattice.omega1_box()
         q4 = exp_2pi_i(tau * Fraction(1, 8))
-        _, t2, t3, t4 = _theta_sums(q4, ComplexBox(1))
+        t2, t3, t4 = _theta_constants(q4)
         p2, p3, p4 = (t.pow_int(4) for t in (t2, t3, t4))
         t23 = t2 * t3
-        t234 = t23 * t4
-        t234_sq = t234 * t234
         s = ComplexBox(iv.pi) / w1
         s2 = s * s
         s4 = s2 * s2
@@ -367,14 +446,14 @@ def invariants(lattice: Lattice, precision: int = 128) -> EllipticModel:
                 raise PrecisionExhausted(
                     f"invariant radius exceeds target: {name} radius "
                     f"{mp.nstr(rad, 5)}, needed {mp.nstr(tol, 5)}")
-        disc = 16 * (s4 * s2).pow_int(2) * t234_sq.pow_int(4)
+        disc = 16 * (s4 * s2).pow_int(2) * (t23 * t4).pow_int(8)
         if disc.contains_zero():
             raise PrecisionExhausted(
                 f"discriminant not certified nonzero: radius "
                 f"{mp.nstr(disc.rad(), 5)}, needed below |midpoint| "
                 f"{mp.nstr(abs(disc.mid()), 5)}")
-        return EllipticModel(lattice, g2, g3, precision, tau, w1, q4, s, t23,
-                             t234_sq, (p2 + p3) * Fraction(1, 3))
+        return EllipticModel(lattice, g2, g3, precision, tau, w1, q4, s2,
+                             -2 * s2 * s, t23, t4 * t4, (p2 + p3) * Fraction(1, 3))
 
 
 def model_with(lattice: Lattice, g2: ComplexBox, g3: ComplexBox,
@@ -382,7 +461,7 @@ def model_with(lattice: Lattice, g2: ComplexBox, g3: ComplexBox,
     """Model with caller-supplied invariants (negative-control harnesses)."""
     m = invariants(lattice, precision)
     return EllipticModel(lattice, g2, g3, precision, m._tau, m._omega1, m._q4,
-                         m._pi_w1, m._t23, m._t234_sq, m._wp_shift)
+                         m._s2, m._m2s3, m._t23, m._t4_sq, m._wp_shift)
 
 
 # -- argument reduction ------------------------------------------------------
@@ -427,29 +506,41 @@ def _reduce_argument(m: EllipticModel, z) -> ComplexBox:
 
 def _wp_theta(m: EllipticModel, t_red: ComplexBox, want_prime: bool):
     """wp (and optionally wp') at reduced argument t_red = z/omega1:
-    wp  = s^2 ((t2 t3 theta4(v) / theta1(v))^2 - (t2^4 + t3^4)/3),
-    wp' = -2 s^3 (t2 t3 t4)^2 theta2(v) theta3(v) theta4(v) / theta1(v)^3,
+    wp  = s^2 (f^2 - (t2^4 + t3^4)/3),  f = t2 t3 theta4(v) r,
+    wp' = -2 s^3 t4^2 f (theta2(v) r) (t2 t3 r) theta3(v),  r = 1/theta1(v),
     with s = pi/omega1, v = pi*t_red and t2, t3, t4 the theta constants.
-    The theta sums gain the bits t_red lies below 2^-16, which keep
-    theta1(v) ~ v tight however near the lattice the argument lies."""
+    The quotient runs on the kernel values of the theta sums, with one
+    integer reciprocal and each product ordered so that no intermediate
+    falls below the magnitudes the scale was sized for; it leaves the
+    kernel once per value, times s^2 or -2 s^3 as boxes (s carries
+    omega1's scale, which the kernel's does not follow).  The theta sums
+    gain the bits t_red lies below 2^-16, which keep theta1(v) ~ v tight
+    however near the lattice the argument lies."""
     prec = m.precision + _bits_below(t_red)
     if prec == m.precision:
-        th1, th2, th3, th4 = _theta_sums(m._q4, exp_2pi_i(t_red * Fraction(1, 2)))
+        scale, th1, th2, th3, th4 = _theta_sums(
+            m._q4, exp_2pi_i(t_red * Fraction(1, 2)))
     else:
         with working_precision(prec):
-            th1, th2, th3, th4 = _theta_sums(
+            scale, th1, th2, th3, th4 = _theta_sums(
                 exp_2pi_i(m.lattice.tau_box() * Fraction(1, 8)),
                 exp_2pi_i(t_red * Fraction(1, 2)))
-    s = m._pi_w1
-    r = th1.inv()
-    g = th4 * r
-    f = m._t23 * g
-    s2 = s * s
-    wp_val = s2 * (f * f - m._wp_shift)
+    low = (1 << scale) - 1
+    t23 = _fixed(m._t23, scale)
+    r = _fixed_inv(th1, scale)
+    f = _fixed_mul(_fixed_mul(t23, th4, scale, low), r, scale, low)
+    # the last product of each value is exact, at scale 2^-2P, and rounds
+    # only when it leaves the kernel
+    fa, fb, fra, frb = _fixed_mul(f, f, 0, 0)
+    ca, cb, cra, crb = _fixed(m._wp_shift, 2 * scale)
+    wp_val = m._s2 * _leave((fa - ca, fb - cb, fra + cra, frb + crb), 2 * scale, iv.prec)
     if not want_prime:
         return wp_val, None
-    wp_prime_val = -2 * s2 * s * m._t234_sq * g * th2 * th3 * r * r
-    return wp_val, wp_prime_val
+    pp = _fixed_mul(_fixed(m._t4_sq, scale), f, scale, low)
+    pp = _fixed_mul(pp, _fixed_mul(th2, r, scale, low), scale, low)
+    pp = _fixed_mul(pp, th3, scale, low)
+    pp = _fixed_mul(pp, _fixed_mul(t23, r, scale, low), 0, 0)
+    return wp_val, m._m2s3 * _leave(pp, 2 * scale, iv.prec)
 
 
 def wp(m: EllipticModel, z) -> ComplexBox:

@@ -66,9 +66,9 @@ OTHER = (["lattice", "cm", "--tau", "0.3+1.7i", "--precision", "64", "--bound", 
          ["lattice", "cm"])
 
 
-def benchmark_argv(seeds=(1, 2, 3, 4)):
-    """The lattice calls of the cli_calls workload for the given seeds, as
-    benchmarks/run.py generates them (format options included)."""
+def benchmark_argv(command="lattice", seeds=(1, 2, 3, 4)):
+    """The calls of one command of the cli_calls workload for the given
+    seeds, as benchmarks/run.py generates them (format options included)."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:  # no __pycache__ under benchmarks/
@@ -80,7 +80,7 @@ def benchmark_argv(seeds=(1, 2, 3, 4)):
     out = []
     for seed in seeds:
         inputs = workload.generate(random.Random(f"cli_calls:{seed}"))
-        out += [c["argv"] for c in inputs["commands"] if c["argv"][0] == "lattice"]
+        out += [c["argv"] for c in inputs["commands"] if c["argv"][0] == command]
     return out
 
 

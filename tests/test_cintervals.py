@@ -249,6 +249,28 @@ def test_mixed_operands_match_ivmpf_formulas(bits, pa, k):
         same_or_both_raise(lambda x: k / x, lambda x: ref_div(kb, x), a)
 
 
+def ref_exp_2pi_i(z):
+    """exp_2pi_i as the ivmpf operators and iv.exp, iv.cos, iv.sin spell it."""
+    two_pi = 2 * iv.pi
+    scale = iv.exp(-two_pi * z.im)
+    ang = two_pi * z.re
+    return ComplexBox(scale * iv.cos(ang), scale * iv.sin(ang))
+
+
+@pytest.mark.parametrize("bits", [53, 128, 512])
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(wide_boxes, st.tuples(small_fracs, small_fracs).map(
+    lambda p: ((p[0], p[0]), (p[1], p[1])))))
+def test_exp_2pi_i_matches_ivmpf_formulas(bits, parts):
+    """Wide boxes, straddling zero or not, and point boxes (exact zero
+    included) give the same endpoints on libmpi as through iv."""
+    with working_precision(bits):
+        z = make_box(parts)
+        assert endpoints(exp_2pi_i(z)) == endpoints(ref_exp_2pi_i(z))
+        assert endpoints(exp_2pi_i(z * Fraction(1, 8))) == endpoints(
+            ref_exp_2pi_i(z * Fraction(1, 8)))
+
+
 @pytest.mark.parametrize("bits", [53, 128])
 @settings(max_examples=60, deadline=None)
 @given(wide_boxes)

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -434,3 +435,14 @@ def test_wp_verify_isogeny_default_partner_keeps_the_representation():
                             "isogeny", "--samples", "3")
     assert (code, err) == (0, "")
     assert out.startswith("max residual over 3 samples = ")
+
+
+def test_warnings_print_as_one_line():
+    code, out, err = invoke("lattice", "isogenous", "--tau1", "i", "--tau2", "0.3+1.7i")
+    assert code == 0 and out.startswith("outcome = isogenous")
+    assert err.splitlines()[0] == ("warning: mixed exact/numeric isogeny test; "
+                                   "downgrading to numeric")
+    # a library caller keeps Python's own warning display
+    shown = warnings.showwarning
+    assert run(["lattice", "isogenous", "--tau1", "i", "--tau2", "0.3+1.7i"]) == 0
+    assert warnings.showwarning is shown

@@ -4,7 +4,8 @@ The package computes the theta constants, g2, g3, wp and wp' from Jacobi
 theta series with certified tails.  Three oracles check it:
 - the literal double sum over lattice points, truncated at a radius with a
   crude float tail estimate (low precision, but independent);
-- mpmath's Jacobi theta functions at twice the working precision;
+- mpmath's Jacobi theta functions at twice the working precision, plus the
+  bits jtheta loses to a large |e^(iv)|;
 - the certified q-series the theta layer replaced (Eisenstein series for
   g2, g3 and the Lambert-type series for wp, wp'), kept here verbatim so
   that every theta enclosure can be checked to overlap its enclosure.
@@ -13,9 +14,11 @@ verbatim as well, with the boxed argument reduction it ran on: wherever it
 answers, the theta quotient must answer with a box inside the same
 neighbourhood and no wider.  So are the interval theta
 sums the fixed-point kernel replaced: every kernel box must overlap theirs,
-be no wider and hold mpmath's jtheta value.  And so is the group law that
-divided X and Y by Z: on exp_E points the affine one must give its boxes
-endpoint for endpoint.
+be no wider and hold mpmath's jtheta value.  So is the ComplexBox wp and wp'
+quotient the kernel quotient replaced: the kernel's boxes must overlap its
+boxes, hold the jtheta values and be no wider but for a few kernel ulps.
+And so is the group law that divided X and Y by Z: on exp_E points the
+affine one must give its boxes endpoint for endpoint.
 """
 
 import cmath
@@ -40,7 +43,9 @@ from mpmath.libmp import (
 from wplab.cintervals import (
     ComplexBox,
     exp_2pi_i,
+    quadnum_box,
     ri,
+    ri_from_endpoints,
     ri_hi,
     ri_lo,
     working_precision,
@@ -60,7 +65,10 @@ from wplab import wp_numerics
 from wplab.wp_numerics import (
     SERIES_CAP,
     CurvePoint,
+    _bits_below,
+    _leave,
     _reduce_argument,
+    _theta_constants,
     _theta_sums,
     _wp_theta,
     addition_residual,
@@ -152,8 +160,6 @@ def test_pole_handling(model):
         wp(model, Fraction(0))
     with pytest.raises(PoleAtLatticePoint):
         wp(model, QuadNum(1, 2, -1))
-    from wplab.cintervals import ri_from_endpoints
-
     with pytest.raises(UndecidablePoleProximity):
         with working_precision(128):
             wp(model, ComplexBox(ri_from_endpoints("-1e-33", "1e-33")))
@@ -391,8 +397,11 @@ def test_hexagonal_g2_vanishes():
 
 def theta_wp(tau: complex, z: complex, bits: int):
     """(wp(z), wp'(z)) for the lattice Z + Z*tau by Jacobi theta quotients:
-    wp = pi^2 (t2^2 t3^2 (th4/th1)^2 - (t2^4 + t3^4)/3) at v = pi*z."""
-    with mp.workprec(bits):
+    wp = pi^2 (t2^2 t3^2 (th4/th1)^2 - (t2^4 + t3^4)/3) at v = pi*z, at
+    `bits` (twice the precision under test) plus 4 bits per bit of
+    c = log2 max(|w|, 1/|w|), w = e^(iv), which jtheta loses to a large |w|."""
+    c = int(abs(mp.im(mp.pi * z)) / mp.ln2) + 1
+    with mp.workprec(bits + 4 * c):
         q = mp.exp(1j * mp.pi * tau)
         t2, t3 = mpmath.jtheta(2, 0, q), mpmath.jtheta(3, 0, q)
         v = mp.pi * z
@@ -704,16 +713,24 @@ def _jtheta_all(q, v, bits: int):
         return [mpmath.jtheta(n, v, q) for n in (1, 2, 3, 4)]
 
 
+def _sums_as_boxes(q4: ComplexBox, w: ComplexBox):
+    """The kernel's theta sums left as boxes at the working precision, and
+    the kernel's scale P."""
+    scale, *sums = _theta_sums(q4, w)
+    return tuple(_leave(x, scale, iv.prec) for x in sums), scale
+
+
 def _check_kernel(q4: ComplexBox, w: ComplexBox, refs, bits: int):
     """Each kernel box overlaps the interval sums' box, holds the jtheta
     value and is no wider.  The one exception to the last is theta1 at
     w = 1 exactly: theta1(0) = 0 identically, so its box is rounding error
     alone, which the interval sums make relative to the tiny later terms
     (their first term cancels exactly) and the kernel makes in absolute
-    2^-P ulps.  theta1(0) is never used: model_with drops it."""
+    2^-P ulps.  theta1(0) is never used: invariants sums the constants on
+    one chain."""
     theta1_at_0 = w.is_exact() and w.overlaps(ComplexBox(1))
     with working_precision(bits):
-        new, old = _theta_sums(q4, w), _interval_theta_sums(q4, w)
+        new, old = _sums_as_boxes(q4, w)[0], _interval_theta_sums(q4, w)
         for i, (box, old_box) in enumerate(zip(new, old)):
             assert box.overlaps(old_box)
             assert (i == 0 and theta1_at_0) or box.rad() <= old_box.rad()
@@ -761,6 +778,20 @@ def test_theta_kernel_against_interval_sums(bits, re_tau, im_tau, arg):
     with mp.workprec(2 * bits):
         refs = _jtheta_all(q4c ** 4, -1j * mp.log(wc), bits)
     _check_kernel(q4p, wp_, refs, bits)
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@settings(max_examples=20, deadline=None)
+@given(re_tau=st.integers(-32, 32), im_tau=st.integers(56, 1920))
+def test_theta_constants_are_the_sums_at_one(bits, re_tau, im_tau):
+    """One chain at w = 1 gives the endpoints of theta2, theta3, theta4 that
+    the full sums give there, where T(k,-) = T(k,+) and theta1 = 0."""
+    with working_precision(bits):
+        q4 = exp_2pi_i(ComplexBox.from_fractions(
+            Fraction(re_tau, 64), Fraction(im_tau, 64)) * Fraction(1, 8))
+        sums = _sums_as_boxes(q4, ComplexBox(1))[0]
+        for new, old in zip(_theta_constants(q4), sums[1:]):
+            assert _same_endpoints(new, old)
 
 
 def test_libmp_internals_the_theta_kernel_relies_on():
@@ -813,13 +844,13 @@ def test_tail_ratio_failure_states_bound(monkeypatch):
 def test_discriminant_failure_states_radii(monkeypatch):
     # a theta4 constant known only to lie within 2^-400 of 0 keeps g2 and
     # g3 tight but leaves the discriminant's sign of zero undecided
-    real = wp_numerics._theta_sums
+    real = wp_numerics._theta_constants
 
-    def theta4_at_zero(q4, w):
-        th1, th2, th3, _ = real(q4, w)
-        return th1, th2, th3, ComplexBox(0).widened(mp.ldexp(1, -400))
+    def theta4_at_zero(q4):
+        t2, t3, _ = real(q4)
+        return t2, t3, ComplexBox(0).widened(mp.ldexp(1, -400))
 
-    monkeypatch.setattr(wp_numerics, "_theta_sums", theta4_at_zero)
+    monkeypatch.setattr(wp_numerics, "_theta_constants", theta4_at_zero)
     with pytest.raises(PrecisionExhausted) as info:
         invariants(SQUARE, 128)
     reached, needed = _radii(r"discriminant not certified nonzero: radius "
@@ -840,6 +871,104 @@ def test_invariant_precision_failure_states_radii():
     assert found
     reached, needed = (mp.mpf(v) for v in found.groups())
     assert reached > needed > mp.ldexp(1, -256)
+
+
+# -- the ComplexBox quotient the kernel quotient replaced, kept as an oracle --
+
+def _quotient_factors(m):
+    """s = pi/omega1, t2 t3, (t2 t3 t4)^2 and (t2^4 + t3^4)/3 as invariants
+    computed them for the ComplexBox quotient."""
+    with working_precision(m.precision):
+        t2, t3, t4 = _theta_constants(m._q4)
+        t23 = t2 * t3
+        t234 = t23 * t4
+        return SimpleNamespace(
+            pi_w1=ComplexBox(iv.pi) / m._omega1, t23=t23, t234_sq=t234 * t234,
+            wp_shift=(t2.pow_int(4) + t3.pow_int(4)) * Fraction(1, 3))
+
+
+def wp_theta_oracle(m, t_red: ComplexBox):
+    """wp and wp' at reduced argument t_red = z/omega1:
+    wp  = s^2 ((t2 t3 theta4(v) / theta1(v))^2 - (t2^4 + t3^4)/3),
+    wp' = -2 s^3 (t2 t3 t4)^2 theta2(v) theta3(v) theta4(v) / theta1(v)^3,
+    in ComplexBox arithmetic on the theta sums left as boxes, as
+    wp_numerics computed it before the quotient moved into the kernel; and
+    the scale P of the sums."""
+    c = _quotient_factors(m)
+    prec = m.precision + _bits_below(t_red)
+    if prec == m.precision:
+        (th1, th2, th3, th4), scale = _sums_as_boxes(
+            m._q4, exp_2pi_i(t_red * Fraction(1, 2)))
+    else:
+        with working_precision(prec):
+            (th1, th2, th3, th4), scale = _sums_as_boxes(
+                exp_2pi_i(m.lattice.tau_box() * Fraction(1, 8)),
+                exp_2pi_i(t_red * Fraction(1, 2)))
+    s = c.pi_w1
+    r = th1.inv()
+    g = th4 * r
+    f = c.t23 * g
+    s2 = s * s
+    wp_val = s2 * (f * f - c.wp_shift)
+    wp_prime_val = -2 * s2 * s * c.t234_sq * g * th2 * th3 * r * r
+    return wp_val, wp_prime_val, scale
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@settings(max_examples=25, deadline=None)
+@given(re_tau=st.integers(-32, 32), im_tau=st.integers(64, 1920),
+       arg=st.one_of(_CELL, _NEAR), boxed=st.booleans())
+@example(re_tau=0, im_tau=1920, arg=("cell", 0, 512), boxed=False)
+@example(re_tau=7, im_tau=1920, arg=("cell", 300, 3), boxed=False)
+@example(re_tau=0, im_tau=130, arg=("cell", 512, 0), boxed=True)
+@example(re_tau=0, im_tau=64, arg=("near", 1, 0, 60), boxed=False)
+@example(re_tau=5, im_tau=1920, arg=("near", 2, -1, 60), boxed=True)
+def test_kernel_quotient_against_box_quotient(bits, re_tau, im_tau, arg, boxed):
+    """Im tau from 1 to 30 and z = t on Z + Z tau, t = x + y tau in the cell
+    (x, y in steps of 1/1024) or t = (a + b i) 10^-e next to the lattice, as
+    an exact argument or as its box: the kernel's wp and wp' overlap the
+    ComplexBox quotient's boxes, hold the jtheta values and are no wider,
+    up to 2^8 ulps 2^-P of the kernel times the box factor s^2 or 2 s^3.
+    The kernel rounds its products to 2^-P, at least 2^16 below the working
+    precision's unit, and the interval quotient relative to each value, so
+    at a zero of wp' (the half periods) the kernel's box can exceed the
+    interval one by a few such ulps (5.8 at most where measured)."""
+    assume(re_tau ** 2 + im_tau ** 2 >= 64 ** 2)
+    tau = QuadNum(Fraction(re_tau, 64), Fraction(im_tau, 64), -1)
+    if arg[0] == "cell":
+        assume(arg[1:] != (0, 0))
+        z = QuadNum.rational(Fraction(arg[1], 1024), -1) \
+            + QuadNum.rational(Fraction(arg[2], 1024), -1) * tau
+    else:
+        _, a, b, e = arg
+        z = QuadNum(Fraction(a, 10 ** e), Fraction(b, 10 ** e), -1)
+    m = invariants(make_lattice(QuadNum(1, 0, -1), tau), bits)
+    with working_precision(bits):
+        t_red = _reduce_argument(m, quadnum_box(z) if boxed else z)
+        new = _wp_theta(m, t_red, want_prime=True)
+        *old, scale = wp_theta_oracle(m, t_red)
+    with mp.workprec(2 * bits):
+        ref = theta_wp(_mpc(tau), _mpc(z), 2 * bits)
+    for box, old_box, val, factor in zip(new, old, ref, (m._s2, m._m2s3)):
+        assert box.overlaps(old_box)
+        assert _near_box(box, val, bits)
+        with working_precision(bits):
+            slack = mp.ldexp(factor.abs_hi(), 8 - scale)
+            assert box.rad() <= old_box.rad() + slack
+
+
+def test_theta1_meeting_zero_states_radius_and_modulus(model):
+    """A boxed argument off the lattice whose theta1(v) enclosure still
+    reaches 0: the reciprocal refuses it, naming both figures."""
+    with working_precision(128):
+        z = ComplexBox(ri_from_endpoints(mpf("-1e-5"), mpf("1e-5")),
+                       ri_from_endpoints(mpf("1e-6"), mpf("2e-6")))
+    with pytest.raises(PrecisionExhausted) as info:
+        wp(model, z)
+    reached, needed = _radii(r"theta1\(v\) not certified nonzero: radius (\S+), "
+                             r"needed below its midpoint modulus (\S+)",
+                             str(info.value))
+    assert reached >= needed
 
 
 # -- the anchored near-pole path exp_E used to take, kept as an oracle -------
