@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple
 
 from mpmath import iv, mp, mpf
@@ -233,8 +232,8 @@ def _fixed_inv(x, scale: int):
     x may be 0, and PrecisionExhausted states both."""
     a, b, ra, rb = x
     n = a * a + b * b
-    d = isqrt(ra * ra + rb * rb) + 1
-    m = isqrt(n)
+    d = math.isqrt(ra * ra + rb * rb) + 1
+    m = math.isqrt(n)
     if m <= d:
         raise PrecisionExhausted(
             f"theta1(v) not certified nonzero: radius "
