@@ -4,6 +4,8 @@ Every value is a closed axis-aligned rectangle guaranteed to contain the
 true result; all endpoint rounding is outward, done by mpmath's libmpi
 endpoint routines at iv.prec exactly as its interval context does it.
 Comparisons that the enclosure cannot decide raise rather than guess.
+Numbers enter the arithmetic through as_box and leave it exactly through
+endpoint_fraction, which refuses an infinite or NaN endpoint.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from mpmath.libmp.libmpi import (
 )
 
 from .errors import PrecisionExhausted
+from .quadfield import QuadNum
 
 GUARD_BITS = 32
 
@@ -73,10 +76,6 @@ def ri_from_endpoints(lo, hi):
     return iv.mpf([lo, hi])
 
 
-def ri_contains_zero(x) -> bool:
-    return _straddles_zero(x._mpi_)
-
-
 def ri_sqrt_hi(x) -> mpf:
     """Certified upper bound for sqrt(sup x), x >= 0."""
     return ri_hi(iv.sqrt(iv.mpf([max(mpf(0), ri_lo(x)), ri_hi(x)])))
@@ -98,16 +97,6 @@ class ComplexBox:
         self.re = re if type(re).__name__ == "ivmpf" else ri(re)
         self.im = im if type(im).__name__ == "ivmpf" else ri(im)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_complex(z: complex) -> "ComplexBox":
-        return ComplexBox(iv.mpf(z.real), iv.mpf(z.imag))
-
-    @staticmethod
-    def from_fractions(re: Fraction, im: Fraction = Fraction(0)) -> "ComplexBox":
-        return ComplexBox(ri(re), ri(im))
-
     # -- ring operations ---------------------------------------------------
     #
     # The operators work on the endpoint pairs (_mpi_) with mpmath's libmpi
@@ -115,7 +104,7 @@ class ComplexBox:
     # to ivmpf operators, without its argument conversion and dispatch.
 
     def __add__(self, other):
-        o = other if type(other) is ComplexBox else _coerce(other)
+        o = other if type(other) is ComplexBox else as_box(other)
         p = _IV_PREC[0]
         return _box(mpi_add(self.re._mpi_, o.re._mpi_, p),
                     mpi_add(self.im._mpi_, o.im._mpi_, p))
@@ -127,16 +116,16 @@ class ComplexBox:
         return _box(mpi_neg(self.re._mpi_, p), mpi_neg(self.im._mpi_, p))
 
     def __sub__(self, other):
-        o = other if type(other) is ComplexBox else _coerce(other)
+        o = other if type(other) is ComplexBox else as_box(other)
         p = _IV_PREC[0]
         return _box(mpi_sub(self.re._mpi_, o.re._mpi_, p),
                     mpi_sub(self.im._mpi_, o.im._mpi_, p))
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return as_box(other) - self
 
     def __mul__(self, other):
-        o = other if type(other) is ComplexBox else _coerce(other)
+        o = other if type(other) is ComplexBox else as_box(other)
         p = _IV_PREC[0]
         re, im = _mul_pairs(self.re._mpi_, self.im._mpi_, o.re._mpi_, o.im._mpi_, p)
         return _box(re, im)
@@ -144,7 +133,7 @@ class ComplexBox:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if type(other) is ComplexBox else _coerce(other)
+        o = other if type(other) is ComplexBox else as_box(other)
         p = _IV_PREC[0]
         n = o._divisor_norm(p)
         re, im = _mul_pairs(self.re._mpi_, self.im._mpi_,
@@ -152,7 +141,7 @@ class ComplexBox:
         return _box(mpi_div(re, n, p), mpi_div(im, n, p))
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        return as_box(other) / self
 
     def inv(self) -> "ComplexBox":
         """1/z as conj(z) / |z|^2, with no product by an exact 1."""
@@ -268,7 +257,9 @@ def _straddles_zero(v) -> bool:
     return mpf_sign(v[0]) <= 0 <= mpf_sign(v[1])
 
 
-def _coerce(x) -> ComplexBox:
+def as_box(x) -> ComplexBox:
+    """x as a box: a ComplexBox itself; an int, Fraction, complex, mpf or
+    ivmpf outward-rounded at iv.prec; a QuadNum through quadnum_box."""
     if isinstance(x, ComplexBox):
         return x
     if type(x) is int:
@@ -276,12 +267,28 @@ def _coerce(x) -> ComplexBox:
         return _box((from_int(x, p, round_floor), from_int(x, p, round_ceiling)),
                     _EXACT_ZERO)
     if isinstance(x, (int, Fraction)):
-        return ComplexBox(ri(x), iv.mpf(0))
+        return ComplexBox(ri(x))
+    if isinstance(x, QuadNum):
+        return quadnum_box(x)
     if isinstance(x, complex):
-        return ComplexBox.from_complex(x)
+        return ComplexBox(iv.mpf(x.real), iv.mpf(x.imag))
     if type(x).__name__ == "ivmpf" or isinstance(x, mpf):
-        return ComplexBox(x, iv.mpf(0))
+        return ComplexBox(x)
     raise TypeError(f"cannot coerce {x!r} to ComplexBox")
+
+
+def endpoint_fraction(e) -> Fraction:
+    """The exact rational value of a raw (libmpf) endpoint, such as either
+    half of an ivmpf's _mpi_ or an mpf's _mpf_.  An infinite or NaN endpoint
+    has none and raises PrecisionExhausted."""
+    sign, man, exp, _ = e
+    if not man:
+        if exp:
+            raise PrecisionExhausted(
+                f"an enclosure endpoint is {mp.make_mpf(e)}, not a finite number")
+        return Fraction(0)
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def exp_2pi_i(z: ComplexBox) -> ComplexBox:

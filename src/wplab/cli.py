@@ -157,11 +157,7 @@ def _verdict_record(v: IsogenyVerdict, precision):
     if v.witness is not None:
         rec["witness"] = [list(r) for r in v.witness]
     if v.alpha is not None:
-        rec["alpha"] = (
-            serialize.quad_record(v.alpha)
-            if isinstance(v.alpha, QuadNum)
-            else serialize.box_record(v.alpha, precision)
-        )
+        rec["alpha"] = serialize.value_record(v.alpha, precision)
     if v.reason:
         rec["reason"] = v.reason
     if v.bound is not None:
@@ -192,8 +188,7 @@ def cmd_lattice(args) -> int:
             red, mat = reduce_tau(QuadNum.rational(tau)
                                   if isinstance(tau, Fraction) else tau)
         rec = {
-            "tau_reduced": serialize.quad_record(red)
-            if isinstance(red, QuadNum) else serialize.box_record(red, prec),
+            "tau_reduced": serialize.value_record(red, prec),
             "unimodular": [list(r) for r in mat],
         }
         emit(args, [

@@ -27,6 +27,7 @@ from mpmath import iv, mp
 
 from .cintervals import (
     ComplexBox,
+    endpoint_fraction,
     ri,
     ri_from_endpoints,
     ri_hi,
@@ -37,15 +38,6 @@ from .errors import Frozen, InvalidConfiguration, PrecisionError, PrecisionExhau
 from .lattice_core import Lattice
 from .quadfield import QuadNum
 from .wp_numerics import EllipticModel, invariants, wp
-
-
-def mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    if man == 0 and exp != 0:
-        raise ValueError("non-finite endpoint")
-    man = int(man)
-    val = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -val if sign else val
 
 
 class RationalQ(Frozen):
@@ -213,7 +205,8 @@ class Composite:
                     "inner value not certified real on the real segment"
                 )
             h = iv.exp(w.re)
-            out = (mpf_to_fraction(ri_lo(h)), mpf_to_fraction(ri_hi(h)))
+            lo, hi = h._mpi_
+            out = (endpoint_fraction(lo), endpoint_fraction(hi))
         self._cache[key] = out
         return out
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .cintervals import ComplexBox, working_precision
+from .cintervals import ComplexBox, as_box, working_precision
 from .errors import (
     Frozen,
     InvalidConfiguration,
@@ -190,12 +190,8 @@ def f_forms(p: FieldPresentation, points: Sequence[tuple]):
             vec[b_idx] += fp
             vec[fb_idx] -= 1
         else:
-            if isinstance(fprime, ComplexBox):
-                fp = fprime
-            elif isinstance(fprime, complex):
-                fp = ComplexBox.from_complex(fprime)
-            else:
-                fp = ComplexBox(Fraction(fprime))
+            fp = as_box(fprime if isinstance(fprime, (ComplexBox, complex))
+                        else Fraction(fprime))
             vec = [ComplexBox(0)] * p.m
             vec[b_idx] = vec[b_idx] + fp
             vec[fb_idx] = vec[fb_idx] - 1

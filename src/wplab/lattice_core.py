@@ -28,9 +28,8 @@ from math import ceil, floor, gcd, isqrt
 from typing import NamedTuple, Optional, Union
 
 from mpmath import iv, mp
-from mpmath.libmp import to_rational
 
-from .cintervals import ComplexBox, quadnum_box, ri, ri_hi, ri_lo
+from .cintervals import ComplexBox, as_box, endpoint_fraction, quadnum_box, ri, ri_hi, ri_lo
 from .errors import DegenerateLattice, PrecisionExhausted, UnknownUpToBound
 from .quadfield import QuadNum, squarefree_kernel
 
@@ -237,9 +236,10 @@ def conjugate(lattice: Lattice) -> Lattice:
 # -- integer relations -------------------------------------------------------
 
 def _center_radius(box: ComplexBox):
-    """Exact dyadic center (re, im) and the larger half-width of a box."""
+    """Exact dyadic center (re, im) and the larger half-width of a box; a
+    box with an infinite endpoint raises PrecisionExhausted."""
     (rlo, rhi), (ilo, ihi) = (
-        [Fraction(*to_rational(e)) for e in part._mpi_] for part in (box.re, box.im))
+        [endpoint_fraction(e) for e in part._mpi_] for part in (box.re, box.im))
     return (rlo + rhi) / 2, (ilo + ihi) / 2, max(rhi - rlo, ihi - ilo) / 2
 
 
@@ -501,8 +501,7 @@ def witness_maps(tau1, tau2, m) -> bool:
     for QuadNum, within the combined enclosures for boxes."""
     if isinstance(tau1, QuadNum) and isinstance(tau2, QuadNum):
         return flt(m, tau1) == tau2
-    t1 = tau1 if isinstance(tau1, ComplexBox) else quadnum_box(tau1)
-    t2 = tau2 if isinstance(tau2, ComplexBox) else quadnum_box(tau2)
+    t1, t2 = as_box(tau1), as_box(tau2)
     (a, b), (c, d) = m
     residual = (t1 * a + b) - t2 * (t1 * c + d)
     return residual.contains_zero()

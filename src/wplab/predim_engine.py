@@ -350,19 +350,6 @@ def _min_delta(cfg, slots_subset, base_mask, rel_mask, within=None):
     return best, best_mask
 
 
-def validate(cfg: Configuration) -> dict:
-    """Structured diagnostics: the constructor invariants (re-stated) plus
-    intersection-compatibility of the relation data, decided at every size
-    of the ground set."""
-    compatible = is_intersection_compatible(cfg)
-    failures = [] if compatible else [
-        "intersection-compatibility fails: some A, B have "
-        "Gamma(A) ^ Gamma(B) larger than Gamma(A ^ B)"
-    ]
-    return {"valid": compatible, "failures": failures,
-            "intersection_compatible": compatible}
-
-
 def is_intersection_compatible(cfg: Configuration) -> bool:
     """span(points in A) ^ span(points in B) = span(points in A^B) inside
     V_i / relations, for all subset pairs; via the rank identity

@@ -97,25 +97,22 @@ def quad_record(z: QuadNum) -> dict:
     return {"p": frac_str(z.p), "q": frac_str(z.q), "d": z.d}
 
 
+def value_record(x, precision: int) -> dict:
+    """The record of an exact QuadNum or of a box."""
+    return quad_record(x) if isinstance(x, QuadNum) else box_record(x, precision)
+
+
 def parse_quad(rec: dict) -> QuadNum:
     return QuadNum(parse_frac(rec["p"], "quad.p"), parse_frac(rec["q"], "quad.q"),
                    int(rec["d"]))
 
 
 def lattice_record(l: Lattice, precision: int = 128) -> dict:
-    if l.exact:
-        return {
-            "rep": "quad",
-            "omega1": quad_record(l.omega1),
-            "omega2": quad_record(l.omega2),
-            "tau": quad_record(l.tau),
-            "basis_change": [list(r) for r in l.basis_change],
-        }
     return {
-        "rep": "num",
-        "omega1": box_record(l.omega1, precision),
-        "omega2": box_record(l.omega2, precision),
-        "tau": box_record(l.tau, precision),
+        "rep": "quad" if l.exact else "num",
+        "omega1": value_record(l.omega1, precision),
+        "omega2": value_record(l.omega2, precision),
+        "tau": value_record(l.tau, precision),
         "basis_change": [list(r) for r in l.basis_change],
     }
 

@@ -56,9 +56,9 @@ from .cintervals import (
     ComplexBox,
     _EXACT_ZERO,
     _box,
+    as_box,
     exp_2pi_i,
     quadnum_box,
-    ri,
     ri_hi,
     ri_lo,
     working_precision,
@@ -75,18 +75,6 @@ from .lattice_core import Lattice, conjugate, make_lattice
 from .quadfield import QuadNum
 
 SERIES_CAP = 1 << 16
-
-
-def _as_box(z) -> ComplexBox:
-    if isinstance(z, ComplexBox):
-        return z
-    if isinstance(z, QuadNum):
-        return quadnum_box(z)
-    if isinstance(z, complex):
-        return ComplexBox.from_complex(z)
-    if isinstance(z, (int, Fraction)):
-        return ComplexBox(ri(z))
-    raise TypeError(f"cannot interpret {z!r} as a complex argument")
 
 
 class EllipticModel(Frozen):
@@ -490,7 +478,7 @@ def _reduce_argument(m: EllipticModel, z) -> ComplexBox:
         if not x and not y:
             raise PoleAtLatticePoint("argument lies on the lattice")
         return quadnum_box(tau * y + x)
-    t = _as_box(z) / m._omega1
+    t = as_box(z) / m._omega1
     y = t.im / m._tau.im
     x = t.re - y * m._tau.re
     x = x - int(mp.nint(mp.mpf(x.mid)))
@@ -686,11 +674,11 @@ def ode_residual(m: EllipticModel, z) -> Residual:
 def homogeneity_residual(m: EllipticModel, alpha, z) -> Residual:
     """wp_{alpha*Lambda}(z) = alpha^-2 * wp_Lambda(z/alpha), certified."""
     with working_precision(m.precision):
-        a = _as_box(alpha)
+        a = as_box(alpha)
         scaled = make_lattice(m.lattice.omega1_box() * a,
                               m.lattice.omega2_box() * a)
         ms = invariants(scaled, m.precision)
-        zb = _as_box(z)
+        zb = as_box(z)
         lhs = wp(ms, zb)
         rhs = wp(m, zb / a) / (a * a)
         return Residual((lhs - rhs).abs_hi(), "homogeneity")
@@ -700,7 +688,7 @@ def schwarz_residual(m: EllipticModel, z) -> Residual:
     """wp_{conj(Lambda)}(conj(z)) = conj(wp_Lambda(z)), certified."""
     with working_precision(m.precision):
         mc = invariants(conjugate(m.lattice), m.precision)
-        zb = _as_box(z)
+        zb = as_box(z)
         lhs = wp(mc, zb.conj())
         rhs = wp(m, zb).conj()
         return Residual((lhs - rhs).abs_hi(), "schwarz")
@@ -713,7 +701,7 @@ def addition_residual(m: EllipticModel, z1, z2) -> Residual:
         if isinstance(z1, exactish) and isinstance(z2, exactish):
             zsum = z1 + z2
         else:
-            zsum = _as_box(z1) + _as_box(z2)
+            zsum = as_box(z1) + as_box(z2)
         lhs = exp_E(m, zsum)
         p1, p2 = exp_E(m, z1), exp_E(m, z2)
         if lhs.is_identity():
@@ -729,8 +717,8 @@ def isogeny_residual(m: EllipticModel, l2: Lattice, alpha, z) -> Residual:
     certifies: w -> exp_E(alpha*w) must be Lambda(l2)-periodic.  A sample
     the model cannot evaluate raises its PrecisionError."""
     with working_precision(m.precision):
-        a = _as_box(alpha)
-        zb = _as_box(z)
+        a = as_box(alpha)
+        zb = as_box(z)
         w1, w2 = l2.omega1_box(), l2.omega2_box()
         base = exp_E(m, a * zb)
         worst = mpf(0)

@@ -13,10 +13,11 @@ from mpmath import iv, mp
 
 from wplab.cintervals import (
     ComplexBox,
+    as_box,
+    endpoint_fraction,
     exp_2pi_i,
     quadnum_box,
     ri,
-    ri_contains_zero,
     ri_from_endpoints,
     ri_hi,
     ri_lo,
@@ -28,7 +29,7 @@ from wplab.quadfield import QuadNum
 small_fracs = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64
 )
-boxes = st.builds(ComplexBox.from_fractions, small_fracs, small_fracs)
+boxes = st.builds(lambda re, im: ComplexBox(ri(re), ri(im)), small_fracs, small_fracs)
 
 
 def _contains(box: ComplexBox, z: complex, slop=0.0) -> bool:
@@ -54,8 +55,8 @@ def test_ri_fraction_roundtrip():
 def test_ri_from_endpoints_and_zero():
     with working_precision(64):
         x = ri_from_endpoints(-1, 2)
-        assert ri_contains_zero(x)
-        assert not ri_contains_zero(ri(1))
+        assert ComplexBox(x).contains_zero()
+        assert not ComplexBox(ri(1)).contains_zero()
 
 
 @settings(max_examples=150)
@@ -100,6 +101,27 @@ def test_widened_grows_and_keeps_center():
         w = a.widened(mp.mpf("0.5"))
         assert w.rad() >= mp.mpf("0.5")
         assert _contains(w, 1 + 2j)
+
+
+@given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+       st.integers(min_value=-40, max_value=40))
+def test_endpoint_fraction_exact(man, exp):
+    x = mp.mpf(man) * mp.mpf(2) ** exp
+    assert endpoint_fraction(x._mpf_) == Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("value", ["+inf", "-inf", "nan"])
+def test_endpoint_fraction_refuses_non_finite_endpoints(value):
+    with pytest.raises(PrecisionExhausted, match="not a finite number"):
+        endpoint_fraction(mp.mpf(value)._mpf_)
+
+
+def test_a_quadnum_coerces_to_its_quadnum_box():
+    with working_precision(64):
+        for q in (QuadNum(Fraction(1, 3), Fraction(2, 7), -5),
+                  QuadNum(Fraction(-5, 2), Fraction(1), -1), QuadNum.rational(3, -7)):
+            got, want = as_box(q), quadnum_box(q)
+            assert (got.re._mpi_, got.im._mpi_) == (want.re._mpi_, want.im._mpi_)
 
 
 def test_exp_2pi_i_against_cmath():

@@ -7,7 +7,6 @@ from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp
 
 from wplab.cintervals import ComplexBox, ri, ri_from_endpoints, ri_lo, working_precision
 from wplab.counting import (
@@ -23,7 +22,6 @@ from wplab.counting import (
     default_eps,
     enumerate_rationals,
     fit_log_counts,
-    mpf_to_fraction,
 )
 from wplab.errors import InvalidConfiguration, PrecisionError, UndecidablePoleProximity
 from wplab.lattice_core import make_lattice
@@ -108,14 +106,6 @@ def test_rationalq_is_not_ordered():
     # fields would order 2/1 before 3/5 by numerator, not by value
     with pytest.raises(TypeError):
         RationalQ(2, 1) < RationalQ(3, 5)
-
-
-@given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
-       st.integers(min_value=-40, max_value=40))
-def test_mpf_to_fraction_exact(man, exp):
-    x = mp.mpf(man) * mp.mpf(2) ** exp
-    f = mpf_to_fraction(x)
-    assert f == F(man) * F(2) ** exp
 
 
 def test_classification_trichotomy():

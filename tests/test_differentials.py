@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wplab.cintervals import ComplexBox, working_precision
+from wplab.cintervals import ComplexBox, as_box, working_precision
 from wplab.differentials import (
     GENERIC,
     NUMERIC_POINT,
@@ -33,7 +33,7 @@ F = Fraction
 
 def _boxes(**vals):
     with working_precision(128):
-        return {k: ComplexBox.from_complex(complex(v)) for k, v in vals.items()}
+        return {k: as_box(complex(v)) for k, v in vals.items()}
 
 
 def test_generic_single_generator():

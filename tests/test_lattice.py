@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
-from wplab.cintervals import ComplexBox, quadnum_box, ri, ri_hi, ri_lo, working_precision
+from wplab.cintervals import (ComplexBox, as_box, quadnum_box, ri, ri_from_endpoints, ri_hi,
+                              ri_lo, working_precision)
 from wplab.errors import DegenerateLattice, PrecisionExhausted, UnknownUpToBound
 from wplab import lattice_core
 from wplab.lattice_core import (
@@ -133,7 +134,7 @@ def test_cm_field_exact_and_numeric():
         assert cm_field(lat) == -1
         # a high-degree tau yields no certified relation at this bound
         generic = make_lattice(ComplexBox(1),
-                               ComplexBox.from_complex(0.2345 + 1.618j))
+                               as_box(0.2345 + 1.618j))
         assert cm_field(generic, height_bound=20) is None
 
 
@@ -170,7 +171,7 @@ def test_numeric_isogeny_witness_and_unknown():
         assert v.is_isogenous
         assert witness_maps(l1.tau, l2.tau, v.witness)
         generic = make_lattice(ComplexBox(1),
-                               ComplexBox.from_complex(0.2345 + 1.618j))
+                               as_box(0.2345 + 1.618j))
         u = is_isogenous(l1, generic, search_bound=3)
         assert u.outcome == "unknown_up_to_bound"
         assert u.bound == 3
@@ -493,6 +494,17 @@ def test_wide_boxes_match_the_sweeps_with_few_vectors(monkeypatch):
 def _radii(boxes):
     """The slack of a plain box sum: each box's larger half-width."""
     return [_center_radius(m)[2] for m in boxes]
+
+
+def test_center_radius_refuses_an_infinite_endpoint():
+    # read as 0, the endpoint +inf gave [1, +inf] + 2i the center 1/2 + 2i
+    # and half-width 0: a point box far from the box it stands for
+    with working_precision(64):
+        box = ComplexBox(iv.mpf([1, mp.inf]), ri(2))
+        with pytest.raises(PrecisionExhausted, match="not a finite number"):
+            _center_radius(box)
+        assert _center_radius(ComplexBox(ri_from_endpoints(1, 2), ri(2))) == (
+            Fraction(3, 2), Fraction(2), Fraction(1, 2))
 
 
 def test_integer_relations_cover_the_cube():

@@ -33,7 +33,6 @@ from wplab.predim_engine import (
     predim_dim,
     strong_hull,
     td,
-    validate,
 )
 from wplab.quadfield import QuadNum
 from wplab.serialize import parse_configuration
@@ -88,8 +87,8 @@ def test_delta_examples():
     assert delta(cfg, (), ("b", "e")).delta == 2  # no slots: delta = td
 
 
-def test_validate_and_relation_row_invariants():
-    assert validate(one_exp_point())["valid"]
+def test_compatibility_and_relation_row_invariants():
+    assert is_intersection_compatible(one_exp_point())
     with pytest.raises(InvalidConfiguration):
         Configuration(
             ("b", "e"), free_matroid(2), [FunctionSlot(0, "exp")],
@@ -539,7 +538,6 @@ def test_hull_and_compatibility_against_oracles(with_relations):
         cfg = random_config(rng, n, with_relations)
         compatible = is_intersection_compatible(cfg)
         assert compatible == pair_scan_compatible(cfg)
-        assert validate(cfg)["valid"] is compatible
         seen[compatible] += 1
         a_mask = rng.getrandbits(n) & rng.getrandbits(n)
         hull = strong_hull(cfg, a_mask)
@@ -562,8 +560,5 @@ def test_compatibility_decided_beyond_ten_coordinates():
     rel = {0: [[(F(0), F(1)), (F(-1), F(0))]]}
     cfg = Configuration(coords, free_matroid(12), cm, apart, rel)
     assert not is_intersection_compatible(cfg)
-    assert validate(cfg)["valid"] is False
     cfg = Configuration(coords, free_matroid(12), cm, shared, rel)
     assert is_intersection_compatible(cfg)
-    assert validate(cfg) == {"valid": True, "failures": [],
-                             "intersection_compatible": True}

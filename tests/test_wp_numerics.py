@@ -42,6 +42,7 @@ from mpmath.libmp import (
 
 from wplab.cintervals import (
     ComplexBox,
+    as_box,
     exp_2pi_i,
     quadnum_box,
     ri,
@@ -132,14 +133,14 @@ def test_invariants_rectangular_oracle():
 
 def test_wp_against_lattice_sum(model):
     for z in (0.31 + 0.42j, 0.5, 0.27j + 0.11):
-        val = wp(model, ComplexBox.from_complex(complex(z)))
+        val = wp(model, as_box(complex(z)))
         ref = oracle_wp(complex(z), 1, 1j)
         assert abs(complex(val.mid()) - ref) < 1e-3
 
 
 def test_wp_evenness_and_periodicity(model):
     with working_precision(128):
-        z = ComplexBox.from_fractions(Fraction(3, 10), Fraction(2, 5))
+        z = ComplexBox(Fraction(3, 10), Fraction(2, 5))
         a = wp(model, z)
         b = wp(model, -z)
         assert (a - b).contains_zero()
@@ -149,7 +150,7 @@ def test_wp_evenness_and_periodicity(model):
 
 def test_wp_prime_odd_and_half_period(model):
     with working_precision(128):
-        z = ComplexBox.from_fractions(Fraction(1, 5), Fraction(1, 3))
+        z = ComplexBox(Fraction(1, 5), Fraction(1, 3))
         assert (wp_prime(model, z) + wp_prime(model, -z)).contains_zero()
         half = wp_prime(model, Fraction(1, 2))
         assert half.contains_zero()
@@ -203,7 +204,7 @@ def test_exp_identity_and_inverse(model):
 
 def test_exp_E_auto_near_pole(model):
     with working_precision(128):
-        z = ComplexBox.from_fractions(Fraction(1, 2 ** 40), Fraction(1, 2 ** 40))
+        z = ComplexBox(Fraction(1, 2 ** 40), Fraction(1, 2 ** 40))
         p = exp_E(model, z)
         assert on_curve_defect(model, p) <= mp.ldexp(1, -80)
 
@@ -381,8 +382,7 @@ def test_two_torsion_doubling(model):
         with pytest.raises(IndistinguishableBranch):
             # doubling a 2-torsion point needs the tangent at a ramification
             # point; the chord slope denominator vanishes
-            curve_add(model, half, exp_E(model, ComplexBox.from_fractions(
-                Fraction(1, 2))))
+            curve_add(model, half, exp_E(model, ComplexBox(Fraction(1, 2))))
         assert curve_smul(model, 2, identity_point()).is_identity()
 
 
@@ -713,7 +713,7 @@ def _jtheta_all(q, v, bits: int):
         return [mpmath.jtheta(n, v, q) for n in (1, 2, 3, 4)]
 
 
-def _sums_as_boxes(q4: ComplexBox, w: ComplexBox):
+def _boxed_sums(q4: ComplexBox, w: ComplexBox):
     """The kernel's theta sums left as boxes at the working precision, and
     the kernel's scale P."""
     scale, *sums = _theta_sums(q4, w)
@@ -730,7 +730,7 @@ def _check_kernel(q4: ComplexBox, w: ComplexBox, refs, bits: int):
     one chain."""
     theta1_at_0 = w.is_exact() and w.overlaps(ComplexBox(1))
     with working_precision(bits):
-        new, old = _sums_as_boxes(q4, w)[0], _interval_theta_sums(q4, w)
+        new, old = _boxed_sums(q4, w)[0], _interval_theta_sums(q4, w)
         for i, (box, old_box) in enumerate(zip(new, old)):
             assert box.overlaps(old_box)
             assert (i == 0 and theta1_at_0) or box.rad() <= old_box.rad()
@@ -763,8 +763,8 @@ def test_theta_kernel_against_interval_sums(bits, re_tau, im_tau, arg):
         _, a, b, e = arg
         t = (Fraction(a, 10 ** e), Fraction(b, 10 ** e))
     with working_precision(bits):
-        q4 = exp_2pi_i(ComplexBox.from_fractions(*tau) * Fraction(1, 8))
-        w = exp_2pi_i(ComplexBox.from_fractions(*t) * Fraction(1, 2))
+        q4 = exp_2pi_i(ComplexBox(*tau) * Fraction(1, 8))
+        w = exp_2pi_i(ComplexBox(*t) * Fraction(1, 2))
     with mp.workprec(2 * bits):
         tau_c, t_c = (mp.mpc(mp.mpf(u.numerator) / u.denominator,
                              mp.mpf(v.numerator) / v.denominator)
@@ -787,9 +787,9 @@ def test_theta_constants_are_the_sums_at_one(bits, re_tau, im_tau):
     """One chain at w = 1 gives the endpoints of theta2, theta3, theta4 that
     the full sums give there, where T(k,-) = T(k,+) and theta1 = 0."""
     with working_precision(bits):
-        q4 = exp_2pi_i(ComplexBox.from_fractions(
-            Fraction(re_tau, 64), Fraction(im_tau, 64)) * Fraction(1, 8))
-        sums = _sums_as_boxes(q4, ComplexBox(1))[0]
+        q4 = exp_2pi_i(ComplexBox(Fraction(re_tau, 64), Fraction(im_tau, 64))
+                       * Fraction(1, 8))
+        sums = _boxed_sums(q4, ComplexBox(1))[0]
         for new, old in zip(_theta_constants(q4), sums[1:]):
             assert _same_endpoints(new, old)
 
@@ -862,8 +862,7 @@ def test_discriminant_failure_states_radii(monkeypatch):
 def test_invariant_precision_failure_states_radii():
     # periods known to about 96 bits cannot give g2 to 256
     with working_precision(64):
-        lat = make_lattice(ComplexBox(1), ComplexBox.from_fractions(
-            Fraction(1, 3), Fraction(11, 10)))
+        lat = make_lattice(ComplexBox(1), ComplexBox(Fraction(1, 3), Fraction(11, 10)))
     with pytest.raises(PrecisionExhausted) as info:
         invariants(lat, 256)
     found = re.fullmatch(r"invariant radius exceeds target: g2 radius (\S+), "
@@ -897,11 +896,11 @@ def wp_theta_oracle(m, t_red: ComplexBox):
     c = _quotient_factors(m)
     prec = m.precision + _bits_below(t_red)
     if prec == m.precision:
-        (th1, th2, th3, th4), scale = _sums_as_boxes(
+        (th1, th2, th3, th4), scale = _boxed_sums(
             m._q4, exp_2pi_i(t_red * Fraction(1, 2)))
     else:
         with working_precision(prec):
-            (th1, th2, th3, th4), scale = _sums_as_boxes(
+            (th1, th2, th3, th4), scale = _boxed_sums(
                 exp_2pi_i(m.lattice.tau_box() * Fraction(1, 8)),
                 exp_2pi_i(t_red * Fraction(1, 2)))
     s = c.pi_w1
@@ -1008,7 +1007,7 @@ def _exact_pole(lattice, z):
 
 def _boxed_reduction(m, z_raw):
     """The reduced box t_red = z/omega1, reduced in interval arithmetic."""
-    z = wp_numerics._as_box(z_raw)
+    z = as_box(z_raw)
     x, y = _lattice_coords(m, z)
     xr = x - int(mp.nint(mp.mpf(x.mid)))
     yr = y - int(mp.nint(mp.mpf(y.mid)))
