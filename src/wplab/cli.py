@@ -29,7 +29,7 @@ from fractions import Fraction
 from mpmath import iv, mp
 
 from . import serialize
-from .cintervals import ComplexBox, ri, working_precision
+from .cintervals import ComplexBox, endpoint_fraction, ri, working_precision
 from .errors import WplabError
 from .lattice_core import (
     IsogenyVerdict,
@@ -96,10 +96,7 @@ def parse_value(text: str, precision: int):
         try:
             return _fraction(s)
         except ValueError:
-            try:
-                return ComplexBox(iv.mpf(s))
-            except Exception as exc:
-                raise CliError(f"cannot parse value {text!r}") from exc
+            raise CliError(f"cannot parse value {text!r}") from None
 
 
 def _real_part(text: str):
@@ -315,7 +312,9 @@ def cmd_wp(args) -> int:
             else:  # isogeny
                 r = isogeny_residual(model, l2, v.alpha, z)
             worst = max(worst, r.value)
-    bound_str = mp.nstr(worst, 8)
+    # rounded up: the printed bound is never below the certified one
+    bound_str = serialize.decimal_at_least(mp.nstr(worst, 8),
+                                           endpoint_fraction(mp.mpf(worst)._mpf_))
     rec = {
         "identity": tag,
         "samples": args.samples,

@@ -8,11 +8,12 @@ enclosure-shrinking for boxed data).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import iv, mp
 
-from .cintervals import ComplexBox, ri_hi, working_precision
+from .cintervals import ComplexBox, endpoint_fraction, ri_hi, working_precision
 from .errors import InvalidConfiguration
 from .lattice_core import Lattice, make_lattice
 from .quadfield import QuadNum
@@ -73,13 +74,39 @@ def _decimal(x, precision: int) -> str:
     return mp.nstr(mp.mpf(x), int(precision * 0.302) + 3, strip_zeros=False)
 
 
+def decimal_at_least(text: str, bound: Fraction) -> str:
+    """text, a decimal from mp.nstr(x, 8), when it is at least bound; else
+    the least decimal of 8 significant digits that is, printed the same way."""
+    if Fraction(text) >= bound:
+        return text
+    e = len(str(bound.numerator)) - len(str(bound.denominator))
+    if Fraction(10) ** e > bound:
+        e -= 1  # now 10^e <= bound < 10^(e + 1)
+    return mp.nstr(mp.mpf(f"{math.ceil(bound / Fraction(10) ** (e - 7))}e{e - 7}"), 8)
+
+
+def _far(mid: str, part) -> Fraction:
+    """The largest distance from the printed midpoint to an endpoint of the
+    component part."""
+    lo, hi = (endpoint_fraction(e) for e in part._mpi_)
+    m = Fraction(mid)
+    return max(hi - m, m - lo)
+
+
 def box_record(z: ComplexBox, precision: int) -> dict:
+    """The box's midpoint printed to about `precision` bits and an err that
+    bounds the distance from it to every point of the box in each component,
+    so the printed box holds z: the radius plus 2^-precision, or the least
+    8-digit decimal above the distance where the midpoint's rounding
+    moved it farther."""
     with working_precision(precision):
         mid = z.mid()
+        re, im = _decimal(mid.real, precision), _decimal(mid.imag, precision)
+        err = mp.nstr(z.rad() + mp.ldexp(1, -precision), 8)
         return {
-            "re": _decimal(mid.real, precision),
-            "im": _decimal(mid.imag, precision),
-            "err": mp.nstr(z.rad() + mp.ldexp(1, -precision), 8),
+            "re": re,
+            "im": im,
+            "err": decimal_at_least(err, max(_far(re, z.re), _far(im, z.im))),
             "precision": precision,
         }
 

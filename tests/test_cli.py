@@ -389,16 +389,28 @@ def test_a_command_parser_prints_the_full_trees_help(command):
     (["wp", "invariants", "--tau", "1e20i"],
      "theta series out of range: a fixed-point scale of "
      "113309003545679839410 bits is needed, the limit is 134217728 bits"),
+    (["wp", "eval", "--tau", "i", "--z", "nan"], "cannot parse value 'nan'"),
+    (["lattice", "cm", "--tau", "nan"], "cannot parse value 'nan'"),
 ], ids=["zero-denominator-z", "zero-denominator-complex-z",
         "zero-denominator-tau", "zero-denominator-w1",
         "zero-denominator-domain", "zero-denominator-eps", "invariants-1e400i",
         "eval-1e400i", "samples-0", "samples-minus-3", "eps-0",
         "eps-joined-minus-half", "eps-minus-half", "invariants-1e12i",
-        "invariants-1e20i"])
+        "invariants-1e20i", "z-nan", "tau-nan"])
 def test_inputs_that_answer_nothing_exit_2_with_one_error_line(argv, message,
                                                               capsys):
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_printed_box_near_a_pole_holds_the_value(capsys):
+    # wp(z) = 1/z^2 + O(z^2): rounding the 41-digit midpoint of about
+    # 1.1e73 moves it 1.1e32, far beyond the box's own radius
+    assert run(["wp", "eval", "--tau", "i", "--z", "3e-37", "--format", "record"]) == 0
+    box = json.loads(capsys.readouterr().out)["wp"]
+    err = Fraction(box["err"])
+    assert abs(Fraction(box["re"]) - 1 / Fraction(3, 10 ** 37) ** 2) <= err
+    assert abs(Fraction(box["im"])) <= err
 
 
 def test_a_large_but_sized_tau_still_answers(capsys):

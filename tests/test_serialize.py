@@ -1,5 +1,6 @@
 """Record round trips: exact data survives exactly, boxed data by enclosure."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,43 @@ def test_box_roundtrip_is_enclosure_widening():
         back = S.parse_box(S.box_record(z, 128))
         assert (back - z).contains_zero()
         assert back.rad() >= z.rad()
+
+
+def _random_box(rng):
+    """(box, precision): a box of |value| between 2^-200 and 2^200, built
+    at 53 to 512 bits and widened by up to its own magnitude times
+    2^-precision."""
+    precision = rng.randint(53, 512)
+    e = rng.randint(-200, 200)
+    with working_precision(precision):
+        re, im = (F(rng.randint(-2 ** 60, 2 ** 60), 2 ** 60) * F(2) ** e
+                  for _ in range(2))
+        z = ComplexBox(ri(re), ri(im))
+        if rng.random() < 0.5:
+            z = z.widened(mp.ldexp(rng.random(), e - rng.randint(0, precision)))
+    return z, precision
+
+
+def _holds(outer: ComplexBox, inner: ComplexBox) -> bool:
+    return all(o.a <= i.a and i.b <= o.b
+               for o, i in ((outer.re, inner.re), (outer.im, inner.im)))
+
+
+def test_printed_boxes_hold_their_boxes():
+    # a midpoint rounded to int(0.302 * precision) + 3 digits can move
+    # farther than the radius plus 2^-precision once |value| is large
+    rng = random.Random(24)
+    for _ in range(400):
+        z, precision = _random_box(rng)
+        rec = S.loads(S.dumps(S.box_record(z, precision)))
+        assert _holds(S.parse_box(rec), z), (rec, z)
+
+
+def test_decimal_at_least_rounds_up_to_eight_digits():
+    assert S.decimal_at_least("1.5e-40", F(1, 10 ** 40)) == "1.5e-40"
+    assert S.decimal_at_least("1.0492646e+30", 11 * F(10) ** 31) == "1.1e+32"
+    assert S.decimal_at_least("0.0", F(123456781, 10 ** 12)) == "0.00012345679"
+    assert S.decimal_at_least("9.9999999e+10", F(99999999100)) == "1.0e+11"
 
 
 def test_box_record_midpoint_full_precision_outside_scope():
