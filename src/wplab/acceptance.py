@@ -86,7 +86,7 @@ def _random_lattice(rng, exact: bool) -> Lattice:
         return make_lattice(scale, scale * tau)
     w1 = ComplexBox(ri(Fraction(rng.randint(1, 5), rng.randint(1, 3))),
                     ri(Fraction(rng.randint(-2, 2), 3)))
-    return make_lattice(w1, w1 * ComplexBox(ri(tau.p), ri(tau.q * 2)))
+    return make_lattice(w1, w1 * ComplexBox(tau.p, tau.q * 2))
 
 
 def _cell_sample(rng, lat: Lattice) -> complex:

@@ -15,7 +15,8 @@ from .errors import Frozen
 
 
 def squarefree_kernel(n: int) -> int:
-    """Largest squarefree divisor of n (sign preserved).  n != 0."""
+    """The squarefree d with n = d*m^2 for an integer m (sign preserved):
+    3 for 12, -2 for -8.  n != 0."""
     if n == 0:
         raise ValueError("squarefree kernel of 0 undefined")
     sign = -1 if n < 0 else 1

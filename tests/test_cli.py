@@ -449,6 +449,25 @@ def test_wp_verify_isogeny_default_partner_keeps_the_representation():
     assert out.startswith("max residual over 3 samples = ")
 
 
+def test_wp_verify_prints_its_bound_rounded_up(capsys):
+    # the worst ODE residual at these samples is 1.836348339...e-42, which
+    # rounded to nearest printed as 1.8363483e-42, below the certified bound
+    from wplab.cintervals import endpoint_fraction, working_precision
+    from wplab.cli import _random_cell_points, lattice_from_tau
+    from wplab.wp_numerics import invariants, ode_residual
+
+    assert run(["wp", "verify", "--tau", "i", "--identity", "ode", "--samples", "3",
+                "--seed", "20260824"]) == 0
+    printed = capsys.readouterr().out.rsplit(" = ", 1)[1].strip()
+    lat = lattice_from_tau(QuadNum(0, 1, -1), 128)
+    model = invariants(lat, 128)
+    with working_precision(128):
+        worst = max(ode_residual(model, z).value
+                    for z in _random_cell_points(lat, 3, 20260824, 128))
+    assert printed == "1.8363484e-42"
+    assert Fraction(printed) >= endpoint_fraction(worst._mpf_)
+
+
 def test_warnings_print_as_one_line():
     code, out, err = invoke("lattice", "isogenous", "--tau1", "i", "--tau2", "0.3+1.7i")
     assert code == 0 and out.startswith("outcome = isogenous")

@@ -1,10 +1,11 @@
 """The CLI golden corpora under tests/golden.
 
-The `wplab lattice` calls of lattice.json give the same exit code, stdout
-and first stderr line, byte for byte.  The `wplab wp` calls of wp.json are
-compared enclosure-aware: the same exit code, first stderr line, text with
-its numbers masked and record keys; every printed box overlaps its golden
-box and is no wider; every residual bound is no larger.  After an intended
+The `wplab lattice` calls of lattice.json and the `wplab count` calls of
+count.json give the same exit code, stdout and first stderr line, byte for
+byte.  The `wplab wp` calls of wp.json are compared enclosure-aware: the
+same exit code, first stderr line, text with its numbers masked and record
+keys; every printed box overlaps its golden box and is no wider; every
+residual bound is no larger.  After an intended
 output change, regenerate a corpus with its maker (tests/golden/make_*.py)
 and list the change in CHANGES.md."""
 
@@ -35,6 +36,12 @@ run_call = _maker("make_lattice").run_call
 
 @pytest.mark.parametrize("call", _corpus("lattice"), ids=lambda c: " ".join(c["argv"][1:]))
 def test_lattice_call_matches_the_corpus(call):
+    assert run_call(call["argv"]) == (call["code"], call["stdout"],
+                                      call["stderr_first_line"])
+
+
+@pytest.mark.parametrize("call", _corpus("count"), ids=lambda c: " ".join(c["argv"][1:]))
+def test_count_call_matches_the_corpus(call):
     assert run_call(call["argv"]) == (call["code"], call["stdout"],
                                       call["stderr_first_line"])
 
