@@ -313,7 +313,7 @@ def cmd_wp(args) -> int:
                 r = isogeny_residual(model, l2, v.alpha, z)
             worst = max(worst, r.value)
     # rounded up: the printed bound is never below the certified one
-    bound_str = serialize.decimal_at_least(mp.nstr(worst, 8), endpoint_fraction(worst._mpf_))
+    bound_str = serialize.decimal_at_least(worst, endpoint_fraction(worst._mpf_))
     rec = {
         "identity": tag,
         "samples": args.samples,

@@ -190,8 +190,7 @@ def f_forms(p: FieldPresentation, points: Sequence[tuple]):
             vec[b_idx] += fp
             vec[fb_idx] -= 1
         else:
-            fp = as_box(fprime if isinstance(fprime, (ComplexBox, complex))
-                        else Fraction(fprime))
+            fp = as_box(fprime)
             vec = [ComplexBox(0)] * p.m
             vec[b_idx] = vec[b_idx] + fp
             vec[fb_idx] = vec[fb_idx] - 1

@@ -9,11 +9,13 @@ enclosure-shrinking for boxed data).
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from mpmath import iv, mp
+from mpmath.libmp import from_rational, mpf_pos, round_ceiling, round_floor
 
-from .cintervals import ComplexBox, endpoint_fraction, ri_hi, working_precision
+from .cintervals import ComplexBox, endpoint_fraction, ri_from_endpoints, working_precision
 from .errors import InvalidConfiguration
 from .lattice_core import Lattice, make_lattice
 from .quadfield import QuadNum
@@ -74,22 +76,58 @@ def _decimal(x, precision: int) -> str:
     return mp.nstr(mp.mpf(x), int(precision * 0.302) + 3, strip_zeros=False)
 
 
-def decimal_at_least(text: str, bound: Fraction) -> str:
-    """text, a decimal from mp.nstr(x, 8), when it is at least bound; else
-    the least decimal of 8 significant digits that is, printed the same way."""
-    if Fraction(text) >= bound:
+# The largest decimal exponent read exactly.  On a 2-CPU Xeon VM reading
+# 1.5e+1000000 takes 0.13 s and 1.5e+10000000 5 s, while wp eval takes 6 s
+# to print a value of 10^90000 (at z = 1e-30000).
+_DECADES = 10 ** 6
+
+
+def _decimal_fraction(text, where: str = "value") -> Fraction:
+    """The exact value of the finite decimal text of the record field named
+    `where`, of decimal exponent at most 10^6 in size.  decimal.Decimal
+    reads it, so a midpoint of more than 4300 digits needs no int-from-str
+    conversion (which Python limits)."""
+    try:
+        d = Decimal(text)
+        if d and abs(d.adjusted()) > _DECADES:
+            raise ValueError
+        return Fraction(*d.as_integer_ratio())
+    except (ArithmeticError, TypeError, ValueError):
+        raise InvalidConfiguration(
+            f"{where} is not a finite decimal of exponent at most 10^6 in size: "
+            f"{text!r}") from None
+
+
+def _decade(x: Fraction) -> int:
+    """The e with 10^e <= x < 10^(e + 1), for x > 0, found from bit lengths
+    rather than from the digits of x."""
+    e = math.floor((x.numerator.bit_length() - x.denominator.bit_length())
+                   * math.log10(2))
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    return e
+
+
+def decimal_at_least(x, bound: Fraction) -> str:
+    """mp.nstr(x, 8) of the mpf x >= 0, rounded up to 64 bits first (nstr
+    fails on a mantissa of more than about 14,000 bits when |x| is below
+    2^-3500 or above 2^3500), when it is at least bound; else the least
+    decimal of 8 significant digits that is, printed the same way."""
+    text = mp.nstr(mp.make_mpf(mpf_pos(x._mpf_, 64, round_ceiling)), 8)
+    if _decimal_fraction(text) >= bound:
         return text
-    e = len(str(bound.numerator)) - len(str(bound.denominator))
-    if Fraction(10) ** e > bound:
-        e -= 1  # now 10^e <= bound < 10^(e + 1)
-    return mp.nstr(mp.mpf(f"{math.ceil(bound / Fraction(10) ** (e - 7))}e{e - 7}"), 8)
+    e = _decade(bound)
+    with mp.workprec(64):
+        return mp.nstr(mp.mpf(f"{math.ceil(bound / Fraction(10) ** (e - 7))}e{e - 7}"), 8)
 
 
 def _far(mid: str, part) -> Fraction:
     """The largest distance from the printed midpoint to an endpoint of the
     component part."""
     lo, hi = (endpoint_fraction(e) for e in part._mpi_)
-    m = Fraction(mid)
+    m = _decimal_fraction(mid)
     return max(hi - m, m - lo)
 
 
@@ -102,7 +140,7 @@ def box_record(z: ComplexBox, precision: int) -> dict:
     with working_precision(precision):
         mid = z.mid()
         re, im = _decimal(mid.real, precision), _decimal(mid.imag, precision)
-        err = mp.nstr(z.rad() + mp.ldexp(1, -precision), 8)
+        err = z.rad() + mp.ldexp(1, -precision)
         return {
             "re": re,
             "im": im,
@@ -111,13 +149,24 @@ def box_record(z: ComplexBox, precision: int) -> dict:
         }
 
 
+def _enclosure(lo: Fraction, hi: Fraction):
+    """The least interval at iv.prec holding [lo, hi]."""
+    p = iv.prec
+    return ri_from_endpoints(
+        mp.make_mpf(from_rational(lo.numerator, lo.denominator, p, round_floor)),
+        mp.make_mpf(from_rational(hi.numerator, hi.denominator, p, round_ceiling)))
+
+
 def parse_box(rec: dict) -> ComplexBox:
+    """The box [re +- err] + [im +- err]i of the record, its decimals read
+    exactly and its endpoints rounded outward at the record's precision."""
     precision = _int(_field(rec, "precision", "box", default=128), "box.precision")
+    err = _decimal_fraction(_field(rec, "err", "box"), "box.err")
+    if err < 0:
+        raise InvalidConfiguration(f"box.err is negative: {rec['err']!r}")
+    re, im = (_decimal_fraction(_field(rec, k, "box"), f"box.{k}") for k in ("re", "im"))
     with working_precision(precision):
-        err = iv.mpf(_field(rec, "err", "box"))
-        pad = iv.mpf([-ri_hi(err), ri_hi(err)])
-        return ComplexBox(iv.mpf(_field(rec, "re", "box")) + pad,
-                          iv.mpf(_field(rec, "im", "box")) + pad)
+        return ComplexBox(_enclosure(re - err, re + err), _enclosure(im - err, im + err))
 
 
 def quad_record(z: QuadNum) -> dict:

@@ -29,7 +29,7 @@ from wplab.quadfield import QuadNum
 small_fracs = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64
 )
-boxes = st.builds(lambda re, im: ComplexBox(ri(re), ri(im)), small_fracs, small_fracs)
+boxes = st.builds(ComplexBox, small_fracs, small_fracs)
 
 
 def _contains(box: ComplexBox, z: complex, slop=0.0) -> bool:

@@ -391,12 +391,17 @@ def test_a_command_parser_prints_the_full_trees_help(command):
      "113309003545679839410 bits is needed, the limit is 134217728 bits"),
     (["wp", "eval", "--tau", "i", "--z", "nan"], "cannot parse value 'nan'"),
     (["lattice", "cm", "--tau", "nan"], "cannot parse value 'nan'"),
+    (["wp", "eval", "--tau", "i", "--z", "inf"], "cannot parse complex value 'inf'"),
+    # mpmath's interval literals are not values
+    (["wp", "eval", "--tau", "i", "--z", "[0.1,0.2]"], "cannot parse value '[0.1,0.2]'"),
+    (["wp", "eval", "--tau", "i", "--z", "0.3+-0.01"], "cannot parse value '0.3+-0.01'"),
 ], ids=["zero-denominator-z", "zero-denominator-complex-z",
         "zero-denominator-tau", "zero-denominator-w1",
         "zero-denominator-domain", "zero-denominator-eps", "invariants-1e400i",
         "eval-1e400i", "samples-0", "samples-minus-3", "eps-0",
         "eps-joined-minus-half", "eps-minus-half", "invariants-1e12i",
-        "invariants-1e20i", "z-nan", "tau-nan"])
+        "invariants-1e20i", "z-nan", "tau-nan", "z-inf", "z-interval",
+        "z-plus-minus"])
 def test_inputs_that_answer_nothing_exit_2_with_one_error_line(argv, message,
                                                               capsys):
     assert run(argv) == 2

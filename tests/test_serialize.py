@@ -69,10 +69,38 @@ def test_printed_boxes_hold_their_boxes():
 
 
 def test_decimal_at_least_rounds_up_to_eight_digits():
-    assert S.decimal_at_least("1.5e-40", F(1, 10 ** 40)) == "1.5e-40"
-    assert S.decimal_at_least("1.0492646e+30", 11 * F(10) ** 31) == "1.1e+32"
-    assert S.decimal_at_least("0.0", F(123456781, 10 ** 12)) == "0.00012345679"
-    assert S.decimal_at_least("9.9999999e+10", F(99999999100)) == "1.0e+11"
+    at_least = lambda x, bound: S.decimal_at_least(mp.mpf(x), bound)
+    assert at_least("1.5e-40", F(1, 10 ** 40)) == "1.5e-40"
+    assert at_least("1.0492646e+30", 11 * F(10) ** 31) == "1.1e+32"
+    assert at_least("0.0", F(123456781, 10 ** 12)) == "0.00012345679"
+    assert at_least("9.9999999e+10", F(99999999100)) == "1.0e+11"
+    assert at_least("0.0", F(10) ** 5000 + 1) == "1.0000001e+5000"
+
+
+def test_boxes_of_more_than_4300_digits_round_trip():
+    # Python refuses an int-from-str conversion of more than 4300 digits;
+    # at 16,000 bits the midpoint has 4835 and the radius a 16,032-bit
+    # mantissa below 2^-3500 or, for the second box, above 2^3500
+    precision = 16000
+    with working_precision(precision):
+        for z in (ComplexBox(F(10) ** 50 / 3, F(-2, 7)),
+                  ComplexBox(F(2) ** 16000 / 3, F(2) ** 4000 / 7)):
+            rec = S.box_record(z, precision)
+            assert len(rec["re"]) > 4300
+            assert _holds(S.parse_box(S.loads(S.dumps(rec))), z), rec["err"]
+
+
+def test_parse_box_reads_finite_decimals_only():
+    box = {"re": "1.5", "im": "0", "err": "0.25"}
+    back = S.parse_box(box)
+    assert (back.re.a, back.re.b, back.im.a, back.im.b) == (1.25, 1.75, -0.25, 0.25)
+    assert S.parse_box({**box, "im": "0e-999999999999"}).im.b == 0.25
+    for key, bad in (("re", "nan"), ("im", "inf"), ("err", "[0.1,0.2]"), ("re", [1]),
+                     ("im", "1e+1000001"), ("err", "1e-999999999999")):
+        with pytest.raises(InvalidConfiguration, match=f"box.{key} is not a finite"):
+            S.parse_box({**box, key: bad})
+    with pytest.raises(InvalidConfiguration, match="box.err is negative"):
+        S.parse_box({**box, "err": "-0.25"})
 
 
 def test_box_record_midpoint_full_precision_outside_scope():
