@@ -66,9 +66,9 @@ OTHER = (["lattice", "cm", "--tau", "0.3+1.7i", "--precision", "64", "--bound", 
          ["lattice", "cm"])
 
 
-def benchmark_argv(command="lattice", seeds=(1, 2, 3, 4)):
-    """The calls of one command of the cli_calls workload for the given
-    seeds, as benchmarks/run.py generates them (format options included)."""
+def cli_calls_workload(workdir=ROOT / "benchmarks" / "out", api=None):
+    """The benchmark's cli_calls workload, writing its input files to
+    workdir through api.serialize."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:  # no __pycache__ under benchmarks/
@@ -76,7 +76,13 @@ def benchmark_argv(command="lattice", seeds=(1, 2, 3, 4)):
     finally:
         sys.dont_write_bytecode = write_bytecode
         sys.path.pop(0)
-    workload = workloads.CliCalls(None, ROOT, ROOT / "benchmarks" / "out")
+    return workloads.CliCalls(api, ROOT, workdir)
+
+
+def benchmark_argv(command="lattice", seeds=(1, 2, 3, 4)):
+    """The calls of one command of the cli_calls workload for the given
+    seeds, as benchmarks/run.py generates them (format options included)."""
+    workload = cli_calls_workload()
     out = []
     for seed in seeds:
         inputs = workload.generate(random.Random(f"cli_calls:{seed}"))

@@ -2,7 +2,9 @@
 
 The `wplab lattice` calls of lattice.json and the `wplab count` calls of
 count.json give the same exit code, stdout and first stderr line, byte for
-byte.  The `wplab wp` calls of wp.json are compared enclosure-aware: the
+byte; so do the `wplab predim` calls of predim.json and the `wplab deriv`
+calls of deriv.json, each run in an empty directory that holds its input
+files.  The `wplab wp` calls of wp.json are compared enclosure-aware: the
 same exit code, first stderr line, text with its numbers masked and record
 keys; every printed box overlaps its golden box and is no wider; every
 residual bound is no larger.  After an intended
@@ -32,6 +34,7 @@ def _maker(name):
 
 
 run_call = _maker("make_lattice").run_call
+run_with_files = _maker("make_predim").run_with_files
 
 
 @pytest.mark.parametrize("call", _corpus("lattice"), ids=lambda c: " ".join(c["argv"][1:]))
@@ -44,6 +47,13 @@ def test_lattice_call_matches_the_corpus(call):
 def test_count_call_matches_the_corpus(call):
     assert run_call(call["argv"]) == (call["code"], call["stdout"],
                                       call["stderr_first_line"])
+
+
+@pytest.mark.parametrize("call", _corpus("predim") + _corpus("deriv"),
+                         ids=lambda c: " ".join(c["argv"]))
+def test_predim_and_deriv_call_matches_the_corpus(call):
+    assert run_with_files(call["argv"], call["files"]) == (
+        call["code"], call["stdout"], call["stderr_first_line"])
 
 
 # -- the enclosure-aware comparison of wp.json --------------------------------
