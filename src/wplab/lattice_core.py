@@ -31,7 +31,7 @@ from mpmath import iv, mp
 
 from .cintervals import ComplexBox, as_box, endpoint_fraction, quadnum_box, ri, ri_hi, ri_lo
 from .errors import DegenerateLattice, PrecisionExhausted, UnknownUpToBound
-from .quadfield import QuadNum, squarefree_kernel
+from .quadfield import QuadNum, _bareiss, _primitive_row, squarefree_kernel
 
 ExactComplex = Union[QuadNum, ComplexBox]
 
@@ -376,7 +376,11 @@ def _integer_relations(boxes, slack, bound: int, doubling: bool = False):
     Every enumerated vector has max |n_l| <= R / 2^w, a few times B.  A
     vector with n_j != 0 is at least as long as the distance of the row of
     j from the span of the other rows, whose square is the quotient of
-    their Gram determinants, so a level where that distance exceeds R is
+    their Gram determinants.  LLL gives that of all rows; the other rows are
+    independent, so their Gram matrix is positive definite and its
+    determinant is the last pivot of its fraction-free elimination
+    (quadfield._bareiss), and each level runs one LLL.  A level where that
+    distance exceeds R is
     skipped; this is what happens when a wide box also has a huge center,
     and the later levels then see only the narrow boxes' slack.  One ball
     for all coordinates would hold every n with n_j = 0 whose sum stays
@@ -410,7 +414,8 @@ def _integer_relations(boxes, slack, bound: int, doubling: bool = False):
         rows = [[int(j == l) << w for l in part] +
                 [round(cols[j][0] * 2 ** s), round(cols[j][1] * 2 ** s)] for j in part]
         reduced = _lll(rows)
-        others = _lll(rows[1:])[1][-1] if i < k - 1 else 1
+        others = _bareiss([[sum(x * y for x, y in zip(u, v)) for v in rows[1:]]
+                           for u in rows[1:]])[1]
         levels.append((part, unit * 2 ** s, w, reduced, Fraction(reduced[1][-1], others)))
     done = 0
     while done < bound:
@@ -478,24 +483,6 @@ class IsogenyVerdict(NamedTuple):
         return self.outcome == "isogenous"
 
 
-def _clear_matrix(m_frac):
-    """Scale a rational 2x2 matrix to coprime integer entries."""
-    from math import lcm
-
-    denoms = [x.denominator for row in m_frac for x in row]
-    scale = 1
-    for d in denoms:
-        scale = lcm(scale, d)
-    ints = [[int(x * scale) for x in row] for row in m_frac]
-    g = 0
-    for row in ints:
-        for x in row:
-            g = gcd(g, abs(x))
-    if g > 1:
-        ints = [[x // g for x in row] for row in ints]
-    return (tuple(ints[0]), tuple(ints[1]))
-
-
 def witness_maps(tau1, tau2, m) -> bool:
     """Soundness of a fractional-linear witness: m . tau1 == tau2, exactly
     for QuadNum, within the combined enclosures for boxes."""
@@ -524,8 +511,8 @@ def _exact_isogeny(l1: Lattice, l2: Lattice) -> IsogenyVerdict:
             reason=f"distinct CM fields Q(sqrt({t1.d})) vs Q(sqrt({t2.d}))",
         )
     r = t2.q / t1.q
-    m_frac = [[r, t2.p - t1.p * r], [Fraction(0), Fraction(1)]]
-    m = _clear_matrix(m_frac)
+    a, b, c, d = _primitive_row((r, t2.p - t1.p * r, 0, 1))
+    m = ((a, b), (c, d))
     assert mat_det(m) != 0
     assert witness_maps(t1, t2, m), "exact witness failed its own check"
     return IsogenyVerdict("isogenous", witness=m, alpha=_alpha_for(l1, l2, m))

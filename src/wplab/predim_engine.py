@@ -13,9 +13,10 @@ delta over extensions, greedy chain decomposition, the semimodularity
 inequalities, and the independence certificate replaying the main
 inequality chain d3 <= min(d1, d2), delta0(A/C) <= d1 + d2 - d3.
 
-Every rank is one fraction-free `_rank` of a column subset of integer rows
-built once per configuration; a CM slot is ranked over Q on the basis
-(1, sqrt(d)), two columns per point, and the rank halved.
+Every rank is one fraction-free elimination (`quadfield._bareiss`) of a
+column subset of primitive integer rows built once per configuration; a CM
+slot is ranked over Q on the basis (1, sqrt(d)), two columns per point, and
+the rank halved.
 
 Subsets are bitmasks over the coordinate list.  td ranks are memoized per
 coordinate mask and group ranks per set of slot points, so every superset
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -40,7 +40,7 @@ from .errors import (
     InvalidConfiguration,
     NotStrong,
 )
-from .quadfield import is_squarefree
+from .quadfield import _bareiss, _primitive_row, is_squarefree
 
 GROUND_SET_CAP = 20
 
@@ -96,37 +96,6 @@ class Chain(NamedTuple):
     steps: tuple
 
 
-# -- exact rank over Z -------------------------------------------------------
-
-def _rank(rows) -> int:
-    """Row rank of an integer matrix by fraction-free elimination (Bareiss,
-    Math. Comp. 22, 1968): every division is exact; rows are copied."""
-    rows = [list(r) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    rank, prev = 0, 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        p = pr[col]
-        for ri in rows[rank + 1:]:
-            f = ri[col]
-            for j in range(col + 1, ncols):
-                ri[j] = (p * ri[j] - f * pr[j]) // prev
-        prev = p
-        rank += 1
-    return rank
-
-
-def _integer_row(row) -> list:
-    """A rational row times the lcm of its denominators (same row space)."""
-    row = [Fraction(x) for x in row]
-    scale = lcm(*(x.denominator for x in row))
-    return [int(x * scale) for x in row]
-
-
 # -- Configuration -----------------------------------------------------------
 
 class Configuration:
@@ -152,7 +121,7 @@ class Configuration:
         for row in self.matroid:
             if len(row) != len(self.coordinates):
                 raise InvalidConfiguration("matroid row width != #coordinates")
-        self._matroid_rows = tuple(_integer_row(row) for row in self.matroid)
+        self._matroid_rows = tuple(_primitive_row(row) for row in self.matroid)
         self.slots = tuple(slots)
         if [s.index for s in self.slots] != list(range(len(self.slots))):
             raise InvalidConfiguration("slot indices must be 0..n-1 in order")
@@ -207,14 +176,14 @@ class Configuration:
                 block = [row] if d is None else [
                     [v for x, y in row for v in (x, d * Fraction(y))],
                     [v for x, y in row for v in (y, x)]]
-                block = [_integer_row(r) for r in block]
+                block = [_primitive_row(r) for r in block]
                 w = len(block)  # columns per point
                 if sum(1 for j in range(len(row)) if any(block[0][j * w:j * w + w])) < 2:
                     raise InvalidConfiguration(
                         f"slot {i} relation row has < 2 nonzero entries"
                     )
                 rows += block
-            if _rank(rows) != len(rows):
+            if _bareiss(rows)[0] != len(rows):
                 raise InvalidConfiguration(
                     f"slot {i} relation matrix is not of full row rank"
                 )
@@ -244,7 +213,7 @@ class Configuration:
         if hit is not None:
             return hit
         cols = [i for i in range(len(self.coordinates)) if mask >> i & 1]
-        rank = _rank([[row[i] for i in cols] for row in self._matroid_rows])
+        rank = _bareiss([[row[i] for i in cols] for row in self._matroid_rows])[0]
         self._td_cache[mask] = rank
         return rank
 
@@ -276,7 +245,7 @@ class Configuration:
             return hit
         w = len(rows[0]) // len(self.points_by_slot[slot_i])
         cols = [k for k in range(len(rows[0])) if not included >> k // w & 1]
-        rank = size + _rank([[row[k] for k in cols] for row in rows]) // w
+        rank = size + _bareiss([[row[k] for k in cols] for row in rows])[0] // w
         self._grk_cache[key] = rank
         return rank
 

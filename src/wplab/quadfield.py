@@ -4,12 +4,18 @@ A QuadNum is p + q*sqrt(d) with rational p, q.  The convention throughout is
 that sqrt(d) denotes the root with positive imaginary part, so Im(p + q*sqrt(d))
 has the sign of q.  Rationals are QuadNums with q == 0 (their d is then just a
 field tag and is coerced freely).
+
+The exact integer linear algebra of the package lives here too: the one
+fraction-free elimination (`_bareiss`), which gives the predimension ranks
+and the Gram determinants of the relation search, and the one scaling of a
+rational row to coprime integers (`_primitive_row`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import Frozen
 
@@ -38,6 +44,41 @@ def squarefree_kernel(n: int) -> int:
 @lru_cache(maxsize=256)  # every QuadNum result re-checks its field's d
 def is_squarefree(n: int) -> bool:
     return n != 0 and squarefree_kernel(n) == n
+
+
+def _bareiss(rows) -> tuple:
+    """(rank, last pivot) of an integer matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968): every division is exact; rows are
+    copied.  The last pivot of a nonsingular square matrix is +-det; a
+    positive definite one needs no row swap, as its pivots are its leading
+    minors, so there it is det.  No nonzero row gives (0, 1)."""
+    rows = [list(r) for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    rank, prev = 0, 1
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr = rows[rank]
+        p = pr[col]
+        for ri in rows[rank + 1:]:
+            f = ri[col]
+            for j in range(col + 1, ncols):
+                ri[j] = (p * ri[j] - f * pr[j]) // prev
+        prev = p
+        rank += 1
+    return rank, prev
+
+
+def _primitive_row(row) -> list:
+    """The rational row times the positive rational that makes its entries
+    coprime integers: the same ratios and signs.  A zero row stays zero."""
+    row = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (scale // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def _frac(x) -> Fraction:

@@ -21,8 +21,6 @@ from wplab.predim_engine import (
     Configuration,
     FunctionSlot,
     GroupPoint,
-    _integer_row,
-    _rank,
     chain_decompose,
     check_semimodularity,
     delta,
@@ -34,7 +32,7 @@ from wplab.predim_engine import (
     strong_hull,
     td,
 )
-from wplab.quadfield import QuadNum
+from wplab.quadfield import QuadNum, _bareiss, _primitive_row
 from wplab.serialize import parse_configuration
 
 F = Fraction
@@ -369,13 +367,13 @@ cm_entries = st.tuples(rationals, rationals)
 @settings(max_examples=300, deadline=None)
 @given(_shaped_matrices(small_ints))
 def test_integer_rank_matches_field_rank(rows):
-    assert _rank(rows) == field_rank([[F(x) for x in r] for r in rows])
+    assert _bareiss(rows)[0] == field_rank([[F(x) for x in r] for r in rows])
 
 
 @settings(max_examples=100, deadline=None)
 @given(_shaped_matrices(rationals))
 def test_scaled_rational_rows_keep_their_rank(rows):
-    assert _rank([_integer_row(r) for r in rows]) == field_rank(rows)
+    assert _bareiss([_primitive_row(r) for r in rows])[0] == field_rank(rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -385,7 +383,7 @@ def test_scaled_rational_rows_keep_their_rank(rows):
 def test_realified_cm_rows_have_twice_the_quadratic_rank(rows, d):
     # the engine's reading of a CM relation matrix over Q
     quad = field_rank([[QuadNum(x, y, d) for x, y in r] for r in rows])
-    assert _rank([_integer_row(r) for r in realified(rows, d)]) == 2 * quad
+    assert _bareiss([_primitive_row(r) for r in realified(rows, d)])[0] == 2 * quad
 
 
 def test_td_and_grk_on_every_mask_match_the_field_formulas():
