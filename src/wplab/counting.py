@@ -68,13 +68,6 @@ class Domain(NamedTuple):
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
 
-    def contains(self, x: Fraction) -> bool:
-        if self.lo is not None and not x > self.lo:
-            return False
-        if self.hi is not None and not x < self.hi:
-            return False
-        return True
-
 
 def _farey_pairs(height: int) -> list:
     """The pairs (a, b) of the positive rationals a/b in lowest terms with
@@ -222,13 +215,6 @@ EXCLUDED = "excluded"
 UNDETERMINED = "undetermined"
 
 
-class PointVerdict(NamedTuple):
-    p: RationalQ
-    q: RationalQ
-    klass: str
-    interval: tuple  # exact rational enclosure of h(p) - q
-
-
 def _trichotomy(lo, hi, a: int, b: int, eps) -> str:
     """Class of the enclosure [lo, hi] of h(p) minus q = a/b (b > 0) against
     eps.  CONFIRMED when -eps < lo - q and hi - q < eps; EXCLUDED when
@@ -249,19 +235,6 @@ def _trichotomy(lo, hi, a: int, b: int, eps) -> str:
 
 def default_eps(precision: int) -> Fraction:
     return Fraction(1, 2 ** (precision // 2))
-
-
-def classify_point(h, p: RationalQ, q: RationalQ, eps: Fraction,
-                   precision: int = 128) -> PointVerdict:
-    """Certified trichotomy for h(p) - q."""
-    if not h.domain.contains(p.value):
-        raise InvalidConfiguration("p outside the target's domain")
-    try:
-        lo, hi = h.enclosure(p.value, precision)
-    except PrecisionError:
-        return PointVerdict(p, q, UNDETERMINED, (None, None))
-    klass = _trichotomy(lo, hi, q.numerator, q.denominator, Fraction(eps))
-    return PointVerdict(p, q, klass, (lo - q.value, hi - q.value))
 
 
 # -- counting and the log-log fit --------------------------------------------

@@ -376,15 +376,13 @@ def _integer_relations(boxes, slack, bound: int, doubling: bool = False):
     Every enumerated vector has max |n_l| <= R / 2^w, a few times B.  A
     vector with n_j != 0 is at least as long as the distance of the row of
     j from the span of the other rows, whose square is the quotient of
-    their Gram determinants.  LLL gives that of all rows; the other rows are
-    independent, so their Gram matrix is positive definite and its
-    determinant is the last pivot of its fraction-free elimination
-    (quadfield._bareiss), and each level runs one LLL.  A level where that
-    distance exceeds R is
-    skipped; this is what happens when a wide box also has a huge center,
-    and the later levels then see only the narrow boxes' slack.  One ball
-    for all coordinates would hold every n with n_j = 0 whose sum stays
-    within B sigma_j, most of them far from any candidate.
+    their Gram determinants: LLL's, and the last pivot of _bareiss on the
+    other rows' Gram matrix, positive definite as the rows are independent.
+    So a level where that distance exceeds R is skipped; this is what
+    happens when a wide box also has a huge center, and the later levels
+    then see only the narrow boxes' slack.  One ball for all coordinates
+    would hold every n with n_j = 0 whose sum stays within B sigma_j, most
+    of them far from any candidate.
 
     The cost is set by the number of lattice vectors of norm at most R.
     Without a relation and with boxes narrow against 1/B that number is

@@ -5,10 +5,8 @@ that sqrt(d) denotes the root with positive imaginary part, so Im(p + q*sqrt(d))
 has the sign of q.  Rationals are QuadNums with q == 0 (their d is then just a
 field tag and is coerced freely).
 
-The exact integer linear algebra of the package lives here too: the one
-fraction-free elimination (`_bareiss`), which gives the predimension ranks
-and the Gram determinants of the relation search, and the one scaling of a
-rational row to coprime integers (`_primitive_row`).
+The package's exact integer elimination (`_bareiss`) and scaling of rational
+rows to coprime integers (`_primitive_row`) live here too.
 """
 
 from __future__ import annotations
@@ -77,8 +75,8 @@ def _primitive_row(row) -> list:
     row = [Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in row))
     ints = [x.numerator * (scale // x.denominator) for x in row]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    g = gcd(*ints) or 1
+    return [x // g for x in ints]
 
 
 def _frac(x) -> Fraction:

@@ -17,7 +17,7 @@ from mpmath.libmp import from_rational, mpf_pos, round_ceiling, round_floor
 
 from .cintervals import ComplexBox, endpoint_fraction, ri_from_endpoints, working_precision
 from .errors import InvalidConfiguration
-from .lattice_core import Lattice, make_lattice
+from .lattice_core import Lattice
 from .quadfield import QuadNum
 
 
@@ -178,11 +178,6 @@ def value_record(x, precision: int) -> dict:
     return quad_record(x) if isinstance(x, QuadNum) else box_record(x, precision)
 
 
-def parse_quad(rec: dict) -> QuadNum:
-    return QuadNum(parse_frac(rec["p"], "quad.p"), parse_frac(rec["q"], "quad.q"),
-                   int(rec["d"]))
-
-
 def lattice_record(l: Lattice, precision: int = 128) -> dict:
     return {
         "rep": "quad" if l.exact else "num",
@@ -191,15 +186,6 @@ def lattice_record(l: Lattice, precision: int = 128) -> dict:
         "tau": value_record(l.tau, precision),
         "basis_change": [list(r) for r in l.basis_change],
     }
-
-
-def parse_lattice(rec: dict) -> Lattice:
-    rep = rec.get("rep")
-    if rep == "quad":
-        return make_lattice(parse_quad(rec["omega1"]), parse_quad(rec["omega2"]))
-    if rep == "num":
-        return make_lattice(parse_box(rec["omega1"]), parse_box(rec["omega2"]))
-    raise InvalidConfiguration(f"unknown lattice rep {rep!r}")
 
 
 # -- configurations ----------------------------------------------------------
@@ -285,32 +271,6 @@ def parse_configuration(rec: dict) -> Configuration:
 
 
 # -- presentations -----------------------------------------------------------
-
-def presentation_record(p, forms=()) -> dict:
-    from .differentials import GENERIC
-
-    rec = {
-        "mode": p.mode,
-        "generators": list(p.generators),
-        "relations": list(p.relations),
-        "precision": p.precision,
-    }
-    if p.mode != GENERIC:
-        rec["point"] = {
-            name: box_record(val, p.precision) for name, val in p.point.items()
-        }
-    if forms:
-        rec["forms"] = [
-            {
-                "slot": f if isinstance(f, int) else f[0],
-                "b": f[1],
-                "fb": f[2],
-                "fprime": f[3] if isinstance(f[3], str) else str(f[3]),
-            }
-            for f in forms
-        ]
-    return rec
-
 
 def parse_presentation(rec: dict):
     from .differentials import FieldPresentation, GENERIC, f_forms

@@ -634,16 +634,6 @@ def curve_smul(m: EllipticModel, n: int, p: CurvePoint) -> CurvePoint:
     return acc
 
 
-def on_curve_defect(m: EllipticModel, p: CurvePoint) -> mpf:
-    """Certified bound on |Y^2 Z - 4X^3 + g2 X Z^2 + g3 Z^3|, normalized."""
-    with working_precision(m.precision):
-        x, y, z = p.X, p.Y, p.Z
-        lhs = y * y * z
-        rhs = 4 * x.pow_int(3) - m.g2 * x * z * z - m.g3 * z.pow_int(3)
-        scale = max(mpf(1), lhs.abs_hi(), rhs.abs_hi())
-        return (lhs - rhs).abs_hi() / scale
-
-
 def point_defect(m: EllipticModel, p: CurvePoint, q: CurvePoint) -> mpf:
     """Certified bound on the projective distance between two points, via
     normalized cross products of coordinates."""

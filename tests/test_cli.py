@@ -18,6 +18,8 @@ from wplab.differentials import GENERIC, FieldPresentation
 from wplab.predim_engine import Configuration, FunctionSlot, GroupPoint
 from wplab.quadfield import QuadNum
 
+from records import parse_quad, presentation_record
+
 F = Fraction
 
 
@@ -208,7 +210,7 @@ def test_deriv_extend_on_the_empty_system_is_a_family(tmp_path):
     # a generic presentation with no forms and no boundary: every
     # derivation extends, so the answer is the whole space, not exit 1
     path = tmp_path / "pres.json"
-    path.write_text(serialize.dumps(serialize.presentation_record(
+    path.write_text(serialize.dumps(presentation_record(
         FieldPresentation(GENERIC, ("a", "b")))))
     code, out, _ = invoke("deriv", "extend", "--presentation", str(path))
     assert code == 0
@@ -224,7 +226,7 @@ def test_deriv_extend_on_the_empty_system_is_a_family(tmp_path):
 ], ids=["sum", "function", "unknown-name", "division-by-zero"])
 def test_deriv_values_outside_the_grammar_exit_2(value, message, tmp_path, capsys):
     path = tmp_path / "pres.json"
-    path.write_text(serialize.dumps(serialize.presentation_record(
+    path.write_text(serialize.dumps(presentation_record(
         FieldPresentation(GENERIC, ("a", "e")), [(0, 0, 1, "e")])))
     argv = ["deriv", "extend", "--presentation", str(path), "--boundary"]
     assert run(argv + [f"a={value}"]) == 2
@@ -279,7 +281,7 @@ def test_rational_period_beside_an_exact_one_stays_exact():
     assert code == 0 and err == ""
     rec = json.loads(out)
     assert rec["rep"] == "quad"
-    assert serialize.parse_quad(rec["tau"]) == QuadNum(0, 1, -1)
+    assert parse_quad(rec["tau"]) == QuadNum(0, 1, -1)
 
 
 def test_two_rational_periods_are_certified_degenerate():

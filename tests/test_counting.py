@@ -17,7 +17,7 @@ from wplab.counting import (
     ExpWpLog,
     Identity,
     RationalQ,
-    classify_point,
+    _trichotomy,
     count_report,
     default_eps,
     enumerate_rationals,
@@ -108,19 +108,24 @@ def test_rationalq_is_not_ordered():
         RationalQ(2, 1) < RationalQ(3, 5)
 
 
+def classify(h, p: RationalQ, q: RationalQ, eps, precision=128) -> str:
+    """The class of the pair (p, q), as criterion 9 reads it: the enclosure
+    of h(p) against q under _trichotomy; a precision failure is
+    undetermined, as in count_report."""
+    try:
+        lo, hi = h.enclosure(p.value, precision)
+    except PrecisionError:
+        return UNDETERMINED
+    return _trichotomy(lo, hi, q.numerator, q.denominator, eps)
+
+
 def test_classification_trichotomy():
     eps = F(1, 100)
     ident = Identity(Domain(F(0), None))
-    exact_hit = classify_point(ident, RationalQ(1, 2), RationalQ(1, 2), eps)
-    assert exact_hit.klass == CONFIRMED
-    near = classify_point(ident, RationalQ(1, 2), RationalQ(1, 3), eps)
-    assert near.klass == EXCLUDED
-    borderline = classify_point(
-        ident, RationalQ(1, 2), RationalQ(51, 100), eps
-    )
-    assert borderline.klass == EXCLUDED  # |diff| = eps, outside the open band
-    from wplab.counting import _trichotomy
-
+    assert classify(ident, RationalQ(1, 2), RationalQ(1, 2), eps) == CONFIRMED
+    assert classify(ident, RationalQ(1, 2), RationalQ(1, 3), eps) == EXCLUDED
+    # |diff| = eps, outside the open band
+    assert classify(ident, RationalQ(1, 2), RationalQ(51, 100), eps) == EXCLUDED
     assert _trichotomy(-eps / 2, 2 * eps, 0, 1, eps) == UNDETERMINED
 
 
@@ -196,8 +201,8 @@ def test_no_confirmed_excluded_flip_same_eps():
     eps = default_eps(128)
     for p in enumerate_rationals(6, h.domain):
         for q in enumerate_rationals(6, Domain(F(0), None)):
-            k1 = classify_point(h, p, q, eps, 128).klass
-            k2 = classify_point(h, p, q, eps, 256).klass
+            k1 = classify(h, p, q, eps, 128)
+            k2 = classify(h, p, q, eps, 256)
             assert {k1, k2} != {CONFIRMED, EXCLUDED}
 
 
@@ -302,7 +307,7 @@ def test_wide_enclosures_reach_all_three_classes():
     h = WideQuadratic()
     eps = F(1, 20)
     qs = enumerate_rationals(9, Domain(F(0), None))
-    seen = {classify_point(h, p, q, eps).klass
+    seen = {classify(h, p, q, eps)
             for p in enumerate_rationals(9, h.domain) for q in qs}
     assert seen == {CONFIRMED, EXCLUDED, UNDETERMINED}
     rep = count_report(h, (9,), eps)
@@ -311,8 +316,7 @@ def test_wide_enclosures_reach_all_three_classes():
 
 def test_precision_error_counts_as_undetermined():
     h = WideQuadratic(pole=F(2))
-    verdict = classify_point(h, RationalQ(2, 1), RationalQ(1, 1), F(1, 20))
-    assert verdict.klass == UNDETERMINED
+    assert classify(h, RationalQ(2, 1), RationalQ(1, 1), F(1, 20)) == UNDETERMINED
     rep = count_report(h, (2, 3), F(1, 20))
     assert (rep.counts, rep.undetermined) == all_pairs_oracle(h, (2, 3), F(1, 20))
     clean = count_report(WideQuadratic(), (2, 3), F(1, 20))

@@ -16,6 +16,8 @@ from wplab.predim_engine import Configuration, FunctionSlot, GroupPoint, delta
 from wplab.quadfield import QuadNum
 from wplab.wp_numerics import invariants
 
+from records import parse_quad, presentation_record
+
 F = Fraction
 
 
@@ -27,7 +29,7 @@ def test_frac_str_roundtrip():
 
 def test_quad_roundtrip():
     q = QuadNum(F(-2, 3), F(5, 7), -11)
-    assert S.parse_quad(S.quad_record(q)) == q
+    assert parse_quad(S.quad_record(q)) == q
 
 
 def test_box_roundtrip_is_enclosure_widening():
@@ -114,25 +116,6 @@ def test_box_record_midpoint_full_precision_outside_scope():
             assert abs(mid - mp.mpf(part.b)) <= err
 
 
-def test_lattice_roundtrip_exact():
-    lat = make_lattice(QuadNum(1, 0, -1), QuadNum(F(1, 4), F(3, 2), -1))
-    rec = S.loads(S.dumps(S.lattice_record(lat)))
-    back = S.parse_lattice(rec)
-    assert back.tau == lat.tau and back.omega1 == lat.omega1
-
-
-def test_lattice_roundtrip_numeric():
-    with working_precision(128):
-        lat = make_lattice(ComplexBox(1), ComplexBox(ri(F(1, 3)), ri(F(5, 4))))
-        back = S.parse_lattice(S.loads(S.dumps(S.lattice_record(lat, 128))))
-        assert (back.tau_box() - lat.tau_box()).contains_zero()
-
-
-def test_lattice_unknown_rep():
-    with pytest.raises(InvalidConfiguration):
-        S.parse_lattice({"rep": "weird"})
-
-
 def test_configuration_roundtrip():
     cfg = Configuration(
         ("a", "b", "x", "y"),
@@ -154,7 +137,7 @@ def test_configuration_roundtrip():
 
 def test_presentation_roundtrip_generic():
     p = FieldPresentation(GENERIC, ("a", "e"))
-    rec = S.loads(S.dumps(S.presentation_record(p, [(0, 0, 1, "e")])))
+    rec = S.loads(S.dumps(presentation_record(p, [(0, 0, 1, "e")])))
     back, forms = S.parse_presentation(rec)
     assert back.generators == ("a", "e")
     assert der_dimension(back, forms) == 1
@@ -164,7 +147,7 @@ def test_presentation_roundtrip_numeric():
     with working_precision(128):
         pt = {"x": ComplexBox(2), "y": ComplexBox(4)}
     p = FieldPresentation(NUMERIC_POINT, ("x", "y"), ("y - x**2",), pt, 128)
-    rec = S.loads(S.dumps(S.presentation_record(p, [(None, 0, 1, F(4))])))
+    rec = S.loads(S.dumps(presentation_record(p, [(None, 0, 1, F(4))])))
     back, forms = S.parse_presentation(rec)
     assert der_dimension(back, forms) == 1
 

@@ -82,7 +82,6 @@ from wplab.wp_numerics import (
     isogeny_residual,
     model_with,
     ode_residual,
-    on_curve_defect,
     point_defect,
     wp,
     wp_prime,
@@ -172,6 +171,16 @@ def test_ode_residual_and_negative_control(model):
     bad = model_with(SQUARE, model.g2,
                      model.g3 + ComplexBox(Fraction(1, 10 ** 5)), 128)
     assert ode_residual(bad, 0.31 + 0.4j).value >= 1e-6
+
+
+def on_curve_defect(m, p: CurvePoint):
+    """Certified bound on |Y^2 Z - 4X^3 + g2 X Z^2 + g3 Z^3|, normalized."""
+    with working_precision(m.precision):
+        x, y, z = p.X, p.Y, p.Z
+        lhs = y * y * z
+        rhs = 4 * x.pow_int(3) - m.g2 * x * z * z - m.g3 * z.pow_int(3)
+        scale = max(mpf(1), lhs.abs_hi(), rhs.abs_hi())
+        return (lhs - rhs).abs_hi() / scale
 
 
 def test_exp_E_on_curve_and_group_law(model):
