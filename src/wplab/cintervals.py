@@ -17,6 +17,7 @@ from mpmath.libmp import (
     fzero,
     from_int,
     mpf_pi,
+    mpf_pos,
     mpf_shift,
     mpf_sign,
     round_ceiling,
@@ -53,6 +54,12 @@ class working_precision:
     def __exit__(self, *exc):
         iv.prec, mp.prec = self._iv, self._mp
         return False
+
+
+def _nstr(x, digits: int = 5) -> str:
+    """mp.nstr of the (raw) mpf x rounded up to 64 bits: nstr fails on over
+    about 14,000 bits of mantissa when |x| < 2^-3500 or |x| > 2^3500."""
+    return mp.nstr(mp.make_mpf(mpf_pos(getattr(x, "_mpf_", x), 64, round_ceiling)), digits)
 
 
 # -- real interval helpers --------------------------------------------------
@@ -184,8 +191,8 @@ class ComplexBox:
         if _straddles_zero(n):
             raise PrecisionExhausted(
                 "division by an interval containing zero: the divisor's "
-                f"radius is {mp.nstr(self.rad(), 5)} and its midpoint modulus "
-                f"{mp.nstr(abs(self.mid()), 5)}; a radius below the modulus "
+                f"radius is {_nstr(self.rad())} and its midpoint modulus "
+                f"{_nstr(abs(self.mid()))}; a radius below the modulus "
                 "is needed")
         return n
 

@@ -13,9 +13,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 from mpmath import iv, mp
-from mpmath.libmp import from_rational, mpf_pos, round_ceiling, round_floor
+from mpmath.libmp import from_rational, round_ceiling, round_floor
 
-from .cintervals import ComplexBox, endpoint_fraction, ri_from_endpoints, working_precision
+from .cintervals import ComplexBox, _nstr, endpoint_fraction, ri_from_endpoints, working_precision
 from .errors import InvalidConfiguration
 from .lattice_core import Lattice
 from .quadfield import QuadNum
@@ -111,11 +111,10 @@ def _decade(x: Fraction) -> int:
 
 
 def decimal_at_least(x, bound: Fraction) -> str:
-    """mp.nstr(x, 8) of the mpf x >= 0, rounded up to 64 bits first (nstr
-    fails on a mantissa of more than about 14,000 bits when |x| is below
-    2^-3500 or above 2^3500), when it is at least bound; else the least
-    decimal of 8 significant digits that is, printed the same way."""
-    text = mp.nstr(mp.make_mpf(mpf_pos(x._mpf_, 64, round_ceiling)), 8)
+    """x >= 0 in 8 significant digits, rounded up to 64 bits first (_nstr),
+    when that is at least bound; else the least decimal of 8 significant
+    digits that is, printed the same way."""
+    text = _nstr(x, 8)
     if _decimal_fraction(text) >= bound:
         return text
     e = _decade(bound)

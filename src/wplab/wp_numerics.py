@@ -56,6 +56,7 @@ from .cintervals import (
     ComplexBox,
     _EXACT_ZERO,
     _box,
+    _nstr,
     as_box,
     exp_2pi_i,
     quadnum_box,
@@ -252,10 +253,6 @@ def _log2(x) -> float:
     return math.log2(man) + exp
 
 
-def _nstr(x) -> str:
-    return mp.nstr(mp.make_mpf(x), 5)
-
-
 def _pick_terms(b: float, c: float, prec: int) -> int:
     """Least N with N^2 b - 2 N c >= prec + 48, with b = -log2|q| and
     c = log2 max(|w|, 1/|w|): the terms q^(n^2) w^(+-2n) with n >= N are
@@ -306,7 +303,7 @@ def _series_scale(q4: ComplexBox, w_max):
         reached = max(abs(q4_hi[2]), abs(w_max[2]))
         raise WplabError(
             f"theta series out of range: binary exponent of magnitude "
-            f"{mp.nstr(mpf(reached), 5)} reached, the limit is 2^1024") from None
+            f"{_nstr(mpf(reached))} reached, the limit is 2^1024") from None
     n = _pick_terms(b, c, prec)
     tail = _tail_bound(q4_hi, w_max, n)
     scale = prec + _FIXED_GUARD + math.ceil(b / 4 + c) + (2 * n).bit_length()
@@ -432,13 +429,13 @@ def invariants(lattice: Lattice, precision: int = 128) -> EllipticModel:
             if not rad <= tol:
                 raise PrecisionExhausted(
                     f"invariant radius exceeds target: {name} radius "
-                    f"{mp.nstr(rad, 5)}, needed {mp.nstr(tol, 5)}")
+                    f"{_nstr(rad)}, needed {_nstr(tol)}")
         disc = 16 * (s4 * s2).pow_int(2) * (t23 * t4).pow_int(8)
         if disc.contains_zero():
             raise PrecisionExhausted(
                 f"discriminant not certified nonzero: radius "
-                f"{mp.nstr(disc.rad(), 5)}, needed below |midpoint| "
-                f"{mp.nstr(abs(disc.mid()), 5)}")
+                f"{_nstr(disc.rad())}, needed below |midpoint| "
+                f"{_nstr(abs(disc.mid()))}")
         return EllipticModel(lattice, g2, g3, precision, tau, w1, q4, s2,
                              -2 * s2 * s, t23, t4 * t4, (p2 + p3) * Fraction(1, 3))
 

@@ -150,6 +150,20 @@ def test_division_by_zero_states_radius_and_modulus():
                 "the modulus is needed")
 
 
+def test_division_by_zero_message_at_15000_bits():
+    # radius and modulus below 2^-3500 with mantissas of about 15000 bits:
+    # mp.nstr of either raises Python's 4300-digit ValueError unrounded
+    with working_precision(15000):
+        c, r = Fraction(1, 3 * 2 ** 4000), Fraction(1, 3 * 2 ** 3990)
+        part = ri_from_endpoints(ri(c - r).a, ri(c + r).b)
+        with pytest.raises(PrecisionExhausted) as err:
+            ComplexBox(part, part).inv()
+    assert str(err.value) == (
+        "division by an interval containing zero: the divisor's radius is "
+        "3.6619e-1202 and its midpoint modulus 3.5761e-1205; a radius below "
+        "the modulus is needed")
+
+
 def test_is_exact_flags():
     with working_precision(64):
         assert ComplexBox(1, 2).is_exact()
