@@ -559,3 +559,18 @@ def test_integer_relations_absorb_the_column_rounding():
             boxes = xs + [sum(xs[1:], xs[0]) * 3]
             assert all(box.is_exact() for box in boxes)
             assert relation in set(_integer_relations(boxes, _radii(boxes), 3))
+
+
+def test_a_negative_search_runs_one_lll_per_level(monkeypatch):
+    # four boxes give four levels; the Gram determinant of the rows after
+    # the lead one is the last Bareiss pivot, not a second reduction
+    from wplab.cli import parse_value
+
+    calls = []
+    lll = lattice_core._lll
+    monkeypatch.setattr(lattice_core, "_lll", lambda rows: calls.append(rows) or lll(rows))
+    with working_precision(128):
+        l1, l2 = (make_lattice(ComplexBox(1), parse_value(tau, 128))
+                  for tau in ("0.3+1.7i", "0.1234567+1.3i"))
+        v = is_isogenous(l1, l2, 10)
+    assert v.outcome == "unknown_up_to_bound" and len(calls) == 4

@@ -1,13 +1,15 @@
-"""Exact quadratic field arithmetic: field axioms and numeric agreement."""
+"""Exact quadratic field arithmetic: field axioms and numeric agreement;
+the integer elimination and row scaling against Fraction oracles."""
 
 import math
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from wplab.quadfield import QuadNum, is_squarefree, squarefree_kernel
+from wplab.quadfield import QuadNum, _bareiss, _primitive_row, is_squarefree, squarefree_kernel
 
 DS = (-1, -2, -3, -5, -7, -11)
 
@@ -101,3 +103,63 @@ def test_scalar_ops(r, a):
     assert a + r == a + QuadNum(r, 0, -5)
     assert a * r == QuadNum(a.p * r, a.q * r, -5)
     assert r - a == -(a - r)
+
+
+# -- integer elimination and row scaling ----------------------------------------
+
+def fraction_rank_det(rows):
+    """(rank, det) by Gaussian elimination over Fraction; det only for a
+    square matrix, else None."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    rank, det = 0, Fraction(1)
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        det *= rows[rank][col]
+        for r in rows[rank + 1:]:
+            f = r[col] / rows[rank][col]
+            r[:] = [x - f * y for x, y in zip(r, rows[rank])]
+        rank += 1
+    return rank, det if len(rows) == ncols else None
+
+
+entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 9, 10 ** 9))
+shapes = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes.flatmap(lambda s: st.lists(st.lists(entries, min_size=s[1], max_size=s[1]),
+                                         min_size=s[0], max_size=s[0])))
+def test_bareiss_rank_and_last_pivot_match_fractions(rows):
+    rank, pivot = _bareiss(rows)
+    rank0, det = fraction_rank_det(rows)
+    assert rank == rank0
+    if det:  # nonsingular and square: the last pivot is +-det
+        assert abs(pivot) == abs(det)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=0, max_size=4)))
+def test_bareiss_last_pivot_of_a_gram_matrix_is_its_determinant(rows):
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
+    rank, det = fraction_rank_det(gram)
+    if rank == len(rows):  # independent rows: positive definite, no row swap
+        assert _bareiss(gram) == (rank, det) and det > 0
+    else:
+        assert _bareiss(gram)[0] == rank
+
+
+@given(st.lists(st.fractions(max_denominator=10 ** 6), max_size=6))
+def test_primitive_row_gives_coprime_integers_of_the_same_ratios(row):
+    ints = _primitive_row(row)
+    assert all(type(x) is int for x in ints) and len(ints) == len(row)
+    assert gcd(*ints) == (1 if any(row) else 0)
+    assert all((x > 0) == (r > 0) and (x < 0) == (r < 0) for x, r in zip(ints, row))
+    assert all(x * r2 == y * r1 for x, r1 in zip(ints, row) for y, r2 in zip(ints, row))
