@@ -49,7 +49,7 @@ def _bareiss(rows) -> tuple:
     (Bareiss, Math. Comp. 22, 1968): every division is exact; rows are
     copied.  The last pivot of a nonsingular square matrix is +-det; a
     positive definite one needs no row swap, as its pivots are its leading
-    minors, so there it is det.  No nonzero row gives (0, 1)."""
+    minors, so there it is det.  A matrix of zero rows gives (0, 1)."""
     rows = [list(r) for r in rows if any(r)]
     ncols = len(rows[0]) if rows else 0
     rank, prev = 0, 1
