@@ -4,12 +4,14 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wplab import serialize
 from wplab.cintervals import ComplexBox
@@ -484,3 +486,223 @@ def test_warnings_print_as_one_line():
     shown = warnings.showwarning
     assert run(["lattice", "isogenous", "--tau1", "i", "--tau2", "0.3+1.7i"]) == 0
     assert warnings.showwarning is shown
+
+
+# -- the input contract ------------------------------------------------------
+#
+# Every leaf of the parser, run in process with options drawn from valid
+# literals and from hostile ones, and with record files whose fields are
+# hostile: a call raises nothing, prints no traceback and exits 0, 1 or 2.
+# Exit 1 comes only with the command's certified-negative verdict line, and
+# exit 2 with one error line or an unknown-up-to-bound reason line.
+
+# numbers read exactly or as boxes, near 0 and near a lattice point too
+VALID = ("i", "2i:-1", "1/2+3/2i:-3", "-1+2i:-1", "0.25+1.5i", "-0.25+1.5i", "1.5i",
+         "-1/2+i", "0.3+1.7i", "1/3", "0", "0.25", "1e-30", "1+1e-25i", "3e-37")
+HOSTILE = ("1/0", "0/0", "1/0+i", "1e400", "1e400i", "1e12i", "-0", "9" * 5000, "nan",
+           "inf", "[0.1,0.2]", "0.3+-0.01", "", "0.5/2", "x", "1i:-4")
+VALUES = VALID + HOSTILE
+# names of coordinates that both configurations below have
+NAMES = (None, "", "b1", "b1,e1", "e1", ",")
+INTEGERS = ("x", "1e400", "-1", "9" * 5000)
+PRECISION = (None, "53", "128", "512", "15000", "0", "-5") + INTEGERS
+FORMAT = (None, "text", "record", "json")
+
+OPTIONS = {
+    ("lattice", "normalize"): {"--w1": VALUES, "--w2": VALUES},
+    ("lattice", "reduce"): {"--tau": VALUES},
+    ("lattice", "cm"): {"--tau": VALUES, "--bound": (None, "1", "20") + INTEGERS},
+    **{("lattice", a): {"--tau1": VALUES, "--tau2": VALUES,
+                        "--bound": (None, "1", "10", "100") + INTEGERS}
+       for a in ("isogenous", "isr")},
+    ("wp", "invariants"): {"--tau": VALUES},
+    ("wp", "eval"): {"--tau": VALUES, "--z": VALUES},
+    ("wp", "verify"): {"--tau": VALUES, "--tau2": (None,) + VALUES,
+                       "--identity": ("ode", "homogeneity", "schwarz", "addition",
+                                      "isogeny", "x"),
+                       "--samples": ("1", "2", "0") + INTEGERS,
+                       "--bound": (None, "10"), "--seed": (None, "1") + INTEGERS},
+    **{("predim", a): {"--config": ("cm", "exp", "missing", "not-json"),
+                       "--set": NAMES, "--base": NAMES,
+                       "--slots": (None, "0", "-1") + INTEGERS, **extra}
+       for a, extra in (("report", {}), ("strong", {}), ("hull", {}), ("dim", {}),
+                        ("chain", {"--target": NAMES}), ("lemma7", {"--b": NAMES}),
+                        ("certificate", {"--f1": ("0", "-1", "x"), "--f2": ("0",),
+                                         "--fa": NAMES}))},
+    ("deriv", "rank"): {"--presentation": ("generic", "numeric", "missing")},
+    ("deriv", "extend"): {
+        "--presentation": ("generic", "numeric", "missing"),
+        "--boundary": (None, "a=1", "a=1,b=e", "x=1", "y=1/3", "a=1/0", "a=", "=1",
+                       "a=nan", "q=1", "a", "x=1e400"),
+        "--target": (None, "w=t/e", "b=1,w=1", "y=2", "a=1e400")},
+    ("deriv", "hcl"): {"--presentation": ("generic", "numeric", "missing"),
+                       "--b": ("e", "a", "z", "4", "99", "-1", "x")},
+    ("count",): {"--h": (None, "identity", "expwplog", "x"), "--tau": (None,) + VALUES,
+                 "--domain": (None, "1/3:7/2", "11/10:5/2", ":", "1/0:", "nan:",
+                              "1e400:", "x"),
+                 "--heights": (None, "5,20", "3,2", "0", "-1,0", "2,1e400") + INTEGERS,
+                 "--eps": (None, "1/1000", "1e-40", "0", "1/0", "-1/2", "x"),
+                 "--precision": (None, "53", "128", "512", "0", "x", "1e400")},
+    # criterion numbers only: no --criteria runs every criterion, for seconds
+    ("selftest",): {"--criteria": ("2", "8", "2,8", "x")},
+}
+for path, options in OPTIONS.items():
+    for name in READ[path] - {"--seed"} - set(options):
+        options[name] = {"--precision": PRECISION, "--bound": (None, "10"),
+                         "--format": FORMAT}[name]
+
+# the certified-negative verdict line of each command that can exit 1, in
+# either format; a selftest criterion that raised is no verdict
+NEGATIVE = {
+    **{("lattice", a): r'outcome = not_isogenous|"outcome":"not_isogenous"'
+       for a in ("isogenous", "isr")},
+    ("predim", "strong"): r'strong = False|"strong":false',
+    ("predim", "lemma7"): r' = False|":false',
+    ("predim", "certificate"): r'certified: False|"certified":false',
+    ("deriv", "extend"): r'kind = inconsistent|"kind":"inconsistent"',
+    ("selftest",): r"criterion +\d+: FAIL - (?!raised)",
+}
+
+# record files by name: valid ones, and ones whose fields are hostile
+EXP_CONFIG = {"coordinates": ["b1", "e1", "u"],
+              "matroid": {"rows": [["1", "0", "1/2"], ["0", "1", "0"]]},
+              "slots": [{"kind": "exp"}, {"kind": "wp_generic"}],
+              "points": [{"slot": 0, "b": "b1", "e": "e1"}, {"slot": 1, "b": "e1", "e": "u"}]}
+GENERIC_PRESENTATION = {
+    "mode": "generic", "generators": ["a", "e", "b", "w", "t"], "relations": [],
+    "forms": [{"slot": 0, "b": 0, "fb": 1, "fprime": "e"},
+              {"slot": 1, "b": 2, "fb": 3, "fprime": "t/e**2"}]}
+NUMERIC_PRESENTATION = {
+    "mode": "numeric_point", "generators": ["x", "y", "z"],
+    "relations": ["y - x**2", "z - x*y"], "precision": 128,
+    "point": {name: {"re": re, "im": "0", "err": "0", "precision": 128}
+              for name, re in (("x", "1.5"), ("y", "2.25"), ("z", "3.375"))},
+    "forms": [{"slot": 0, "b": 0, "fb": 2, "fprime": "2"}]}
+
+
+def _with(record, path, raw):
+    """The JSON text of record with the field at path (keys and indices)
+    written as the raw JSON text `raw`, such as 1e400 or NaN."""
+    record = json.loads(json.dumps(record))
+    *head, last = path
+    inner = record
+    for key in head:
+        inner = inner[key]
+    inner[last] = "@RAW@"
+    return json.dumps(record).replace('"@RAW@"', raw)
+
+
+RECORDS = {
+    "cm": json.dumps(CM_CONFIG), "exp": json.dumps(EXP_CONFIG), "not-json": "{",
+    "generic": json.dumps(GENERIC_PRESENTATION),
+    "numeric": json.dumps(NUMERIC_PRESENTATION),
+    "cm-slot-nan": _with(CM_CONFIG, ("points", 0, "slot"), "NaN"),
+    "cm-slot-text": _with(CM_CONFIG, ("points", 0, "slot"), '"x"'),
+    "cm-d-text": _with(CM_CONFIG, ("slots", 0, "d"), '"-1/0"'),
+    "cm-d-4": _with(CM_CONFIG, ("slots", 0, "d"), "-4"),
+    "cm-entry-inf": _with(CM_CONFIG, ("matroid", "rows", 0, 0), "1e400"),
+    "cm-entry-nan": _with(CM_CONFIG, ("matroid", "rows", 0, 0), '"nan"'),
+    "cm-entry-ratio": _with(CM_CONFIG, ("relations", 0, "rows", 0, 0, 1), '"0.5/2"'),
+    "exp-entry-zero": _with(EXP_CONFIG, ("matroid", "rows", 0, 2), '"1/0"'),
+    "numeric-fprime-zero": _with(NUMERIC_PRESENTATION, ("forms", 0, "fprime"), '"1/0"'),
+    "numeric-err-nan": _with(NUMERIC_PRESENTATION, ("point", "x", "err"), '"nan"'),
+    "numeric-re-huge": _with(NUMERIC_PRESENTATION, ("point", "x", "re"), '"1e+1000001"'),
+    "numeric-precision-text": _with(NUMERIC_PRESENTATION, ("precision",), '"x"'),
+    "generic-fprime-zero": _with(GENERIC_PRESENTATION, ("forms", 0, "fprime"), '"1/0"'),
+    # a known breach (below), so in no pool
+    "breach-precision-huge": _with(NUMERIC_PRESENTATION, ("precision",), "1e300"),
+}
+HOSTILE_CONFIGS = tuple(k for k in RECORDS if k.startswith(("cm-", "exp-")))
+HOSTILE_PRESENTATIONS = tuple(k for k in RECORDS if k.startswith(("numeric-", "generic-")))
+for path, options in OPTIONS.items():
+    for name, records in (("--config", HOSTILE_CONFIGS),
+                          ("--presentation", HOSTILE_PRESENTATIONS)):
+        if name in options:
+            options[name] += records
+
+
+@pytest.fixture(scope="module")
+def record_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("records")
+    for name, text in RECORDS.items():
+        (folder / f"{name}.json").write_text(text)
+    return folder
+
+
+@st.composite
+def _calls(draw, path):
+    argv = list(path)
+    for name, pool in OPTIONS[path].items():
+        value = draw(st.sampled_from(pool))
+        if value is not None:
+            argv.append(f"{name}={value}")
+    return argv
+
+
+def _contract(argv, record_dir):
+    """The broken clauses of the contract for one call, as text ("" for
+    none)."""
+    argv = [a.replace("=", f"={record_dir}/", 1) + ".json"
+            if a.startswith(("--config=", "--presentation=")) else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except Exception as exc:  # a process would print a traceback, exit 1
+            return f"raised {type(exc).__name__}: {str(exc)[:200]}"
+    out, err = out.getvalue(), err.getvalue()
+    errors = [line for line in err.splitlines() if "error: " in line]
+    reason = re.search(r'^reason = |"reason":', out, re.M)
+    path = tuple(a for a in argv[:2] if not a.startswith("-"))
+    if "Traceback" in err:
+        return "a traceback on stderr"
+    if code not in (0, 1, 2):
+        return f"exit {code}"
+    if code == 1 and not re.search(NEGATIVE.get(path, r"(?!)"), out):
+        return f"exit 1 without a certified-negative verdict: {out[:200]!r}"
+    if code == 2 and not (len(errors) == 1 or (reason and not errors)):
+        return f"exit 2 with {len(errors)} error lines: {err[:200]!r}"
+    if code != 2 and errors:
+        return f"exit {code} with an error line: {errors[0][:200]!r}"
+    return ""
+
+
+def test_the_contract_covers_every_leaf():
+    assert set(OPTIONS) == set(dict(_leaves(build_parser())))
+    for path, options in OPTIONS.items():
+        assert READ[path] - {"--seed"} <= set(options), path
+
+
+@pytest.mark.parametrize("path", sorted(OPTIONS), ids=" ".join)
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_call_keeps_the_exit_code_contract(path, data, record_dir):
+    argv = data.draw(_calls(path), label="argv")
+    assert _contract(argv, record_dir) == ""
+
+
+# inputs outside the pools above that still break the contract, each kept
+# strict so that its mend shows
+BREACHES = [
+    pytest.param(argv, id=name, marks=pytest.mark.xfail(strict=True, reason=reason))
+    for name, argv, reason in (
+        ("predim-name-outside-the-configuration",
+         ["predim", "hull", "--config=cm", "--set=a"], "a KeyError traceback"),
+        ("predim-slot-outside-the-configuration",
+         ["predim", "strong", "--config=cm", "--slots=5"], "an IndexError traceback"),
+        ("count-negative-precision", ["count", "--precision=-5"],
+         "a TypeError traceback from default_eps"),
+        ("count-reversed-domain", ["count", "--h=expwplog", "--domain=2:1"],
+         "an AssertionError traceback from mpmath"),
+        ("selftest-unknown-criterion", ["selftest", "--criteria=99"],
+         "exit 1 with a FAIL line for a KeyError"),
+        ("deriv-record-precision-1e300",
+         ["deriv", "rank", "--presentation=breach-precision-huge"],
+         "an OverflowError traceback"),
+    )]
+
+
+@pytest.mark.parametrize("argv", BREACHES)
+def test_known_breaches_of_the_contract(argv, record_dir):
+    assert _contract(argv, record_dir) == ""
