@@ -4,7 +4,8 @@ Every value is a closed axis-aligned rectangle guaranteed to contain the
 true result; all endpoint rounding is outward, done by mpmath's libmpi
 endpoint routines at iv.prec exactly as its interval context does it.
 Comparisons that the enclosure cannot decide raise rather than guess.
-Numbers enter the arithmetic through as_box and leave it exactly through
+Numbers enter the arithmetic through as_box and ri only, never as text (text
+is read exactly by quadfield._rational first), and leave it exactly through
 endpoint_fraction, which refuses an infinite or NaN endpoint.
 """
 
@@ -16,6 +17,7 @@ from mpmath import iv, mp, mpf
 from mpmath.libmp import (
     fzero,
     from_int,
+    from_rational,
     mpf_pi,
     mpf_pos,
     mpf_shift,
@@ -65,9 +67,15 @@ def _nstr(x, digits: int = 5) -> str:
 # -- real interval helpers --------------------------------------------------
 
 def ri(x):
-    """Outward-rounded real interval from int, Fraction, str or mpf."""
+    """The least interval at iv.prec holding x, an int, Fraction, float or
+    mpf: a Fraction's endpoints are its value rounded down and up.  Text is
+    no number here."""
     if isinstance(x, Fraction):
-        return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+        n, d, p = x.numerator, x.denominator, _IV_PREC[0]
+        return _ivmpf((from_rational(n, d, p, round_floor),
+                       from_rational(n, d, p, round_ceiling)))
+    if isinstance(x, str):
+        raise TypeError(f"text is no number: {x!r}")
     return iv.mpf(x)
 
 
@@ -86,13 +94,6 @@ def ri_from_endpoints(lo, hi):
 def ri_sqrt_hi(x) -> mpf:
     """Certified upper bound for sqrt(sup x), x >= 0."""
     return ri_hi(iv.sqrt(iv.mpf([max(mpf(0), ri_lo(x)), ri_hi(x)])))
-
-
-def ri_sqrt_lo(x) -> mpf:
-    lo = ri_lo(x)
-    if lo <= 0:
-        return mp.mpf(0)
-    return ri_lo(iv.sqrt(iv.mpf([lo, lo])))
 
 
 class ComplexBox:
@@ -202,9 +203,6 @@ class ComplexBox:
     def abs_hi(self) -> mpf:
         return ri_sqrt_hi(self.abs_sq())
 
-    def abs_lo(self) -> mpf:
-        return ri_sqrt_lo(self.abs_sq())
-
     def contains_zero(self) -> bool:
         return _straddles_zero(self.re._mpi_) and _straddles_zero(self.im._mpi_)
 
@@ -216,12 +214,6 @@ class ComplexBox:
         wr = mp.mpf(self.re.delta) / 2
         wi = mp.mpf(self.im.delta) / 2
         return ri_sqrt_hi(ri_from_endpoints(0, wr) ** 2 + ri_from_endpoints(0, wi) ** 2)
-
-    def widened(self, r) -> "ComplexBox":
-        """Inflate both components by +-r (r an mpf or ivmpf upper bound)."""
-        hi = ri_hi(r) if type(r).__name__ == "ivmpf" else mp.mpf(r)
-        pad = ri_from_endpoints(-hi, hi)
-        return self + ComplexBox(pad, pad)
 
     def overlaps(self, other: "ComplexBox") -> bool:
         return (self - other).contains_zero()

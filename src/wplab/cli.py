@@ -26,7 +26,7 @@ import sys
 import warnings
 from fractions import Fraction
 
-from mpmath import iv, mp
+from mpmath import mp
 
 from . import serialize
 from .cintervals import ComplexBox, endpoint_fraction, ri, working_precision
@@ -40,7 +40,7 @@ from .lattice_core import (
     make_lattice,
     reduce_tau,
 )
-from .quadfield import QuadNum
+from .quadfield import QuadNum, _rational
 
 
 class CliError(WplabError):
@@ -62,45 +62,31 @@ VALUE_OPTIONS = ("--tau", "--tau1", "--tau2", "--z", "--eps")
 SIGNED_VALUE_RE = re.compile(r"^-[\d.i]")
 
 
-def _fraction(text: str) -> Fraction:
-    """Fraction(text), with a zero denominator reported as a parse error."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise CliError(f"zero denominator in {text!r}") from None
-
-
 def parse_value(text: str, precision: int):
     """Parse 'p+qi:d' (exact quadratic), 'a+bi' (numeric box), 'i', or a
-    plain real number (an exact Fraction when rational)."""
+    plain real number (an exact Fraction).  Every number is read exactly,
+    and a box's parts are then rounded outward."""
     s = text.strip()
     if s in ("i", "+i", "1i"):
         return QuadNum(Fraction(0), Fraction(1), -1)
     m = QUAD_RE.match(s)
     if m:
-        p = _fraction(m.group("p")) if m.group("p") else Fraction(0)
         qs = m.group("q")
         if qs in ("", "+", "-"):
             qs += "1"
-        return QuadNum(p, _fraction(qs), int(m.group("d")))
+        return QuadNum(_rational(m.group("p") or 0, "value"), _rational(qs, "value"),
+                       int(m.group("d")))
+    if "i" not in s:
+        return _rational(text, "value")
+    mm = COMPLEX_RE.match("".join(s.split()))
+    if not mm:
+        raise CliError(f"cannot parse complex value {text!r}")
+    im_part = mm.group("im")
+    if im_part in ("", "+", "-"):
+        im_part += "1"
     with working_precision(precision):
-        if "i" in s:
-            mm = COMPLEX_RE.match("".join(s.split()))
-            if not mm:
-                raise CliError(f"cannot parse complex value {text!r}")
-            re_part = mm.group("re") or "0"
-            im_part = mm.group("im")
-            if im_part in ("", "+", "-"):
-                im_part += "1"
-            return ComplexBox(_real_part(re_part), _real_part(im_part))
-        try:
-            return _fraction(s)
-        except ValueError:
-            raise CliError(f"cannot parse value {text!r}") from None
-
-
-def _real_part(text: str):
-    return ri(_fraction(text)) if "/" in text else iv.mpf(text)
+        return ComplexBox(*(ri(_rational(part, "value"))
+                            for part in (mm.group("re") or 0, im_part)))
 
 
 def lattice_from_tau(tau, precision: int) -> Lattice:
@@ -524,8 +510,8 @@ def cmd_count(args) -> int:
     prec = args.precision
     lo, _, hi = args.domain.partition(":")
     domain = Domain(
-        _fraction(lo) if lo else None,
-        _fraction(hi) if hi else None,
+        _rational(lo, "--domain") if lo else None,
+        _rational(hi, "--domain") if hi else None,
     )
     if args.h == "identity":
         target = Identity(domain)
@@ -534,7 +520,7 @@ def cmd_count(args) -> int:
         lat = lattice_from_tau(tau, prec)
         target = ExpWpLog(lat, domain)
     schedule = [int(x) for x in args.heights.split(",")]
-    eps = _fraction(args.eps) if args.eps else default_eps(prec)
+    eps = _rational(args.eps, "--eps") if args.eps else default_eps(prec)
     rep = count_report(target, schedule, eps, prec)
     rec = {
         "h": args.h,

@@ -3,12 +3,12 @@
 The arithmetic of presentations: a value maps monomials to nonzero
 Fractions, a monomial being a tuple of (name, nonzero exponent) pairs
 sorted by name.  `parse` reads the value grammar of presentations:
-integers, rationals and decimals (all exact), generator names, + - * /,
-** with an integer exponent, unary minus and parentheses.  Division is by
-monomials only.  A monomial prints as sympy's str(simplify(.)) prints it,
-so records keep their bytes, and every printed value parses back to
-itself.  `_sympy_` lets a value combine with sympy expressions; sympy is
-imported there only.
+integers, rationals and decimals (all exact, read by quadfield._rational),
+generator names, + - * /, ** with an integer exponent, unary minus and
+parentheses.  Division is by monomials only.  A monomial prints as sympy's
+str(simplify(.)) prints it, so records keep their bytes, and every printed
+value parses back to itself.  `_sympy_` lets a value combine with sympy
+expressions; sympy is imported there only.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import re
 from fractions import Fraction
 
 from .errors import InvalidConfiguration
+from .quadfield import _rational
 
 # |k| above which ** refuses a base other than a generator power (times
 # +-1): a sum raised that far expands into too many terms to be a value
@@ -270,7 +271,7 @@ class _Parser:
     def atom(self) -> Laurent:
         number, name, op = self.take()
         if number:
-            return Laurent({(): Fraction(number)})
+            return Laurent({(): _rational(number, self.field)})
         if name:
             if name not in self.names:
                 raise self.fail(f"{name!r} is not a generator")

@@ -40,7 +40,7 @@ from .errors import (
     InvalidConfiguration,
     NotStrong,
 )
-from .quadfield import _bareiss, _primitive_row, is_squarefree
+from .quadfield import _bareiss, _checked_d, _primitive_row
 
 GROUND_SET_CAP = 20
 
@@ -59,10 +59,7 @@ class FunctionSlot(Frozen):
         if kind not in ("exp", "wp_cm", "wp_generic"):
             raise InvalidConfiguration(f"unknown slot kind {kind!r}")
         if kind == "wp_cm":
-            if d is None or d >= 0 or not is_squarefree(d):
-                raise InvalidConfiguration(
-                    "wp_cm slot needs a negative squarefree d"
-                )
+            _checked_d(d, InvalidConfiguration)
         elif d is not None:
             raise InvalidConfiguration(f"slot kind {kind} takes no d")
         for name, value in zip(self.__slots__, (index, kind, d, label)):

@@ -5,17 +5,29 @@ that sqrt(d) denotes the root with positive imaginary part, so Im(p + q*sqrt(d))
 has the sign of q.  Rationals are QuadNums with q == 0 (their d is then just a
 field tag and is coerced freely).
 
-The package's exact integer elimination (`_bareiss`) and scaling of rational
-rows to coprime integers (`_primitive_row`) live here too.
+The package's exact integer elimination (`_bareiss`), scaling of rational
+rows to coprime integers (`_primitive_row`) and reader of the rationals
+that arguments and record files hold (`_rational`) live here too.
 """
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import Frozen
+from .errors import Frozen, InvalidConfiguration
+
+# The largest decimal exponent read exactly.  On a 2-CPU Xeon VM reading
+# 1.5e+1000000 takes 0.13 s and 1.5e+10000000 5 s, while wp eval takes 6 s
+# to print a value of 10^90000 (at z = 1e-30000).
+_DECADES = 10 ** 6
+# The largest |d| of a field: squarefree_kernel trial-divides up to
+# sqrt(|d|), which takes 0.05 s at 10^12 and 5.4 s at 10^16 on that VM.
+_FIELD_BOUND = 10 ** 12
+_RATIO = re.compile(r"\s*([+-]?[\d_]+)/([\d_]+)\s*")
 
 
 def squarefree_kernel(n: int) -> int:
@@ -39,9 +51,39 @@ def squarefree_kernel(n: int) -> int:
     return sign * out * n
 
 
-@lru_cache(maxsize=256)  # every QuadNum result re-checks its field's d
 def is_squarefree(n: int) -> bool:
     return n != 0 and squarefree_kernel(n) == n
+
+
+@lru_cache(maxsize=256)  # every QuadNum result re-checks its field's d
+def _checked_d(d, error=ValueError) -> int:
+    """d, checked to name a field Q(sqrt(d)): a negative squarefree integer
+    of size at most 10^12; else `error` is raised."""
+    if not (isinstance(d, int) and -_FIELD_BOUND <= d < 0 and is_squarefree(d)):
+        raise error(f"d must be a negative squarefree integer of size at most "
+                    f"10^12, got {d!r}")
+    return d
+
+
+def _rational(text, where: str) -> Fraction:
+    """The exact rational of the argument or record field named `where`: an
+    int, or text (a float's too) that is an integer over a positive integer
+    or a finite decimal of exponent at most 10^6 in size.  decimal.Decimal
+    reads the digits, so a number of more than 4300 digits needs no
+    int-from-str conversion (which Python limits)."""
+    if isinstance(text, int):
+        return Fraction(text)
+    m = _RATIO.fullmatch(str(text))
+    try:
+        num, den = map(Decimal, m.groups() if m else (str(text), 1))
+        if any(x and abs(x.adjusted()) > _DECADES for x in (num, den)):
+            raise InvalidConfiguration(f"{where} has a decimal exponent beyond 10^6 "
+                                       f"in size: {text!r}")
+        if not den:
+            raise InvalidConfiguration(f"{where} has a zero denominator: {text!r}")
+        return Fraction(*num.as_integer_ratio()) / int(den)
+    except (ArithmeticError, ValueError):
+        raise InvalidConfiguration(f"cannot parse {where} {text!r}") from None
 
 
 def _bareiss(rows) -> tuple:
@@ -84,8 +126,6 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"not a rational: {x!r}")
 
 
@@ -98,9 +138,7 @@ class QuadNum(Frozen):
         _set = object.__setattr__
         _set(self, "p", _frac(p))
         _set(self, "q", _frac(q))
-        _set(self, "d", d)
-        if d >= 0 or not is_squarefree(d):
-            raise ValueError(f"d must be negative and squarefree, got {d}")
+        _set(self, "d", _checked_d(d))
 
     # -- constructors ------------------------------------------------------
 

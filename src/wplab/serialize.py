@@ -9,32 +9,19 @@ enclosure-shrinking for boxed data).
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from fractions import Fraction
 
-from mpmath import iv, mp
-from mpmath.libmp import from_rational, round_ceiling, round_floor
+from mpmath import mp
 
-from .cintervals import ComplexBox, _nstr, endpoint_fraction, ri_from_endpoints, working_precision
+from .cintervals import ComplexBox, _nstr, endpoint_fraction, ri, ri_from_endpoints, working_precision
 from .errors import InvalidConfiguration
 from .lattice_core import Lattice
-from .quadfield import QuadNum
+from .quadfield import QuadNum, _rational
 
 
 def frac_str(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def parse_frac(s, where: str = "value") -> Fraction:
-    """The rational s of the record field named `where`."""
-    if isinstance(s, int):
-        return Fraction(s)
-    try:
-        return Fraction(str(s))
-    except ZeroDivisionError:
-        raise InvalidConfiguration(
-            f"{where} has a zero denominator: {s!r}") from None
 
 
 _MISSING = object()
@@ -61,10 +48,14 @@ def _field(rec, key, where, kind=None, default=_MISSING):
 
 
 def _int(value, where) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InvalidConfiguration(f"{where} is not an integer") from None
+    """The integer of the record field named `where`: an int, or a float or
+    text whose value is exactly an integer."""
+    x = _rational(value, where) if isinstance(value, str) else value
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, (int, Fraction)) and x.denominator == 1:
+        return int(x)
+    raise InvalidConfiguration(f"{where} is not an integer: {value!r}")
 
 
 def _names(value, where) -> list:
@@ -74,28 +65,6 @@ def _names(value, where) -> list:
 
 def _decimal(x, precision: int) -> str:
     return mp.nstr(mp.mpf(x), int(precision * 0.302) + 3, strip_zeros=False)
-
-
-# The largest decimal exponent read exactly.  On a 2-CPU Xeon VM reading
-# 1.5e+1000000 takes 0.13 s and 1.5e+10000000 5 s, while wp eval takes 6 s
-# to print a value of 10^90000 (at z = 1e-30000).
-_DECADES = 10 ** 6
-
-
-def _decimal_fraction(text, where: str = "value") -> Fraction:
-    """The exact value of the finite decimal text of the record field named
-    `where`, of decimal exponent at most 10^6 in size.  decimal.Decimal
-    reads it, so a midpoint of more than 4300 digits needs no int-from-str
-    conversion (which Python limits)."""
-    try:
-        d = Decimal(text)
-        if d and abs(d.adjusted()) > _DECADES:
-            raise ValueError
-        return Fraction(*d.as_integer_ratio())
-    except (ArithmeticError, TypeError, ValueError):
-        raise InvalidConfiguration(
-            f"{where} is not a finite decimal of exponent at most 10^6 in size: "
-            f"{text!r}") from None
 
 
 def _decade(x: Fraction) -> int:
@@ -115,7 +84,7 @@ def decimal_at_least(x, bound: Fraction) -> str:
     when that is at least bound; else the least decimal of 8 significant
     digits that is, printed the same way."""
     text = _nstr(x, 8)
-    if _decimal_fraction(text) >= bound:
+    if _rational(text, "value") >= bound:
         return text
     e = _decade(bound)
     with mp.workprec(64):
@@ -126,7 +95,7 @@ def _far(mid: str, part) -> Fraction:
     """The largest distance from the printed midpoint to an endpoint of the
     component part."""
     lo, hi = (endpoint_fraction(e) for e in part._mpi_)
-    m = _decimal_fraction(mid)
+    m = _rational(mid, "value")
     return max(hi - m, m - lo)
 
 
@@ -148,24 +117,16 @@ def box_record(z: ComplexBox, precision: int) -> dict:
         }
 
 
-def _enclosure(lo: Fraction, hi: Fraction):
-    """The least interval at iv.prec holding [lo, hi]."""
-    p = iv.prec
-    return ri_from_endpoints(
-        mp.make_mpf(from_rational(lo.numerator, lo.denominator, p, round_floor)),
-        mp.make_mpf(from_rational(hi.numerator, hi.denominator, p, round_ceiling)))
-
-
 def parse_box(rec: dict) -> ComplexBox:
-    """The box [re +- err] + [im +- err]i of the record, its decimals read
+    """The box [re +- err] + [im +- err]i of the record, its numbers read
     exactly and its endpoints rounded outward at the record's precision."""
     precision = _int(_field(rec, "precision", "box", default=128), "box.precision")
-    err = _decimal_fraction(_field(rec, "err", "box"), "box.err")
+    err = _rational(_field(rec, "err", "box"), "box.err")
     if err < 0:
         raise InvalidConfiguration(f"box.err is negative: {rec['err']!r}")
-    re, im = (_decimal_fraction(_field(rec, k, "box"), f"box.{k}") for k in ("re", "im"))
+    re, im = (_rational(_field(rec, k, "box"), f"box.{k}") for k in ("re", "im"))
     with working_precision(precision):
-        return ComplexBox(_enclosure(re - err, re + err), _enclosure(im - err, im + err))
+        return ComplexBox(*(ri_from_endpoints(ri(c - err).a, ri(c + err).b) for c in (re, im)))
 
 
 def quad_record(z: QuadNum) -> dict:
@@ -247,19 +208,19 @@ def parse_configuration(rec: dict) -> Configuration:
                     if not (isinstance(x, list) and len(x) == 2):
                         raise InvalidConfiguration(
                             f"{at}.rows[{r}][{j}] is not an [x, y] pair")
-            rows = [[(parse_frac(x, f"{at}.rows[{r}][{j}][0]"),
-                      parse_frac(y, f"{at}.rows[{r}][{j}][1]"))
+            rows = [[(_rational(x, f"{at}.rows[{r}][{j}][0]"),
+                      _rational(y, f"{at}.rows[{r}][{j}][1]"))
                      for j, (x, y) in enumerate(row)]
                     for r, row in enumerate(rows)]
         else:
-            rows = [[parse_frac(x, f"{at}.rows[{r}][{j}]")
+            rows = [[_rational(x, f"{at}.rows[{r}][{j}]")
                      for j, x in enumerate(row)] for r, row in enumerate(rows)]
         relations[i] = rows
     matroid = _field(_field(rec, "matroid", where, dict), "rows",
                      f"{where}.matroid", list)
     return Configuration(
         _names(_field(rec, "coordinates", where), f"{where}.coordinates"),
-        [[parse_frac(x, f"{where}.matroid.rows[{r}][{j}]")
+        [[_rational(x, f"{where}.matroid.rows[{r}][{j}]")
           for j, x in enumerate(_typed(row, list, f"{where}.matroid.rows[{r}]"))]
          for r, row in enumerate(matroid)],
         slots,
@@ -292,12 +253,7 @@ def parse_presentation(rec: dict):
         at = f"forms[{k}]"
         fprime = _field(f, "fprime", at)
         if mode != GENERIC:
-            try:
-                fprime = Fraction(fprime)
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise InvalidConfiguration(
-                    "numeric presentations need rational fprime values in files"
-                )
+            fprime = _rational(fprime, f"{at}.fprime")
         specs.append((f.get("slot"), _int(_field(f, "b", at), f"{at}.b"),
                       _int(_field(f, "fb", at), f"{at}.fb"), fprime))
     forms = f_forms(p, specs) if specs else []

@@ -2,8 +2,8 @@
 presentation, and the QuadNum of a quad record."""
 
 from wplab.differentials import GENERIC
-from wplab.quadfield import QuadNum
-from wplab.serialize import box_record, parse_frac
+from wplab.quadfield import QuadNum, _rational
+from wplab.serialize import box_record
 
 
 def presentation_record(p, forms=()) -> dict:
@@ -31,5 +31,5 @@ def presentation_record(p, forms=()) -> dict:
 
 
 def parse_quad(rec: dict) -> QuadNum:
-    return QuadNum(parse_frac(rec["p"], "quad.p"), parse_frac(rec["q"], "quad.q"),
+    return QuadNum(_rational(rec["p"], "quad.p"), _rational(rec["q"], "quad.q"),
                    int(rec["d"]))

@@ -8,8 +8,9 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp
+from mpmath.libmp import from_rational, round_ceiling, round_floor
 
 from wplab.cintervals import (
     ComplexBox,
@@ -25,6 +26,8 @@ from wplab.cintervals import (
 )
 from wplab.errors import PrecisionExhausted
 from wplab.quadfield import QuadNum
+
+from boxes import abs_lo, widened
 
 small_fracs = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64
@@ -92,15 +95,37 @@ def test_conj_abs(a):
     with working_precision(64):
         z = complex(a.mid())
         assert _contains(a.conj(), z.conjugate())
-        assert a.abs_lo() - 1e-12 <= abs(z) <= a.abs_hi() + 1e-12
+        assert abs_lo(a) - 1e-12 <= abs(z) <= a.abs_hi() + 1e-12
 
 
 def test_widened_grows_and_keeps_center():
     with working_precision(64):
         a = ComplexBox(1, 2)
-        w = a.widened(mp.mpf("0.5"))
+        w = widened(a, mp.mpf("0.5"))
         assert w.rad() >= mp.mpf("0.5")
         assert _contains(w, 1 + 2j)
+
+
+# integers of up to 400 bits, most wider than 53 + 32 or 128 + 32 bits
+wide = st.binary(min_size=1, max_size=50).map(lambda b: int.from_bytes(b, "big"))
+
+
+@settings(max_examples=100)
+@given(wide, wide, st.booleans(), st.sampled_from([53, 128, 512]))
+@example(3 ** 300, 7 ** 200 - 1, True, 53)
+def test_ri_of_a_rational_is_its_least_interval(n, d, negative, bits):
+    # rounding a numerator or denominator wider than the precision before
+    # dividing would widen the interval
+    x = Fraction(-n if negative else n, d + 1)
+    with working_precision(bits):
+        p = iv.prec
+        assert ri(x)._mpi_ == (from_rational(x.numerator, x.denominator, p, round_floor),
+                               from_rational(x.numerator, x.denominator, p, round_ceiling))
+
+
+def test_ri_reads_no_text():
+    with pytest.raises(TypeError, match="text is no number"):
+        ri("0.1")
 
 
 @given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),

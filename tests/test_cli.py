@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wplab import serialize
-from wplab.cintervals import ComplexBox
+from wplab.cintervals import ComplexBox, endpoint_fraction, ri, working_precision
 from wplab.cli import CliError, build_parser, parse_value, run
 from wplab.differentials import GENERIC, FieldPresentation
 from wplab.predim_engine import Configuration, FunctionSlot, GroupPoint
@@ -178,7 +179,7 @@ CM_CONFIG = {
      {"mode": "numeric_point", "generators": ["x"], "relations": [],
       "point": {"x": {"re": "2", "im": "0", "err": "0", "precision": 128}},
       "forms": [{"b": 0, "fb": 0, "fprime": "1/0"}]},
-     "numeric presentations need rational fprime values in files"),
+     "forms[0].fprime has a zero denominator: '1/0'"),
 ], ids=["cm-entry-not-a-pair", "no-matroid", "top-level-list", "form-without-fprime",
         "matroid-zero-denominator", "relation-zero-denominator", "fprime-sum",
         "fprime-function", "numeric-fprime-zero-denominator"])
@@ -367,13 +368,14 @@ def test_a_command_parser_prints_the_full_trees_help(command):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["wp", "eval", "--tau", "i", "--z", "1/0"], "zero denominator in '1/0'"),
-    (["wp", "eval", "--tau", "i", "--z", "1/0+i"], "zero denominator in '1/0'"),
-    (["wp", "eval", "--tau", "1/0i:-1", "--z", "1"], "zero denominator in '1/0'"),
+    (["wp", "eval", "--tau", "i", "--z", "1/0"], "value has a zero denominator: '1/0'"),
+    (["wp", "eval", "--tau", "i", "--z", "1/0+i"], "value has a zero denominator: '1/0'"),
+    (["wp", "eval", "--tau", "1/0i:-1", "--z", "1"],
+     "value has a zero denominator: '1/0'"),
     (["lattice", "normalize", "--w1", "1/0", "--w2", "i"],
-     "zero denominator in '1/0'"),
-    (["count", "--domain", "1/0:"], "zero denominator in '1/0'"),
-    (["count", "--eps", "1/0"], "zero denominator in '1/0'"),
+     "value has a zero denominator: '1/0'"),
+    (["count", "--domain", "1/0:"], "--domain has a zero denominator: '1/0'"),
+    (["count", "--eps", "1/0"], "--eps has a zero denominator: '1/0'"),
     (["wp", "invariants", "--tau", "1e400i"],
      "theta series out of range: binary exponent of magnitude 1.1331e+400 "
      "reached, the limit is 2^1024"),
@@ -500,7 +502,11 @@ def test_warnings_print_as_one_line():
 VALID = ("i", "2i:-1", "1/2+3/2i:-3", "-1+2i:-1", "0.25+1.5i", "-0.25+1.5i", "1.5i",
          "-1/2+i", "0.3+1.7i", "1/3", "0", "0.25", "1e-30", "1+1e-25i", "3e-37")
 HOSTILE = ("1/0", "0/0", "1/0+i", "1e400", "1e400i", "1e12i", "-0", "9" * 5000, "nan",
-           "inf", "[0.1,0.2]", "0.3+-0.01", "", "0.5/2", "x", "1i:-4")
+           "inf", "[0.1,0.2]", "0.3+-0.01", "", "0.5/2", "x", "1i:-4",
+           # decimals beyond mpmath's outward rounding and beyond the exponent
+           # limit, and a field d beyond its limit
+           "9.8e-2451+1i", "1e-2500", "1.5e+2500i", "1e10000000", "1e100000000",
+           "1i:-1000000000000000000000000000057")
 VALUES = VALID + HOSTILE
 # names of coordinates that both configurations below have
 NAMES = (None, "", "b1", "b1,e1", "e1", ",")
@@ -609,6 +615,19 @@ RECORDS = {
     "numeric-re-huge": _with(NUMERIC_PRESENTATION, ("point", "x", "re"), '"1e+1000001"'),
     "numeric-precision-text": _with(NUMERIC_PRESENTATION, ("precision",), '"x"'),
     "generic-fprime-zero": _with(GENERIC_PRESENTATION, ("forms", 0, "fprime"), '"1/0"'),
+    # integer fields that are no integers, and a d and decimal exponents
+    # beyond their limits
+    "cm-slot-huge": _with(CM_CONFIG, ("points", 0, "slot"), "1e400"),
+    "cm-slot-fraction": _with(CM_CONFIG, ("points", 0, "slot"), "0.9"),
+    "cm-d-fraction": _with(CM_CONFIG, ("slots", 0, "d"), "-2.5"),
+    "cm-d-huge": _with(CM_CONFIG, ("slots", 0, "d"), "-1000000000000000000000000000057"),
+    "exp-entry-huge": _with(EXP_CONFIG, ("matroid", "rows", 0, 2), '"1e10000000"'),
+    "numeric-fprime-huge": _with(NUMERIC_PRESENTATION, ("forms", 0, "fprime"),
+                                 '"1e10000000"'),
+    "numeric-b-fraction": _with(NUMERIC_PRESENTATION, ("forms", 0, "b"), "0.9"),
+    "numeric-precision-inf": _with(NUMERIC_PRESENTATION, ("precision",), "1e400"),
+    "generic-fprime-huge": _with(GENERIC_PRESENTATION, ("forms", 0, "fprime"),
+                                 '"1e10000000"'),
     # a known breach (below), so in no pool
     "breach-precision-huge": _with(NUMERIC_PRESENTATION, ("precision",), "1e300"),
 }
@@ -639,11 +658,16 @@ def _calls(draw, path):
     return argv
 
 
+def _record_paths(argv, record_dir):
+    """argv with the record names it gives read from record_dir."""
+    return [a.replace("=", f"={record_dir}/", 1) + ".json"
+            if a.startswith(("--config=", "--presentation=")) else a for a in argv]
+
+
 def _contract(argv, record_dir):
     """The broken clauses of the contract for one call, as text ("" for
     none)."""
-    argv = [a.replace("=", f"={record_dir}/", 1) + ".json"
-            if a.startswith(("--config=", "--presentation=")) else a for a in argv]
+    argv = _record_paths(argv, record_dir)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -706,3 +730,67 @@ BREACHES = [
 @pytest.mark.parametrize("argv", BREACHES)
 def test_known_breaches_of_the_contract(argv, record_dir):
     assert _contract(argv, record_dir) == ""
+
+
+# -- numbers read from outside -------------------------------------------------
+
+def _timed_run(argv):
+    """(exit code, stderr, seconds) of one in-process call."""
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue(), time.perf_counter() - start
+
+
+def test_a_tiny_decimal_part_sits_in_its_box():
+    # mpmath's decimal reader rounds outward only up to a decimal exponent
+    # of about 400: this real part's box ended below 9.8e-2451
+    box = parse_value("9.8e-2451+1i", 128)
+    lo, hi = (endpoint_fraction(e) for e in box.re._mpi_)
+    assert lo <= F(98, 10 ** 2452) <= hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1000, 9999), st.integers(-2600, 2600), st.sampled_from([53, 128, 512]))
+def test_decimal_parts_read_as_their_least_box(digits, exponent, precision):
+    text = f"{digits // 1000}.{digits % 1000:03d}e{exponent}"
+    box = parse_value(f"-{text}+{text}i", precision)
+    with working_precision(precision):
+        least = ri(F(digits, 1000) * F(10) ** exponent)
+        assert box.im._mpi_ == least._mpi_ and box.re._mpi_ == (-least)._mpi_
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["wp", "eval", "--tau=i", "--z=1e10000000"], "value"),
+    (["predim", "hull", "--config=exp-entry-huge"], "configuration.matroid.rows[0][2]"),
+    (["deriv", "rank", "--presentation=numeric-fprime-huge"], "forms[0].fprime"),
+    (["deriv", "rank", "--presentation=generic-fprime-huge"], "forms[0].fprime"),
+    (["deriv", "extend", "--presentation=generic", "--boundary=a=1e10000000"], "boundary a"),
+], ids=["z", "matroid-entry", "numeric-fprime", "generic-fprime", "boundary"])
+def test_a_decimal_exponent_beyond_the_limit_exits_2_at_once(argv, message, record_dir):
+    code, err, seconds = _timed_run(_record_paths(argv, record_dir))
+    assert (code, err) == (2, f"error: {message} has a decimal exponent beyond 10^6 "
+                              "in size: '1e10000000'\n")
+    assert seconds < 1
+
+
+@pytest.mark.parametrize("record, message", [
+    ("cm-slot-huge", "points[0].slot is not an integer: inf"),
+    ("cm-slot-nan", "points[0].slot is not an integer: nan"),
+    ("cm-slot-fraction", "points[0].slot is not an integer: 0.9"),
+    ("cm-d-fraction", "slots[0].d is not an integer: -2.5"),
+])
+def test_record_integers_are_exactly_integers(record, message, record_dir):
+    argv = _record_paths(["predim", "hull", f"--config={record}"], record_dir)
+    assert _timed_run(argv)[:2] == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["lattice", "cm", "--tau=1i:-1000000000000000000000000000057"],
+                                  ["predim", "hull", "--config=cm-d-huge"]],
+                         ids=["argument", "record"])
+def test_a_field_d_beyond_the_limit_exits_2_within_a_second(argv, record_dir):
+    code, err, seconds = _timed_run(_record_paths(argv, record_dir))
+    assert code == 2 and err.startswith("error: d must be a negative squarefree integer "
+                                        "of size at most 10^12, got ")
+    assert seconds < 1

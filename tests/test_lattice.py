@@ -31,6 +31,8 @@ from wplab.lattice_core import (
 )
 from wplab.quadfield import QuadNum, squarefree_kernel
 
+from boxes import widened
+
 I_TAU = QuadNum(0, 1, -1)
 
 
@@ -513,9 +515,9 @@ def test_integer_relations_cover_the_cube():
     rng = random.Random(11)
     with working_precision(64):
         for _ in range(4):
-            boxes = [ComplexBox(ri(Fraction(rng.randint(-6, 6), 2)),
-                                ri(Fraction(rng.randint(-6, 6), 2)))
-                     .widened(mp.mpf(rng.randint(0, 5)) / 100) for _ in range(3)]
+            boxes = [widened(ComplexBox(ri(Fraction(rng.randint(-6, 6), 2)),
+                                        ri(Fraction(rng.randint(-6, 6), 2))),
+                             mp.mpf(rng.randint(0, 5)) / 100) for _ in range(3)]
             boxes.append(ComplexBox(1))
             found = list(_integer_relations(boxes, _radii(boxes), 3))
             cube = {n for n in product(range(-3, 4), repeat=4) if any(n)
@@ -537,7 +539,7 @@ def test_integer_relations_reach_the_edge_of_wide_boxes():
             centers = [(rng.randint(-10 ** 4, 10 ** 4), rng.randint(-10 ** 4, 10 ** 4))
                        for _ in range(3)]
             centers.append((sum(radii) - sum(x for x, _ in centers), -sum(y for _, y in centers)))
-            boxes = [ComplexBox(ri(x), ri(y)).widened(r) for (x, y), r in zip(centers, radii)]
+            boxes = [widened(ComplexBox(ri(x), ri(y)), r) for (x, y), r in zip(centers, radii)]
             assert sum(boxes[1:], boxes[0]).contains_zero()
             found = list(_integer_relations(boxes, _radii(boxes), 2))
             cube = {n for n in product(range(-2, 3), repeat=4) if any(n)

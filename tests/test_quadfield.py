@@ -9,7 +9,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wplab.quadfield import QuadNum, _bareiss, _primitive_row, is_squarefree, squarefree_kernel
+from wplab.errors import InvalidConfiguration
+from wplab.quadfield import (
+    QuadNum,
+    _bareiss,
+    _checked_d,
+    _primitive_row,
+    _rational,
+    is_squarefree,
+    squarefree_kernel,
+)
 
 DS = (-1, -2, -3, -5, -7, -11)
 
@@ -50,6 +59,49 @@ def test_constructor_rejects_bad_d():
             with pytest.raises(ValueError):
                 QuadNum(1, 1, d)
         assert QuadNum(1, 1, -3).d == -3
+
+
+def test_a_field_d_is_bounded_where_it_is_read():
+    # squarefree_kernel trial-divides up to sqrt(|d|): a 31-digit d took
+    # longer than 20 s before it was refused
+    big = -1000000000000000000000000000057
+    for d in (big, -10 ** 12 - 1):
+        with pytest.raises(ValueError, match="at most 10\\^12, got"):
+            QuadNum(0, 1, d)
+    with pytest.raises(InvalidConfiguration, match="at most 10\\^12, got -2.5"):
+        _checked_d(-2.5, InvalidConfiguration)
+    assert QuadNum(0, 1, -999999999989).d == -999999999989  # a prime
+
+
+@pytest.mark.parametrize("text, value", [
+    (3, Fraction(3)), ("-3/4", Fraction(-3, 4)), (" 1_000/3 ", Fraction(1000, 3)),
+    ("0.25", Fraction(1, 4)), ("-0", Fraction(0)), ("1.5e-3", Fraction(3, 2000)),
+    ("2E+2", Fraction(200)), (0.1, Fraction(1, 10)), (1e22, Fraction(10 ** 22)),
+    ("9.8e-2451", Fraction(98, 10 ** 2452)), ("1e1000000", Fraction(10 ** 1000000)),
+    # beyond Python's 4300-digit int/str limit
+    ("7" * 5000 + "/3", Fraction(int("7" * 1000) * 10 ** 4000 + int("7" * 4000), 3)),
+])
+def test_rational_reads_integers_ratios_and_decimals_exactly(text, value):
+    assert _rational(text, "x") == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "x has a zero denominator: '1/0'"),
+    ("0/0", "x has a zero denominator: '0/0'"),
+    ("1e1000001", "x has a decimal exponent beyond 10^6 in size: '1e1000001'"),
+    ("1e-100000000", "x has a decimal exponent beyond 10^6 in size: '1e-100000000'"),
+    ("1" * 1000002, "x has a decimal exponent beyond 10^6 in size: "),
+    ("nan", "cannot parse x 'nan'"), ("-Infinity", "cannot parse x '-Infinity'"),
+    (float("inf"), "cannot parse x inf"), ("1.5/2", "cannot parse x '1.5/2'"),
+    ("1/-2", "cannot parse x '1/-2'"), ("[0.1,0.2]", "cannot parse x '[0.1,0.2]'"),
+    ("", "cannot parse x ''"), (None, "cannot parse x None"),
+], ids=["zero-denominator", "zero-over-zero", "exponent", "negative-exponent",
+        "million-digits", "nan", "infinity", "float-infinity", "decimal-over",
+        "signed-denominator", "interval", "empty", "none"])
+def test_rational_refuses_what_is_no_finite_rational(text, message):
+    with pytest.raises(InvalidConfiguration) as info:
+        _rational(text, "x")
+    assert str(info.value).startswith(message)
 
 
 @given(quads(-5), quads(-5), quads(-5))

@@ -13,9 +13,10 @@ from wplab.differentials import GENERIC, NUMERIC_POINT, FieldPresentation, \
 from wplab.errors import InvalidConfiguration
 from wplab.lattice_core import make_lattice
 from wplab.predim_engine import Configuration, FunctionSlot, GroupPoint, delta
-from wplab.quadfield import QuadNum
+from wplab.quadfield import QuadNum, _rational
 from wplab.wp_numerics import invariants
 
+from boxes import widened
 from records import parse_quad, presentation_record
 
 F = Fraction
@@ -23,8 +24,24 @@ F = Fraction
 
 def test_frac_str_roundtrip():
     for x in (F(0), F(-3, 7), F(5), F(22, 6)):
-        assert S.parse_frac(S.frac_str(x)) == x
-    assert S.parse_frac(4) == 4
+        assert _rational(S.frac_str(x), "value") == x
+    assert _rational(4, "value") == 4
+
+
+@pytest.mark.parametrize("value, read", [
+    (3, 3), (-2, -2), (3.0, 3), (1e22, 10 ** 22), ("3", 3), ("6/2", 3), ("3e2", 300),
+    (0.9, "x is not an integer: 0.9"), (-2.5, "x is not an integer: -2.5"),
+    (float("inf"), "x is not an integer: inf"), (float("nan"), "x is not an integer: nan"),
+    ("1/2", "x is not an integer: '1/2'"), ([3], "x is not an integer: [3]"),
+    (None, "x is not an integer: None"), ("three", "cannot parse x 'three'"),
+])
+def test_record_integers_are_exactly_integers(value, read):
+    if isinstance(read, int):
+        assert S._int(value, "x") == read
+    else:
+        with pytest.raises(InvalidConfiguration) as info:
+            S._int(value, "x")
+        assert str(info.value) == read
 
 
 def test_quad_roundtrip():
@@ -51,7 +68,7 @@ def _random_box(rng):
                   for _ in range(2))
         z = ComplexBox(ri(re), ri(im))
         if rng.random() < 0.5:
-            z = z.widened(mp.ldexp(rng.random(), e - rng.randint(0, precision)))
+            z = widened(z, mp.ldexp(rng.random(), e - rng.randint(0, precision)))
     return z, precision
 
 
@@ -99,7 +116,8 @@ def test_parse_box_reads_finite_decimals_only():
     assert S.parse_box({**box, "im": "0e-999999999999"}).im.b == 0.25
     for key, bad in (("re", "nan"), ("im", "inf"), ("err", "[0.1,0.2]"), ("re", [1]),
                      ("im", "1e+1000001"), ("err", "1e-999999999999")):
-        with pytest.raises(InvalidConfiguration, match=f"box.{key} is not a finite"):
+        with pytest.raises(InvalidConfiguration, match=rf"cannot parse box\.{key} |"
+                           rf"box\.{key} has a decimal exponent beyond 10\^6 in size"):
             S.parse_box({**box, key: bad})
     with pytest.raises(InvalidConfiguration, match="box.err is negative"):
         S.parse_box({**box, "err": "-0.25"})

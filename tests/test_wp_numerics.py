@@ -87,6 +87,8 @@ from wplab.wp_numerics import (
     wp_prime,
 )
 
+from boxes import abs_lo, widened
+
 SQUARE = make_lattice(QuadNum(1, 0, -1), QuadNum(0, 1, -1))
 
 
@@ -254,7 +256,7 @@ def test_exact_points_next_to_the_lattice_answer(bits):
         refs = (v ** -2, -2 * v ** -3)
         slack = mp.mpf(10) ** -300  # bounds the O(z^2) and O(z) terms
         for box, ref in zip((p.X, p.Y), refs):
-            assert _box_holds(box.widened(slack), ref)
+            assert _box_holds(widened(box, slack), ref)
             assert box.rad() <= mp.ldexp(abs(ref), -(bits - 8))
 
 
@@ -268,7 +270,7 @@ def test_boxed_points_next_to_the_lattice_answer(bits):
     val = wp(m, parse_value(f"{digits}+{digits}i", bits))
     exact = wp(m, QuadNum(Fraction(1, 10 ** 37), Fraction(1, 10 ** 37), -1))
     with working_precision(bits):
-        assert val.rad() <= mp.ldexp(val.abs_lo(), -bits)
+        assert val.rad() <= mp.ldexp(abs_lo(val), -bits)
         assert val.overlaps(exact)
 
 
@@ -378,7 +380,7 @@ def test_curve_add_refuses_points_off_the_affine_chart(model):
     p = exp_E(model, Fraction(3, 10))
     with working_precision(128):
         scaled = CurvePoint(p.X * 2, p.Y * 2, ComplexBox(2))
-        blurred = CurvePoint(p.X, p.Y, ComplexBox(1).widened(mp.ldexp(1, -100)))
+        blurred = CurvePoint(p.X, p.Y, widened(ComplexBox(1), mp.ldexp(1, -100)))
     for bad in (scaled, blurred):
         for a, b in ((bad, p), (p, bad), (identity_point(), bad), (bad, identity_point())):
             with pytest.raises(ValueError):
@@ -499,7 +501,7 @@ def _eisenstein(q: ComplexBox, weight: int, n_terms: int):
     )
     ratio = iv.mpf(q_hi) * (iv.mpf(n_terms + 2) / iv.mpf(n_terms + 1)) ** weight
     tail = _geom_tail(ri_hi(first), ri_hi(ratio))
-    return total.widened(tail)
+    return widened(total, tail)
 
 
 def _pole_terms(w: ComplexBox, want_prime: bool):
@@ -515,7 +517,7 @@ def _wp_series(m, t_red: ComplexBox, want_prime: bool):
     u = exp_2pi_i(t_red)
     q_hi = q.abs_hi()
     u_hi = u.abs_hi()
-    u_lo = u.abs_lo()
+    u_lo = abs_lo(u)
     if u_lo <= 0:
         raise PrecisionExhausted("argument enclosure too wide for the series")
     extra = 48 + max(0, int(mp.ceil(abs(mp.log(u_hi, 2)))) + int(
@@ -545,12 +547,12 @@ def _wp_series(m, t_red: ComplexBox, want_prime: bool):
         if not ri_hi(a) < mpf("0.5"):
             raise PrecisionExhausted("series tail leading term not small")
         p_first = a / (1 - a) ** 2
-        p_sum = p_sum.widened(_geom_tail(ri_hi(p_first), q_hi))
+        p_sum = widened(p_sum, _geom_tail(ri_hi(p_first), q_hi))
         if want_prime:
             pp_first = a * (1 + a) / (1 - a) ** 3
-            pp_sum = pp_sum.widened(_geom_tail(ri_hi(pp_first), q_hi))
+            pp_sum = widened(pp_sum, _geom_tail(ri_hi(pp_first), q_hi))
     c_first = 2 * qN / (1 - qN) ** 2
-    p_sum = p_sum.widened(_geom_tail(ri_hi(c_first), q_hi))
+    p_sum = widened(p_sum, _geom_tail(ri_hi(c_first), q_hi))
 
     s = ComplexBox(0, 2 * iv.pi) / m._omega1  # 2*pi*i / omega1
     wp_val = s.pow_int(2) * p_sum
@@ -608,7 +610,7 @@ def _near_box(box: ComplexBox, ref, bits: int) -> bool:
     with mp.workprec(2 * bits):
         err = mp.ldexp(max(abs(ref), 1), -(2 * bits - 32))
     with working_precision(2 * bits):
-        return _box_holds(box.widened(err), ref)
+        return _box_holds(widened(box, err), ref)
 
 
 @pytest.mark.parametrize("bits", [128, 256, 512])
@@ -702,7 +704,7 @@ def _interval_theta_sums(q4: ComplexBox, w: ComplexBox):
         raise PrecisionExhausted("series tail ratio not certified below 1")
     tail = ri_hi(2 * first / (1 - ratio))
     th1 = ComplexBox(0, -1) * th1
-    return tuple(t.widened(tail) for t in (th1, th2, th3, th4))
+    return tuple(widened(t, tail) for t in (th1, th2, th3, th4))
 
 
 # -- the fixed-point theta kernel against the interval sums and jtheta --------
@@ -857,7 +859,7 @@ def test_discriminant_failure_states_radii(monkeypatch):
 
     def theta4_at_zero(q4):
         t2, t3, _ = real(q4)
-        return t2, t3, ComplexBox(0).widened(mp.ldexp(1, -400))
+        return t2, t3, widened(ComplexBox(0), mp.ldexp(1, -400))
 
     monkeypatch.setattr(wp_numerics, "_theta_constants", theta4_at_zero)
     with pytest.raises(PrecisionExhausted) as info:
@@ -1047,7 +1049,7 @@ def _dist_to_lattice_lo(m, t_red: ComplexBox) -> mpf:
     for a in (-1, 0, 1):
         for b in (-1, 0, 1):
             lam = ComplexBox(a) + ComplexBox(b) * m._tau
-            d = ((t_red - lam) * m._omega1).abs_lo()
+            d = abs_lo((t_red - lam) * m._omega1)
             best = d if best is None else min(best, d)
     return best
 
