@@ -2,9 +2,9 @@
 (`wplab selftest`) and by the test suite.
 
 Each criterion_N function returns (passed, detail).  Where a criterion
-compares against an oracle, the oracle here is coded independently of the
-engine under test (fresh rank routines, totient counts, subprocess runs).
-All randomness is seeded, so reruns are reproducible.
+compares against an oracle, the oracle is coded independently of the
+engine under test: the brute-force references of `oracles`, or subprocess
+runs.  All randomness is seeded, so reruns are reproducible.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ from .predim_engine import (
     predim_dim,
     strong_hull,
 )
+from .oracles import PredimOracle, totient_count
 from .quadfield import QuadNum
+from .serialize import configuration_record, dumps
 from .wp_numerics import (
     addition_residual,
     homogeneity_residual,
@@ -238,73 +240,6 @@ def criterion_4(seed=0):
 
 # -- criterion 5: predimension dimension vs oracle, chain additivity ----------
 
-def _oracle_rank(rows):
-    """Independent rational rank: reduced row echelon with normalized pivots
-    over a dense copy (no sharing with the engine's elimination)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _oracle_delta(cfg: Configuration, s_mask: int, c_mask: int) -> int:
-    names = cfg.coordinates
-
-    def td_of(mask):
-        cols = [i for i in range(len(names)) if mask >> i & 1]
-        return _oracle_rank(
-            [[row[i] for row in cfg.matroid] for i in cols]
-        )
-
-    def grk_of(slot_i, mask):
-        rows = [list(r) for r in cfg.relations[slot_i]]
-        for pos, j in enumerate(cfg.points_by_slot[slot_i]):
-            p = cfg.points[j]
-            if mask >> cfg.index[p.b] & 1 and mask >> cfg.index[p.e] & 1:
-                rows.append([1 if k == pos else 0
-                             for k in range(len(cfg.points_by_slot[slot_i]))])
-        return _oracle_rank(rows)
-
-    out = td_of(s_mask | c_mask) - td_of(c_mask)
-    for i in range(len(cfg.slots)):
-        out -= grk_of(i, s_mask | c_mask) - grk_of(i, c_mask)
-    return out
-
-
-def _oracle_dim(cfg: Configuration, a_mask: int, c_mask: int) -> int:
-    n = len(cfg.coordinates)
-    base = a_mask | c_mask
-    free = [i for i in range(n) if not base >> i & 1]
-    best = None
-    for bits in range(1 << len(free)):
-        s = base
-        for j, i in enumerate(free):
-            if bits >> j & 1:
-                s |= 1 << i
-        d = _oracle_delta(cfg, s, c_mask)
-        if best is None or d < best:
-            best = d
-    return best
-
-
 def _random_config(rng, n, with_relations=False) -> Configuration:
     coords = [f"c{i}" for i in range(n)]
     matroid = [
@@ -354,8 +289,9 @@ def criterion_5(seed=0):
             if rng.random() < 0.5:
                 a_mask |= 1 << i
         dim, witness = predim_dim(cfg, a_mask, c_mask, with_witness=True)
-        oracle = _oracle_dim(cfg, a_mask, c_mask)
-        w_delta = _oracle_delta(cfg, cfg.mask(witness), c_mask)
+        orc = PredimOracle(configuration_record(cfg))
+        oracle = orc.dim(a_mask, c_mask)
+        w_delta = orc.delta(cfg.mask(witness), c_mask)
         if dim != oracle or w_delta != dim:
             if len(mismatches) < 3:
                 mismatches.append((trial, dim, oracle, w_delta))
@@ -576,21 +512,11 @@ def criterion_8(seed=0):
 
 # -- criterion 9: counting, oracle and precision stability --------------------
 
-def _totient_count(height: int) -> int:
-    """Rationals of height <= H: 2 * sum(phi(k)) - 1, via a sieve."""
-    phi = list(range(height + 1))
-    for i in range(2, height + 1):
-        if phi[i] == i:  # i prime
-            for j in range(i, height + 1, i):
-                phi[j] -= phi[j] // i
-    return 2 * sum(phi[1:]) - 1
-
-
 def criterion_9(seed=0):
     t0 = time.monotonic()
     ident = Identity(Domain(Fraction(0), None))
     rep = count_report(ident, (2, 10), precision=PRECISION)
-    ident_ok = (rep.counts == (_totient_count(2), _totient_count(10))
+    ident_ok = (rep.counts == (totient_count(2), totient_count(10))
                 == (3, 63) and rep.undetermined == (0, 0))
 
     lat = make_lattice(QuadNum(1, 0, -1), QuadNum(0, 2, -1))
@@ -634,13 +560,11 @@ def criterion_10(seed=0):
     import tempfile
     from pathlib import Path
 
-    from . import serialize
-
     t0 = time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
         cfg, _ = worked_certificate()
         cfg_path = Path(tmp) / "config.json"
-        cfg_path.write_text(serialize.dumps(serialize.configuration_record(cfg)))
+        cfg_path.write_text(dumps(configuration_record(cfg)))
         commands = [
             ["lattice", "isogenous", "--tau1", "0+1i:-1", "--tau2", "0+2i:-1",
              "--format", "record"],

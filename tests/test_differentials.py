@@ -141,7 +141,7 @@ def test_hcl_witness_numeric_closure():
 def test_symbolic_annihilation_matches_rank():
     p = FieldPresentation(GENERIC, ("a", "e", "t"))
     forms = f_forms(p, [(0, 0, 1, "e")])
-    assert _oracle_rank(p, [list(f.vector) for f in forms]) == 1
+    assert _system_rank(p, [list(f.vector) for f in forms]) == 1
     assert der_dimension(p, forms) == 2
 
 
@@ -198,7 +198,7 @@ def test_hcl_witness_against_the_rank_comparison(make_case):
             unit = [sympy.Integer(int(j == b)) for j in range(p.m)]
         else:
             unit = [one if j == b else zero for j in range(p.m)]
-        in_closure = _oracle_rank(p, rows + [unit]) == _oracle_rank(p, rows)
+        in_closure = _system_rank(p, rows + [unit]) == _system_rank(p, rows)
         v = hcl_witness(p, forms, b)
         assert v.in_closure == in_closure
         verdicts.add(in_closure)
@@ -341,7 +341,7 @@ def _oracle_solve(p, rows, fixed, target):
     return solve(p, rows, fixed, target)
 
 
-def _oracle_rank(p, rows):
+def _system_rank(p, rows):
     if p.mode == GENERIC:
         return _generic_rank(rows, p.m)
     with working_precision(p.precision):
@@ -374,7 +374,7 @@ def compare_with_oracle(p, forms, boundary, target, b):
     shows, or None when the two agree on everything the CLI prints."""
     rows = [list(r) for r in omega_presentation(p)]
     rows += [list(f.vector) for f in forms]
-    assert der_dimension(p, forms) == p.m - _oracle_rank(p, rows)
+    assert der_dimension(p, forms) == p.m - _system_rank(p, rows)
     old = _oracle_solve(p, rows, {}, (p.generators[b], 1))
     new = hcl_witness(p, forms, b)
     if old.kind == "inconsistent":

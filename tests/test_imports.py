@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in src/wplab is used, every
 private helper is referenced, no module calls a sympy solver (the
 predimension ranks are one elimination over the integers, without
-QuadNum), no module imports dataclasses or sympy, and the CLI loads only
-the layers a subcommand runs (json only for records, sympy never)."""
+QuadNum), no module imports dataclasses or sympy, the oracles import only
+the standard library, and the CLI loads only the layers a subcommand runs
+(json only for records, sympy never)."""
 
 import ast
 import json
@@ -122,6 +123,17 @@ def test_one_symbolic_elimination_routine():
     # the one interval elimination: no module reaches for a sympy solver
     found = {path.name: second_eliminations(path) for path in SRC.glob("*.py")}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_the_oracles_import_only_the_standard_library():
+    # the brute-force references are coded apart from the engine they check
+    names = set()
+    for node in ast.walk(parse(SRC / "oracles.py")):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." if node.level else node.module.split(".")[0])
+    assert names and names <= sys.stdlib_module_names
 
 
 def test_predimension_ranks_do_not_use_quadnum():

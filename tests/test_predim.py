@@ -1,11 +1,11 @@
 """Predimension calculus: micro-examples, invariants, and brute oracles,
-among them the field-generic rank over Fraction and QuadNum that checks the
-engine's integer elimination."""
+among them the ranks over Q and Q(sqrt(d)) of `wplab.oracles` that check
+the engine's integer elimination."""
 
+import functools
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,8 +32,9 @@ from wplab.predim_engine import (
     strong_hull,
     td,
 )
-from wplab.quadfield import QuadNum, _bareiss, _primitive_row
-from wplab.serialize import parse_configuration
+from wplab.oracles import PredimOracle, rank_det
+from wplab.quadfield import _bareiss, _primitive_row
+from wplab.serialize import configuration_record, parse_configuration
 
 F = Fraction
 
@@ -165,11 +166,8 @@ def test_predim_dim_and_witness():
     dim, witness = predim_dim(cfg, ("b",), with_witness=True)
     assert dim == 1
     assert delta(cfg, (0,), witness).delta == dim
-    # dim is a lower bound over every superset
-    for k in range(3):
-        for extra in combinations(("b", "e"), k):
-            s = frozenset(("b",)) | frozenset(extra)
-            assert dim <= delta(cfg, (0,), s).delta
+    # the least delta over every superset
+    assert PredimOracle(configuration_record(cfg)).dim(cfg.mask(("b",))) == dim
 
 
 def test_predim_dim_base_must_be_strong():
@@ -203,16 +201,10 @@ def test_strong_two_code_paths_agree():
         pts = [GroupPoint(0, *rng.sample(coords, 2))
                for _ in range(rng.randint(1, 3))]
         cfg = Configuration(coords, matroid, [FunctionSlot(0, "exp")], pts)
-        a = frozenset(c for c in coords if rng.random() < 0.4)
+        a = cfg.mask(c for c in coords if rng.random() < 0.4)
         ok, _ = is_strong(cfg, a)
-        # independent path: brute minimum of delta over supersets
-        free = [c for c in coords if c not in a]
-        best = 0
-        for k in range(1, len(free) + 1):
-            for extra in combinations(free, k):
-                d = delta(cfg, (0,), a | frozenset(extra), a).delta
-                best = min(best, d)
-        assert ok == (best >= 0)
+        # independent path: the brute minimum of delta(S/A) over S >= A
+        assert ok == (PredimOracle(configuration_record(cfg)).dim(a, a) >= 0)
 
 
 def test_semimodularity_report_fields():
@@ -260,69 +252,8 @@ def test_certificate_checks_the_base_once_per_slot_subset(monkeypatch):
     assert sorted(calls) == [(), (0,), (0, 1), (1,)]
 
 
-# -- oracles: field-generic ranks, the absorption hull and the coordinate-pair
-#    compatibility scan --------------------------------------------------------
-
-def field_rank(rows) -> int:
-    """Row rank by Gaussian elimination over any exact field whose elements
-    support != 0, 1 / x, * and - (Fraction, QuadNum); rows are copied."""
-    rows = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < cols:
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[col]
-        for i in range(rank + 1, len(rows)):
-            ri = rows[i]
-            if ri[col] != 0:
-                f = ri[col] * inv
-                for j in range(col, cols):
-                    ri[j] -= f * pr[j]
-        rank += 1
-        col += 1
-    return rank
-
-
-def slot_field_rank(cfg, slot_i, rows) -> int:
-    """Rank over k_i; wp_cm entries (x, y) mean x + y*sqrt(d)."""
-    d = cfg.slots[slot_i].d
-    if cfg.slots[slot_i].kind == "wp_cm":
-        return field_rank([[QuadNum(F(x), F(y), d) for x, y in row]
-                           for row in rows])
-    return field_rank([[F(x) for x in row] for row in rows])
-
-
-def oracle_td(cfg, mask) -> int:
-    """Rank of the matroid columns in mask, as the row rank of the
-    transposed column subset over Fraction."""
-    cols = [i for i in range(len(cfg.coordinates)) if mask >> i & 1]
-    return field_rank([[row[c] for row in cfg.matroid] for c in cols])
-
-
-def oracle_gamma_rank(cfg, slot_i, chosen) -> int:
-    """Rank over k_i of the relation rows plus a unit row for each point
-    position in `chosen`."""
-    npts = len(cfg.points_by_slot[slot_i])
-    if cfg.slots[slot_i].kind == "wp_cm":
-        zero, one = (F(0), F(0)), (F(1), F(0))
-    else:
-        zero, one = F(0), F(1)
-    rows = [list(r) for r in cfg.relations[slot_i]] + [
-        [one if k == pos else zero for k in range(npts)] for pos in chosen]
-    return slot_field_rank(cfg, slot_i, rows)
-
+# -- oracles: ranks over Q and Q(sqrt(d)), the absorption hull and the
+#    coordinate-pair compatibility scan ------------------------------------------
 
 def realified(rows, d):
     """Rows with entries (x, y) = x + y sqrt(d) over Q, two columns per entry
@@ -366,14 +297,14 @@ cm_entries = st.tuples(rationals, rationals)
 
 @settings(max_examples=300, deadline=None)
 @given(_shaped_matrices(small_ints))
-def test_integer_rank_matches_field_rank(rows):
-    assert _bareiss(rows)[0] == field_rank([[F(x) for x in r] for r in rows])
+def test_integer_rank_matches_rank_det(rows):
+    assert _bareiss(rows)[0] == rank_det(rows)[0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(_shaped_matrices(rationals))
 def test_scaled_rational_rows_keep_their_rank(rows):
-    assert _bareiss([_primitive_row(r) for r in rows])[0] == field_rank(rows)
+    assert _bareiss([_primitive_row(r) for r in rows])[0] == rank_det(rows)[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -382,31 +313,26 @@ def test_scaled_rational_rows_keep_their_rank(rows):
        st.sampled_from((-1, -2, -3, -7)))
 def test_realified_cm_rows_have_twice_the_quadratic_rank(rows, d):
     # the engine's reading of a CM relation matrix over Q
-    quad = field_rank([[QuadNum(x, y, d) for x, y in r] for r in rows])
+    quad = rank_det(rows, d)[0]
     assert _bareiss([_primitive_row(r) for r in realified(rows, d)])[0] == 2 * quad
 
 
 def test_td_and_grk_on_every_mask_match_the_field_formulas():
-    """td is the transposed Fraction rank of the column subset, and grk the
-    k_i rank of relation plus unit rows less that of the relation rows, on
-    every coordinate mask of seeded configurations with exp, generic and CM
-    slots carrying relation rows."""
+    """td is the rank of the column subset, and grk the k_i rank of relation
+    plus unit rows less that of the relation rows, on every coordinate mask
+    of seeded configurations with exp, generic and CM slots carrying
+    relation rows."""
     rng = random.Random(31)
     kinds = set()
     for trial in range(30):
         cfg = random_config(rng, 3 + trial % 6, True)
         for i, slot in enumerate(cfg.slots):
             kinds.add((slot.kind, bool(cfg.relations[i])))
-        pairs = [[(pos, cfg.mask((cfg.points[j].b, cfg.points[j].e)))
-                  for pos, j in enumerate(pts)] for pts in cfg.points_by_slot]
-        relations_only = [oracle_gamma_rank(cfg, i, ())
-                          for i in range(len(cfg.slots))]
+        orc = PredimOracle(configuration_record(cfg))
         for m in range(cfg.full_mask + 1):
-            assert cfg.td_mask(m) == oracle_td(cfg, m)
+            assert cfg.td_mask(m) == orc.td(m)
             for i in range(len(cfg.slots)):
-                chosen = [pos for pos, pair in pairs[i] if pair & ~m == 0]
-                assert cfg.grk_mask(i, m) == \
-                    oracle_gamma_rank(cfg, i, chosen) - relations_only[i]
+                assert cfg.grk_mask(i, m) == orc.grk(i, m)
     assert {("exp", True), ("wp_generic", True), ("wp_cm", True)} <= kinds
 
 
@@ -426,23 +352,12 @@ def pair_scan_compatible(cfg):
     pair of coordinate masks A <= B in value order, each rank taken over the
     relation rows plus the unit rows of the points involved."""
     full = cfg.full_mask
+    orc = PredimOracle(configuration_record(cfg))
     for i, rel in enumerate(cfg.relations):
         if not rel:
             continue
-        pts = [cfg.points[j] for j in cfg.points_by_slot[i]]
-        cache = {}
-
-        def rank(chosen):
-            if chosen not in cache:
-                cache[chosen] = oracle_gamma_rank(cfg, i, chosen)
-            return cache[chosen]
-
-        def lying_in(mask):
-            return frozenset(
-                pos for pos, p in enumerate(pts)
-                if mask >> cfg.index[p.b] & 1 and mask >> cfg.index[p.e] & 1)
-
-        inside = [lying_in(m) for m in range(full + 1)]
+        rank = functools.partial(orc.gamma_rank, i)
+        inside = [orc.inside(i, m) for m in range(full + 1)]
         for a in range(full + 1):
             for b in range(a, full + 1):
                 if rank(inside[a]) + rank(inside[b]) \

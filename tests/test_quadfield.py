@@ -1,5 +1,5 @@
 """Exact quadratic field arithmetic: field axioms and numeric agreement;
-the integer elimination and row scaling against Fraction oracles."""
+the integer elimination and row scaling against the rational oracle."""
 
 import math
 import pickle
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wplab.errors import InvalidConfiguration
+from wplab.oracles import rank_det
 from wplab.quadfield import (
     QuadNum,
     _bareiss,
@@ -159,28 +160,6 @@ def test_scalar_ops(r, a):
 
 # -- integer elimination and row scaling ----------------------------------------
 
-def fraction_rank_det(rows):
-    """(rank, det) by Gaussian elimination over Fraction; det only for a
-    square matrix, else None."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank, det = 0, Fraction(1)
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            det = Fraction(0)
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            det = -det
-        det *= rows[rank][col]
-        for r in rows[rank + 1:]:
-            f = r[col] / rows[rank][col]
-            r[:] = [x - f * y for x, y in zip(r, rows[rank])]
-        rank += 1
-    return rank, det if len(rows) == ncols else None
-
-
 entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 9, 10 ** 9))
 shapes = st.tuples(st.integers(0, 5), st.integers(0, 5))
 
@@ -190,7 +169,7 @@ shapes = st.tuples(st.integers(0, 5), st.integers(0, 5))
                                          min_size=s[0], max_size=s[0])))
 def test_bareiss_rank_and_last_pivot_match_fractions(rows):
     rank, pivot = _bareiss(rows)
-    rank0, det = fraction_rank_det(rows)
+    rank0, det = rank_det(rows)
     assert rank == rank0
     if det:  # nonsingular and square: the last pivot is +-det
         assert abs(pivot) == abs(det)
@@ -201,7 +180,7 @@ def test_bareiss_rank_and_last_pivot_match_fractions(rows):
     lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=0, max_size=4)))
 def test_bareiss_last_pivot_of_a_gram_matrix_is_its_determinant(rows):
     gram = [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
-    rank, det = fraction_rank_det(gram)
+    rank, det = rank_det(gram)
     if rank == len(rows):  # independent rows: positive definite, no row swap
         assert _bareiss(gram) == (rank, det) and det > 0
     else:
