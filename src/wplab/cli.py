@@ -105,7 +105,19 @@ def parse_subset(text):
 def parse_slots(text, cfg):
     if text is None or text.strip() == "":
         return tuple(range(len(cfg.slots)))
-    return tuple(int(x) for x in text.split(","))
+    return slot_indices(text, cfg, "--slots")
+
+
+def slot_indices(text, cfg, option):
+    """The comma-separated slot indices of an option, each one of the
+    configuration's slots 0..n-1."""
+    out = tuple(int(x) for x in text.split(","))
+    n = len(cfg.slots)
+    for i in out:
+        if not 0 <= i < n:
+            have = f"0..{n - 1}" if n else "none"
+            raise CliError(f"{option} names slot {i}; the configuration's slots are {have}")
+    return out
 
 
 def box_str(z: ComplexBox, precision: int) -> str:
@@ -393,8 +405,8 @@ def cmd_predim(args) -> int:
         emit(args, [f"{k} = {v}" for k, v in rec.items()], rec)
         return 0 if rep.all_hold else 1
     # certificate
-    f1 = tuple(int(x) for x in args.f1.split(","))
-    f2 = tuple(int(x) for x in args.f2.split(","))
+    f1 = slot_indices(args.f1, cfg, "--f1")
+    f2 = slot_indices(args.f2, cfg, "--f2")
     fa = parse_subset(args.fa)
     cert = independence_certificate(cfg, f1, f2, subset, fa, base)
     rec = {

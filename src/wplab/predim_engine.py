@@ -191,6 +191,8 @@ class Configuration:
     def mask(self, names) -> int:
         m = 0
         for c in names:
+            if c not in self.index:
+                raise InvalidConfiguration(f"unknown coordinate {c!r}")
             m |= 1 << self.index[c]
         return m
 

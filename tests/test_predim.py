@@ -101,6 +101,11 @@ def test_compatibility_and_relation_row_invariants():
         )
 
 
+def test_an_unknown_coordinate_is_named():
+    with pytest.raises(InvalidConfiguration, match="unknown coordinate 'a'"):
+        strong_hull(one_exp_point(), ("b", "a"))
+
+
 def test_incompatible_relation_detected():
     # sqrt(d)-relation across points on disjoint coordinate pairs violates
     # intersection compatibility: Gamma({p1 coords}) ^ Gamma({p2 coords})
