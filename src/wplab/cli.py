@@ -726,6 +726,8 @@ def _run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "precision", None) is not None:
+            args.precision = serialize._precision(args.precision, "--precision")
         if args.command == "lattice":
             return cmd_lattice(args)
         if args.command == "wp":

@@ -58,6 +58,20 @@ def _int(value, where) -> int:
     raise InvalidConfiguration(f"{where} is not an integer: {value!r}")
 
 
+# the most bits a --precision option or a record's precision field may ask for
+PRECISION_LIMIT = 100000
+
+
+def _precision(value, where) -> int:
+    """The working precision in bits that the option or record field named
+    `where` gives: an integer from 1 to PRECISION_LIMIT."""
+    bits = _int(value, where)
+    if not 1 <= bits <= PRECISION_LIMIT:
+        raise InvalidConfiguration(
+            f"{where} must be from 1 to {PRECISION_LIMIT} bits, got {value!r}")
+    return bits
+
+
 def _names(value, where) -> list:
     return [_typed(c, str, f"{where}[{k}]")
             for k, c in enumerate(_typed(value, list, where))]
@@ -120,7 +134,7 @@ def box_record(z: ComplexBox, precision: int) -> dict:
 def parse_box(rec: dict) -> ComplexBox:
     """The box [re +- err] + [im +- err]i of the record, its numbers read
     exactly and its endpoints rounded outward at the record's precision."""
-    precision = _int(_field(rec, "precision", "box", default=128), "box.precision")
+    precision = _precision(_field(rec, "precision", "box", default=128), "box.precision")
     err = _rational(_field(rec, "err", "box"), "box.err")
     if err < 0:
         raise InvalidConfiguration(f"box.err is negative: {rec['err']!r}")
@@ -246,7 +260,7 @@ def parse_presentation(rec: dict):
         _names(_field(rec, "generators", where), f"{where}.generators"),
         _field(rec, "relations", where, list, ()),
         point,
-        _int(_field(rec, "precision", where, default=128), f"{where}.precision"),
+        _precision(_field(rec, "precision", where, default=128), f"{where}.precision"),
     )
     specs = []
     for k, f in enumerate(_field(rec, "forms", where, list, ())):

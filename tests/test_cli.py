@@ -511,7 +511,7 @@ VALUES = VALID + HOSTILE
 # names of coordinates that both configurations below have
 NAMES = (None, "", "b1", "b1,e1", "e1", ",")
 INTEGERS = ("x", "1e400", "-1", "9" * 5000)
-PRECISION = (None, "53", "128", "512", "15000", "0", "-5") + INTEGERS
+PRECISION = (None, "53", "128", "512", "15000", "0", "-5", "100001") + INTEGERS
 FORMAT = (None, "text", "record", "json")
 
 OPTIONS = {
@@ -548,7 +548,8 @@ OPTIONS = {
                               "1e400:", "x"),
                  "--heights": (None, "5,20", "3,2", "0", "-1,0", "2,1e400") + INTEGERS,
                  "--eps": (None, "1/1000", "1e-40", "0", "1/0", "-1/2", "x"),
-                 "--precision": (None, "53", "128", "512", "0", "x", "1e400")},
+                 "--precision": (None, "53", "128", "512", "0", "-5", "100001", "x",
+                                 "1e400")},
     # criterion numbers only: no --criteria runs every criterion, for seconds
     ("selftest",): {"--criteria": ("2", "8", "2,8", "x")},
 }
@@ -626,10 +627,10 @@ RECORDS = {
                                  '"1e10000000"'),
     "numeric-b-fraction": _with(NUMERIC_PRESENTATION, ("forms", 0, "b"), "0.9"),
     "numeric-precision-inf": _with(NUMERIC_PRESENTATION, ("precision",), "1e400"),
+    "numeric-precision-huge": _with(NUMERIC_PRESENTATION, ("precision",), "1e300"),
+    "numeric-precision-zero": _with(NUMERIC_PRESENTATION, ("precision",), "0"),
     "generic-fprime-huge": _with(GENERIC_PRESENTATION, ("forms", 0, "fprime"),
                                  '"1e10000000"'),
-    # a known breach (below), so in no pool
-    "breach-precision-huge": _with(NUMERIC_PRESENTATION, ("precision",), "1e300"),
 }
 HOSTILE_CONFIGS = tuple(k for k in RECORDS if k.startswith(("cm-", "exp-")))
 HOSTILE_PRESENTATIONS = tuple(k for k in RECORDS if k.startswith(("numeric-", "generic-")))
@@ -720,6 +721,11 @@ MENDED = {
     "predim-certificate-slot-outside-the-configuration": (
         ["predim", "certificate", "--config=cm", "--f1=0", "--f2=1", "--fa=b1"],
         "--f2 names slot 1; the configuration's slots are 0..0"),
+    "count-negative-precision": (
+        ["count", "--precision=-5"], "--precision must be from 1 to 100000 bits, got -5"),
+    "deriv-record-precision-1e300": (
+        ["deriv", "rank", "--presentation=numeric-precision-huge"],
+        "presentation.precision must be from 1 to 100000 bits, got 1e+300"),
 }
 
 
@@ -734,15 +740,10 @@ def test_mended_breaches_exit_2_with_one_error_line(argv, message, record_dir):
 BREACHES = [
     pytest.param(argv, id=name, marks=pytest.mark.xfail(strict=True, reason=reason))
     for name, argv, reason in (
-        ("count-negative-precision", ["count", "--precision=-5"],
-         "a TypeError traceback from default_eps"),
         ("count-reversed-domain", ["count", "--h=expwplog", "--domain=2:1"],
          "an AssertionError traceback from mpmath"),
         ("selftest-unknown-criterion", ["selftest", "--criteria=99"],
          "exit 1 with a FAIL line for a KeyError"),
-        ("deriv-record-precision-1e300",
-         ["deriv", "rank", "--presentation=breach-precision-huge"],
-         "an OverflowError traceback"),
     )]
 
 

@@ -109,6 +109,23 @@ def test_boxes_of_more_than_4300_digits_round_trip():
             assert _holds(S.parse_box(S.loads(S.dumps(rec))), z), rec["err"]
 
 
+@pytest.mark.parametrize("value, read", [
+    (1, 1), (53, 53), ("128", 128), (100000.0, 100000),
+    (0, "x must be from 1 to 100000 bits, got 0"),
+    (-5, "x must be from 1 to 100000 bits, got -5"),
+    (100001, "x must be from 1 to 100000 bits, got 100001"),
+    (1e300, "x must be from 1 to 100000 bits, got 1e+300"),
+    (0.5, "x is not an integer: 0.5"),
+])
+def test_a_precision_is_an_integer_from_1_to_the_limit(value, read):
+    if isinstance(read, int):
+        assert S._precision(value, "x") == read
+    else:
+        with pytest.raises(InvalidConfiguration) as info:
+            S._precision(value, "x")
+        assert str(info.value) == read
+
+
 def test_parse_box_reads_finite_decimals_only():
     box = {"re": "1.5", "im": "0", "err": "0.25"}
     back = S.parse_box(box)
@@ -121,6 +138,8 @@ def test_parse_box_reads_finite_decimals_only():
             S.parse_box({**box, key: bad})
     with pytest.raises(InvalidConfiguration, match="box.err is negative"):
         S.parse_box({**box, "err": "-0.25"})
+    with pytest.raises(InvalidConfiguration, match="box.precision must be from 1 to 100000"):
+        S.parse_box({**box, "precision": 0})
 
 
 def test_box_record_midpoint_full_precision_outside_scope():
