@@ -563,6 +563,10 @@ def cmd_selftest(args) -> int:
     selected = None
     if args.criteria:
         selected = [int(x) for x in args.criteria.split(",")]
+        for n in selected:
+            if n not in acceptance.CRITERIA:
+                raise CliError(f"--criteria names criterion {n}; the criteria are "
+                               f"1..{max(acceptance.CRITERIA)}")
     results = acceptance.run_all(selected, seed=args.seed)
     all_ok = True
     for num, ok, detail in results:

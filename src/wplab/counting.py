@@ -156,11 +156,17 @@ class Composite:
                 )
 
     def _check_pole_margin(self):
-        """The image of the domain under log must stay a certified margin
-        omega1/64 away from the real lattice points n * omega1."""
+        """The domain must be a nonempty bounded positive interval, and its
+        image under log must stay a certified margin omega1/64 away from the
+        real lattice points n * omega1."""
         if self.domain.lo is None or self.domain.lo <= 0 or self.domain.hi is None:
             raise InvalidConfiguration(
                 "composite targets need a bounded positive domain"
+            )
+        if self.domain.lo >= self.domain.hi:
+            raise InvalidConfiguration(
+                f"composite targets need a domain lo:hi with lo < hi, got "
+                f"{self.domain.lo}:{self.domain.hi}"
             )
         with working_precision(64):
             w1 = self.lattice.omega1_box().re

@@ -508,8 +508,8 @@ HOSTILE = ("1/0", "0/0", "1/0+i", "1e400", "1e400i", "1e12i", "-0", "9" * 5000, 
            "9.8e-2451+1i", "1e-2500", "1.5e+2500i", "1e10000000", "1e100000000",
            "1i:-1000000000000000000000000000057")
 VALUES = VALID + HOSTILE
-# names of coordinates that both configurations below have
-NAMES = (None, "", "b1", "b1,e1", "e1", ",")
+# names of coordinates that both configurations below have, and one neither has
+NAMES = (None, "", "b1", "b1,e1", "e1", ",", "b1,a")
 INTEGERS = ("x", "1e400", "-1", "9" * 5000)
 PRECISION = (None, "53", "128", "512", "15000", "0", "-5", "100001") + INTEGERS
 FORMAT = (None, "text", "record", "json")
@@ -530,10 +530,10 @@ OPTIONS = {
                        "--bound": (None, "10"), "--seed": (None, "1") + INTEGERS},
     **{("predim", a): {"--config": ("cm", "exp", "missing", "not-json"),
                        "--set": NAMES, "--base": NAMES,
-                       "--slots": (None, "0", "-1") + INTEGERS, **extra}
+                       "--slots": (None, "0", "-1", "5") + INTEGERS, **extra}
        for a, extra in (("report", {}), ("strong", {}), ("hull", {}), ("dim", {}),
                         ("chain", {"--target": NAMES}), ("lemma7", {"--b": NAMES}),
-                        ("certificate", {"--f1": ("0", "-1", "x"), "--f2": ("0",),
+                        ("certificate", {"--f1": ("0", "-1", "x"), "--f2": ("0", "1"),
                                          "--fa": NAMES}))},
     ("deriv", "rank"): {"--presentation": ("generic", "numeric", "missing")},
     ("deriv", "extend"): {
@@ -544,14 +544,14 @@ OPTIONS = {
     ("deriv", "hcl"): {"--presentation": ("generic", "numeric", "missing"),
                        "--b": ("e", "a", "z", "4", "99", "-1", "x")},
     ("count",): {"--h": (None, "identity", "expwplog", "x"), "--tau": (None,) + VALUES,
-                 "--domain": (None, "1/3:7/2", "11/10:5/2", ":", "1/0:", "nan:",
-                              "1e400:", "x"),
+                 "--domain": (None, "1/3:7/2", "11/10:5/2", "2:1", "2:2", ":", "1/0:",
+                              "nan:", "1e400:", "x"),
                  "--heights": (None, "5,20", "3,2", "0", "-1,0", "2,1e400") + INTEGERS,
                  "--eps": (None, "1/1000", "1e-40", "0", "1/0", "-1/2", "x"),
                  "--precision": (None, "53", "128", "512", "0", "-5", "100001", "x",
                                  "1e400")},
     # criterion numbers only: no --criteria runs every criterion, for seconds
-    ("selftest",): {"--criteria": ("2", "8", "2,8", "x")},
+    ("selftest",): {"--criteria": ("2", "8", "2,8", "x", "0", "2,99")},
 }
 for path, options in OPTIONS.items():
     for name in READ[path] - {"--seed"} - set(options):
@@ -726,6 +726,11 @@ MENDED = {
     "deriv-record-precision-1e300": (
         ["deriv", "rank", "--presentation=numeric-precision-huge"],
         "presentation.precision must be from 1 to 100000 bits, got 1e+300"),
+    "count-reversed-domain": (
+        ["count", "--h=expwplog", "--domain=2:1"],
+        "composite targets need a domain lo:hi with lo < hi, got 2:1"),
+    "selftest-unknown-criterion": (
+        ["selftest", "--criteria=99"], "--criteria names criterion 99; the criteria are 1..10"),
 }
 
 
@@ -733,23 +738,6 @@ MENDED = {
 def test_mended_breaches_exit_2_with_one_error_line(argv, message, record_dir):
     assert _contract(argv, record_dir) == ""
     assert _timed_run(_record_paths(argv, record_dir))[:2] == (2, f"error: {message}\n")
-
-
-# inputs outside the pools above that still break the contract, each kept
-# strict so that its mend shows
-BREACHES = [
-    pytest.param(argv, id=name, marks=pytest.mark.xfail(strict=True, reason=reason))
-    for name, argv, reason in (
-        ("count-reversed-domain", ["count", "--h=expwplog", "--domain=2:1"],
-         "an AssertionError traceback from mpmath"),
-        ("selftest-unknown-criterion", ["selftest", "--criteria=99"],
-         "exit 1 with a FAIL line for a KeyError"),
-    )]
-
-
-@pytest.mark.parametrize("argv", BREACHES)
-def test_known_breaches_of_the_contract(argv, record_dir):
-    assert _contract(argv, record_dir) == ""
 
 
 # -- numbers read from outside -------------------------------------------------

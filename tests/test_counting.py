@@ -167,6 +167,9 @@ def test_composite_pole_margin():
         ExpWpLog(RECT, Domain(F(1, 2), F(2)))
     with pytest.raises(InvalidConfiguration):
         ExpWpLog(RECT, Domain(F(11, 10), None))  # unbounded
+    for lo, hi in ((F(2), F(1)), (F(2), F(2))):  # empty, not an mpmath assertion
+        with pytest.raises(InvalidConfiguration, match="with lo < hi, got 2:"):
+            ExpWpLog(RECT, Domain(lo, hi))
 
 
 def test_composite_pole_margin_is_certified():
