@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .cintervals import ComplexBox, ri, working_precision
+from .cintervals import ComplexBox, _nstr, ri, working_precision
 from .counting import (
     CONFIRMED,
     EXCLUDED,
@@ -116,7 +116,7 @@ def criterion_1(seed=0):
                 worst = max(worst, r.value)
                 checked += 1
     ok = checked == 100 and worst <= RESIDUAL_BOUND
-    return ok, (f"{checked} samples, max ODE residual {mp.nstr(worst, 5)} "
+    return ok, (f"{checked} samples, max ODE residual {_nstr(worst, 5)} "
                 f"(bound 2^-100), {time.monotonic() - t0:.1f}s")
 
 
@@ -131,8 +131,8 @@ def criterion_2(seed=0):
     m_hex = invariants(hexa, PRECISION)
     ok = m_sq.g3.contains_zero() and m_hex.g2.contains_zero()
     return ok, (f"square lattice g3 encloses 0: {m_sq.g3.contains_zero()} "
-                f"(rad {mp.nstr(m_sq.g3.rad(), 3)}); hexagonal g2 encloses 0: "
-                f"{m_hex.g2.contains_zero()} (rad {mp.nstr(m_hex.g2.rad(), 3)})")
+                f"(rad {_nstr(m_sq.g3.rad(), 3)}); hexagonal g2 encloses 0: "
+                f"{m_hex.g2.contains_zero()} (rad {_nstr(m_hex.g2.rad(), 3)})")
 
 
 # -- criterion 3: functional identities + negative control --------------------
@@ -169,9 +169,9 @@ def criterion_3(seed=0):
             ode_residual(bad, _cell_sample(rng, lat)).value for _ in range(5)
         )
     ok = all(v <= RESIDUAL_BOUND for v in worst.values()) and control >= 1e-6
-    summary = ", ".join(f"{k} {mp.nstr(v, 3)}" for k, v in sorted(worst.items()))
+    summary = ", ".join(f"{k} {_nstr(v, 3)}" for k, v in sorted(worst.items()))
     return ok, (f"50 samples each, max residuals: {summary}; negative control "
-                f"{mp.nstr(control, 3)} >= 1e-6, {time.monotonic() - t0:.1f}s")
+                f"{_nstr(control, 3)} >= 1e-6, {time.monotonic() - t0:.1f}s")
 
 
 # -- criterion 4: exact vs numeric isogeny verdicts ---------------------------

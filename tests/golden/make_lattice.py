@@ -8,9 +8,9 @@ same calls and compares them byte for byte.  The calls cover every lattice
 leaf with exact and decimal taus, the searches at bounds 3, 10 and 40,
 searches on boxes much wider than 1 (huge Im tau, low precision), and
 the lattice calls of the benchmark's cli_calls workload at seeds 1-4, all
-in both output formats.  A call runs in this process (a fresh interpreter
-per call would cost about 0.1 s each); warnings are not part of the corpus,
-since Python prints them with the source path of the module that warns.
+in both output formats, and the calls that mix an exact and a numeric
+lattice, whose first stderr line is a `warning:` line.  A call runs in this
+process (a fresh interpreter per call would cost about 0.1 s each).
 """
 
 import contextlib
@@ -18,7 +18,6 @@ import io
 import json
 import random
 import sys
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -63,7 +62,11 @@ OTHER = (["lattice", "cm", "--tau", "0.3+1.7i", "--precision", "64", "--bound", 
           "--precision", "32", "--bound", "40"],
          ["lattice", "isogenous", "--tau1", "0.3+1.7i", "--tau2", "x"],
          ["lattice", "cm", "--tau", "0.3+0i"],
-         ["lattice", "cm"])
+         ["lattice", "cm"],
+         # an exact and a numeric lattice: one warning line, then the
+         # numeric answer
+         ["lattice", "isogenous", "--tau1", "i", "--tau2", "0.3+1.7i"],
+         ["lattice", "normalize", "--w1", "i", "--w2", "0.3+1.7i"])
 
 
 def cli_calls_workload(workdir=ROOT / "benchmarks" / "out", api=None):
@@ -108,9 +111,7 @@ def run_call(argv):
     from wplab.cli import run
 
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(argv))
     lines = err.getvalue().splitlines()
     return code, out.getvalue(), lines[0] if lines else ""
