@@ -44,8 +44,8 @@ GUARD_BITS = 32
 class working_precision:
     """Context manager pinning iv/mp precision (plus guard bits)."""
 
-    def __init__(self, bits: int, guard: int = GUARD_BITS):
-        self.bits = bits + guard
+    def __init__(self, bits: int):
+        self.bits = bits + GUARD_BITS
 
     def __enter__(self):
         self._iv, self._mp = iv.prec, mp.prec

@@ -267,14 +267,6 @@ def _mask_of(cfg: Configuration, subset) -> int:
     return cfg.mask(subset)
 
 
-def td(cfg: Configuration, b_subset, a_subset=()) -> int:
-    return cfg.td_mask(_mask_of(cfg, b_subset), _mask_of(cfg, a_subset))
-
-
-def grk(cfg: Configuration, slot_i: int, b_subset, a_subset=()) -> int:
-    return cfg.grk_mask(slot_i, _mask_of(cfg, b_subset), _mask_of(cfg, a_subset))
-
-
 def all_slots(cfg: Configuration) -> tuple:
     return tuple(range(len(cfg.slots)))
 

@@ -13,6 +13,7 @@ from mpmath import iv, mp
 from mpmath.libmp import from_rational, round_ceiling, round_floor
 
 from wplab.cintervals import (
+    GUARD_BITS,
     ComplexBox,
     as_box,
     endpoint_fraction,
@@ -282,7 +283,7 @@ def make_box(parts):
 @settings(max_examples=120, deadline=None)
 @given(wide_boxes, wide_boxes)
 def test_box_operators_match_ivmpf_formulas(bits, pa, pb):
-    with working_precision(bits, guard=0):
+    with working_precision(bits - GUARD_BITS):
         a, b = make_box(pa), make_box(pb)
         assert endpoints(a + b) == endpoints(ref_add(a, b))
         assert endpoints(a - b) == endpoints(ref_sub(a, b))
@@ -298,7 +299,7 @@ def test_box_operators_match_ivmpf_formulas(bits, pa, pb):
 @settings(max_examples=40, deadline=None)
 @given(wide_boxes, st.integers(min_value=-5, max_value=5))
 def test_mixed_operands_match_ivmpf_formulas(bits, pa, k):
-    with working_precision(bits, guard=0):
+    with working_precision(bits - GUARD_BITS):
         a = make_box(pa)
         kb = ComplexBox(ri(k), iv.mpf(0))
         assert endpoints(k + a) == endpoints(ref_add(kb, a))
@@ -336,7 +337,7 @@ def test_exp_2pi_i_matches_ivmpf_formulas(bits, parts):
 @settings(max_examples=60, deadline=None)
 @given(wide_boxes)
 def test_pow_int_matches_square_and_multiply(bits, pa):
-    with working_precision(bits, guard=0):
+    with working_precision(bits - GUARD_BITS):
         a = make_box(pa)
         for n in range(-3, 9):
             same_or_both_raise(ComplexBox.pow_int, ref_pow_int, a, n)
@@ -346,7 +347,7 @@ def test_pow_int_matches_square_and_multiply(bits, pa):
 def test_pow_int_exact_matches_repeated_multiplication(parts):
     # On point boxes with small integer parts every product is exact, so
     # any multiplication order gives the same endpoints.
-    with working_precision(128, guard=0):
+    with working_precision(128 - GUARD_BITS):
         a = ComplexBox(*parts)
         for n in range(-3, 9):
             rep = ComplexBox(1)

@@ -24,13 +24,11 @@ from wplab.predim_engine import (
     chain_decompose,
     check_semimodularity,
     delta,
-    grk,
     independence_certificate,
     is_intersection_compatible,
     is_strong,
     predim_dim,
     strong_hull,
-    td,
 )
 from wplab.oracles import PredimOracle, rank_det
 from wplab.quadfield import _bareiss, _primitive_row
@@ -53,17 +51,17 @@ def one_exp_point(matroid=None):
 
 def test_td_examples():
     cfg = one_exp_point()
-    assert td(cfg, ("b", "e"), ("b", "e")) == 0
-    assert td(cfg, ("b", "e")) == 2
+    assert delta(cfg, (), ("b", "e"), ("b", "e")).td == 0
+    assert delta(cfg, (), ("b", "e")).td == 2
     dep = one_exp_point(matroid=[[F(1), F(1)]])  # equal columns
-    assert td(dep, ("b", "e")) == 1
+    assert delta(dep, (), ("b", "e")).td == 1
 
 
 def test_grk_examples():
     cfg = one_exp_point()
-    assert grk(cfg, 0, ("b", "e")) == 1
-    assert grk(cfg, 0, ("b", "e"), ("b",)) == 1
-    assert grk(cfg, 0, ("b", "e"), ("b", "e")) == 0
+    assert delta(cfg, (0,), ("b", "e")).grk_per_slot == (1,)
+    assert delta(cfg, (0,), ("b", "e"), ("b",)).grk_per_slot == (1,)
+    assert delta(cfg, (0,), ("b", "e"), ("b", "e")).grk_per_slot == (0,)
 
 
 def test_grk_cm_relation():
@@ -74,7 +72,7 @@ def test_grk_cm_relation():
         [GroupPoint(0, "b1", "e1"), GroupPoint(0, "b2", "e2")],
         {0: [[(F(0), F(1)), (F(-1), F(0))]]},
     )
-    assert grk(cfg, 0, ("b1", "e1", "b2", "e2")) == 1
+    assert delta(cfg, (0,), ("b1", "e1", "b2", "e2")).grk_per_slot == (1,)
 
 
 def test_delta_examples():
@@ -128,7 +126,7 @@ def test_compatible_relation_on_shared_pair():
         {0: [[F(1), F(-2)]]},
     )
     assert is_intersection_compatible(cfg)
-    assert grk(cfg, 0, ("b", "e")) == 1  # two points modulo one relation
+    assert delta(cfg, (0,), ("b", "e")).grk_per_slot == (1,)  # two points modulo one relation
 
 
 def test_is_strong_and_hull():
