@@ -37,6 +37,7 @@ from .differentials import (
 )
 from .lattice_core import Lattice, flt, is_isogenous, isr_equivalent, \
     make_lattice, mat_det, witness_maps
+from .oracles import PredimOracle, totient_count
 from .predim_engine import (
     Configuration,
     FunctionSlot,
@@ -49,7 +50,6 @@ from .predim_engine import (
     predim_dim,
     strong_hull,
 )
-from .oracles import PredimOracle, totient_count
 from .quadfield import QuadNum
 from .serialize import configuration_record, dumps
 from .wp_numerics import (
@@ -554,7 +554,6 @@ def criterion_9(seed=0):
 # -- criterion 10: CLI determinism --------------------------------------------
 
 def criterion_10(seed=0):
-    import json
     import subprocess
     import sys
     import tempfile

@@ -109,14 +109,17 @@ def parse_slots(text, cfg):
 
 
 def slot_indices(text, cfg, option):
-    """The comma-separated slot indices of an option, each one of the
-    configuration's slots 0..n-1."""
+    """The comma-separated slot indices of an option: distinct, each one of
+    the configuration's slots 0..n-1 (a repeated slot would count its group
+    rank twice)."""
     out = tuple(int(x) for x in text.split(","))
     n = len(cfg.slots)
-    for i in out:
+    for k, i in enumerate(out):
         if not 0 <= i < n:
             have = f"0..{n - 1}" if n else "none"
             raise CliError(f"{option} names slot {i}; the configuration's slots are {have}")
+        if i in out[:k]:
+            raise CliError(f"{option} names slot {i} twice")
     return out
 
 
@@ -730,7 +733,7 @@ def _run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "precision", None) is not None:
+        if hasattr(args, "precision"):
             args.precision = serialize._precision(args.precision, "--precision")
         if args.command == "lattice":
             return cmd_lattice(args)

@@ -530,7 +530,7 @@ OPTIONS = {
                        "--bound": (None, "10"), "--seed": (None, "1") + INTEGERS},
     **{("predim", a): {"--config": ("cm", "exp", "missing", "not-json"),
                        "--set": NAMES, "--base": NAMES,
-                       "--slots": (None, "0", "-1", "5") + INTEGERS, **extra}
+                       "--slots": (None, "0", "-1", "5", "0,0") + INTEGERS, **extra}
        for a, extra in (("report", {}), ("strong", {}), ("hull", {}), ("dim", {}),
                         ("chain", {"--target": NAMES}), ("lemma7", {"--b": NAMES}),
                         ("certificate", {"--f1": ("0", "-1", "x"), "--f2": ("0", "1"),
@@ -708,7 +708,7 @@ def test_every_call_keeps_the_exit_code_contract(path, data, record_dir):
 
 
 # inputs that broke the contract with a traceback or a wrong exit code, or
-# read a slot the option did not name, and the one error line each now ends in
+# read slots the option did not name, and the one error line each now ends in
 MENDED = {
     "predim-name-outside-the-configuration": (
         ["predim", "hull", "--config=cm", "--set=a"], "unknown coordinate 'a'"),
@@ -718,6 +718,10 @@ MENDED = {
     "predim-negative-slot": (
         ["predim", "strong", "--config=cm", "--slots=-1"],
         "--slots names slot -1; the configuration's slots are 0..0"),
+    # slot 0 counted twice: a certified "strong = False" with exit 1
+    "predim-repeated-slot": (
+        ["predim", "strong", "--config=cm", "--set=b1", "--slots=0,0"],
+        "--slots names slot 0 twice"),
     "predim-certificate-slot-outside-the-configuration": (
         ["predim", "certificate", "--config=cm", "--f1=0", "--f2=1", "--fa=b1"],
         "--f2 names slot 1; the configuration's slots are 0..0"),

@@ -17,6 +17,7 @@ from wplab.errors import (
     IncompatibleConfiguration,
     InvalidConfiguration,
 )
+from wplab.oracles import PredimOracle, rank_det
 from wplab.predim_engine import (
     Configuration,
     FunctionSlot,
@@ -30,7 +31,6 @@ from wplab.predim_engine import (
     predim_dim,
     strong_hull,
 )
-from wplab.oracles import PredimOracle, rank_det
 from wplab.quadfield import _bareiss, _primitive_row
 from wplab.serialize import configuration_record, parse_configuration
 

@@ -160,6 +160,14 @@ def test_scalar_ops(r, a):
 
 # -- integer elimination and row scaling ----------------------------------------
 
+def test_rank_det_signs_and_fields():
+    # a row swap flips the sign; over Q(sqrt(-1)), (1, i) and (i, -1) are dependent
+    assert rank_det([[0, 1], [1, 0]]) == (2, -1)
+    assert rank_det([[1, "1/2"], [2, 1], [0, 0]]) == (1, None)
+    assert rank_det([[1, (0, 1)], [(0, 1), -1]], -1) == (1, (0, 0))
+    assert rank_det([[(0, 1), 1], [1, 0]], -1) == (2, (-1, 0))
+
+
 entries = st.one_of(st.integers(-3, 3), st.integers(-10 ** 9, 10 ** 9))
 shapes = st.tuples(st.integers(0, 5), st.integers(0, 5))
 
